@@ -2,9 +2,9 @@
 
 Everything here is deliberately dumb: build the full (sparse) Hamiltonian of
 the driven three-mode system in a truncated product basis, propagate the state
-vector with a Krylov matrix exponential, and read observables off the
-amplitudes.  Mode ordering is (cav1, cav2, motion); the flat index of
-|n1, n2, nb> is (n1 * d2 + n2) * db + nb.
+vector with a Krylov matrix exponential on the blocks of H it occupies, and
+read observables off the amplitudes.  Mode ordering is (cav1, cav2, motion);
+the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.
 
 Quadrature observables use the same X = a + a_dag, vacuum-variance-1
 convention as the gaussian module, so covariance matrices from both engines
@@ -60,26 +60,35 @@ def vacuum_state(dims) -> FockState:
     return FockState(tuple(dims), vec)
 
 
-def _lower(d: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
-
-
 def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> sp.csr_matrix:
     """Sparse matrix of H/hbar = i chi1 a1+ b+ + i chi2 a2+ b + h.c. in the truncated basis.
 
-    Hermiticity is exact by construction (the conjugate part is added
-    explicitly, entry by entry).
+    Built from the flat index of each number state.  Hermiticity is exact by
+    construction (the conjugate part is added explicitly, entry by entry).
     """
     d1, d2, db = (int(d) for d in dims)
     if min(d1, d2, db) < 2:
         raise StateError(f"dims must all be >= 2, got {dims!r}")
-    eye1, eye2, eyeb = (sp.identity(d, format="csr") for d in (d1, d2, db))
-    a1 = sp.kron(sp.kron(_lower(d1), eye2), eyeb, format="csr")
-    a2 = sp.kron(sp.kron(eye1, _lower(d2)), eyeb, format="csr")
-    b = sp.kron(sp.kron(eye1, eye2), _lower(db), format="csr")
-    half = (1j * complex(chi1)) * (a1.conj().T @ b.conj().T) \
-        + (1j * complex(chi2)) * (a2.conj().T @ b)
-    return (half + half.conj().T).tocsr()
+    size = d1 * d2 * db
+    # scipy stores 32-bit indices where they fit; building in them spares a copy
+    index = np.int32 if size < 2**31 else np.int64
+    n1, n2, nb = np.indices((d1, d2, db), dtype=index).reshape(3, -1)
+    flat = np.arange(size, dtype=index)
+    # a1+ b+ : |n1, n2, nb> -> sqrt(n1+1) sqrt(nb+1) |n1+1, n2, nb+1>
+    pair = (n1 < d1 - 1) & (nb < db - 1)
+    # a2+ b  : |n1, n2, nb> -> sqrt(n2+1) sqrt(nb) |n1, n2+1, nb-1>
+    exch = (n2 < d2 - 1) & (nb > 0)
+    cols = np.concatenate([flat[pair], flat[exch]])
+    rows = np.concatenate([flat[pair] + d2 * db + 1, flat[exch] + db - 1])
+    vals = np.concatenate([
+        (1j * complex(chi1)) * (np.sqrt(n1[pair] + 1) * np.sqrt(nb[pair] + 1)),
+        (1j * complex(chi2)) * (np.sqrt(n2[exch] + 1) * np.sqrt(nb[exch])),
+    ])
+    h = sp.coo_matrix((np.concatenate([vals, vals.conj()]),
+                       (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                      shape=(size, size)).tocsr()
+    h.eliminate_zeros()     # a zero coupling stores no entries
+    return h
 
 
 def leakage(state: FockState) -> float:
@@ -92,6 +101,9 @@ def evolve_exact(state: FockState, hamiltonian: sp.spmatrix, t: float,
                  leak_tol: float = DEFAULT_LEAK_TOL) -> FockState:
     """Apply exp(-i H t) to the state (Krylov evaluation, no approximation knobs).
 
+    Only the blocks of H that the state's nonzero amplitudes reach are
+    propagated; every other amplitude stays exactly zero.
+
     Raises :class:`TruncationError` when the propagated state puts more than
     ``leak_tol`` population on the top level of any mode, since observables
     are then contaminated by the basis cutoff.
@@ -103,7 +115,16 @@ def evolve_exact(state: FockState, hamiltonian: sp.spmatrix, t: float,
         )
     if t == 0.0:
         return state
-    vec = expm_multiply(-1j * t * hamiltonian.tocsc(), state.amplitudes)
+    # exp(-i H t) is block-diagonal over the connected components of H's
+    # sparsity graph, so only the components the state occupies evolve.
+    from scipy.sparse.csgraph import connected_components
+    hamiltonian = hamiltonian.tocsr()
+    _, labels = connected_components(hamiltonian.astype(bool), directed=False)
+    occupied = np.unique(labels[np.flatnonzero(state.amplitudes)])
+    idx = np.flatnonzero(np.isin(labels, occupied))
+    block = hamiltonian[idx][:, idx]
+    vec = np.zeros_like(state.amplitudes)
+    vec[idx] = expm_multiply(-1j * t * block.tocsc(), state.amplitudes[idx])
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
@@ -201,9 +222,7 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     Sizes each mode from the geometric tail of its worst-case occupation along
     the evolution: the cavity modes end in a thermal-like distribution with
     ratio (2r/(1+r^2))^2 per level, the motion transiently reaches mean
-    occupation r^2/(r^2-1).  The default heuristic
-    max(8, ceil(8*(n_mean+1))) is far too small for deep-tail targets like
-    1e-10, which is why acceptance-grade runs use this function instead.
+    occupation r^2/(r^2-1).
     """
     if r <= 1.0:
         raise StateError(f"suggest_dims needs r > 1, got {r!r}")
@@ -221,8 +240,3 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     d_cav = tail_dim(q_cav)
     return (d_cav, d_cav, tail_dim(q_mot))
 
-
-def default_dims(n_mean: float) -> tuple:
-    """Documented quick heuristic: max(8, ceil(8*(n_mean+1))) per mode."""
-    d = max(8, math.ceil(8.0 * (n_mean + 1.0)))
-    return (d, d, d)

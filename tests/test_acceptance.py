@@ -119,7 +119,7 @@ def test_criterion_3_analytic_numeric_equivalence(rng):
 def test_criterion_4_gaussian_fock_agreement():
     with criterion(4, "gaussian engine agrees with the number-basis oracle"):
         start = time.perf_counter()
-        for r in (2.0, 2.5, 3.0):
+        for r in (1.5, 2.0, 2.5, 3.0):
             c = Couplings.from_chis(1.0, r)
             dims = fock_oracle.suggest_dims(r, leak_target=1e-11)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from ionlight.errors import StateError, TruncationError
@@ -18,6 +19,20 @@ def number_operator(dims, mode):
 
 def half_period(r):
     return math.pi / math.sqrt(r**2 - 1.0)
+
+
+def kron_hamiltonian(chi1, chi2, dims):
+    """Reference build of H from ladder operators and three-way Kronecker products."""
+    def lower(d):
+        return sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
+
+    eye1, eye2, eyeb = (sp.identity(d, format="csr") for d in dims)
+    a1 = sp.kron(sp.kron(lower(dims[0]), eye2), eyeb, format="csr")
+    a2 = sp.kron(sp.kron(eye1, lower(dims[1])), eyeb, format="csr")
+    b = sp.kron(sp.kron(eye1, eye2), lower(dims[2]), format="csr")
+    half = (1j * complex(chi1)) * (a1.conj().T @ b.conj().T) \
+        + (1j * complex(chi2)) * (a2.conj().T @ b)
+    return (half + half.conj().T).tocsr()
 
 
 class TestHamiltonian:
@@ -45,6 +60,22 @@ class TestHamiltonian:
         k = number_operator(dims, 1) + number_operator(dims, 2)
         comm = h @ k - k @ h
         assert np.max(np.abs(comm.toarray())) == 0.0
+
+    @pytest.mark.parametrize("chi1, chi2, dims", [
+        (0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7)),
+        (1.0, 2.33, (9, 8, 6)),
+        (1.0, 0.0, (4, 4, 4)),
+        (0.0, 2.0 - 1.0j, (3, 5, 4)),
+    ])
+    def test_matches_kron_build(self, chi1, chi2, dims):
+        h = hamiltonian_matrix(chi1, chi2, dims)
+        ref = kron_hamiltonian(chi1, chi2, dims)
+        h.sort_indices()
+        ref.sort_indices()
+        assert h.nnz == ref.nnz
+        assert np.array_equal(h.indptr, ref.indptr)
+        assert np.array_equal(h.indices, ref.indices)
+        np.testing.assert_array_max_ulp(h.data.view(float), ref.data.view(float), maxulp=1)
 
     def test_too_small_dims_rejected(self):
         with pytest.raises(StateError):
@@ -107,6 +138,30 @@ class TestEvolveExact:
             evolve_exact(vacuum_state(dims), h, half_period(r), leak_tol=1e-9)
         assert err.value.leakage > 1e-9
         assert err.value.dims == dims
+
+    @pytest.mark.parametrize("case", ["vacuum", "two_sectors", "generic"])
+    def test_matches_dense_expm(self, case):
+        dims = (5, 5, 5)
+        n = 125
+        t = 0.37
+        psi = np.zeros(n, dtype=complex)
+        if case == "generic":
+            # a sparse Hermitian matrix with no conserved quantity
+            rng = np.random.default_rng(7)
+            m = sp.random(n, n, density=0.01, random_state=rng) \
+                + 1j * sp.random(n, n, density=0.01, random_state=rng)
+            h = (m + m.conj().T).tocsr()
+            psi[0] = 1.0
+        else:
+            # real chi1: the pair-term entries are purely imaginary
+            h = hamiltonian_matrix(1.0, 2.5, dims)
+            psi[0] = 1.0
+            if case == "two_sectors":
+                psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
+                psi /= math.sqrt(2.0)
+        out = evolve_exact(FockState(dims, psi), h, t, leak_tol=1.0)
+        expected = scipy.linalg.expm(-1j * t * h.toarray()) @ psi
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
         h = hamiltonian_matrix(1.0, 2.0, (4, 4, 4))
