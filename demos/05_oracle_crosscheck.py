@@ -9,32 +9,17 @@ every observable is compared.  Kept to low photon number (r = 3 means about
 
 import numpy as np
 
-from ionlight import (dynamics_from_couplings, evolve, evolve_exact,
-                      hamiltonian_matrix, mean_photons, observables,
-                      suggest_dims, vacuum, vacuum_state)
-from ionlight.params import Couplings
+from ionlight import crosscheck
 
 r = 3.0
-c = Couplings.from_chis(1.0, r)
-dims = suggest_dims(r)
-print(f"coupling ratio r = {r}, truncation dims = {dims}, t_pi = {c.t_pi:.4f}")
-
-# Route 1: covariance matrices.
-g_state = evolve(vacuum(3, ("cav1", "cav2", "motion")),
-                 dynamics_from_couplings(1.0, r, kappa=0.0), c.t_pi)
-
-# Route 2: the full state vector.
-h = hamiltonian_matrix(1.0, r, dims)
-f_state = evolve_exact(vacuum_state(dims), h, c.t_pi)
-obs = observables(f_state)
-
+check = crosscheck(r)
+obs = check.observables
+print(f"coupling ratio r = {r}, truncation dims = {check.dims}")
 print(f"truncation leakage = {obs.leakage:.2e}")
 print()
-print(f"{'observable':<18} {'gaussian':>14} {'fock':>14}")
-for mode, idx in (("cav1", 0), ("cav2", 1), ("motion", 2)):
-    print(f"photons {mode:<10} {mean_photons(g_state, mode):>14.9f} "
-          f"{obs.mean_photons[idx]:>14.9f}")
-print(f"{'max |cov diff|':<18} {np.max(np.abs(g_state.cov - obs.covariance)):>14.2e}")
+print(f"{'observable':<18} {'gaussian':>14} {'fock':>14} {'|diff|':>10}")
+for name, g_val, f_val in check.rows:
+    print(f"{name:<18} {g_val:>14.9f} {f_val:>14.9f} {abs(g_val - f_val):>10.2e}")
 print()
 
 # The number-basis run also exposes what the Gaussian picture only implies:

@@ -18,21 +18,20 @@ The package is organized around four layers:
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateCouplingError, InfiniteSqueezingError,
-                     IonlightError, ParameterError, StateError, TruncationError,
+from .errors import (ConfigError, InfiniteSqueezingError, IonlightError,
+                     ParameterError, StateError, TruncationError,
                      UndefinedPeriodError, UnphysicalStateError)
 from .params import (HBAR, Couplings, PhysicalParams, RegimeConstraint,
-                     RegimeReport, coupling_constants, derived_rates,
-                     lamb_dicke, load_config, params_from_config,
-                     parse_config_text, validate_regime)
+                     RegimeReport, coupling_constants, lamb_dicke, load_config,
+                     params_from_config, parse_config_text, validate_regime)
 from .gaussian import (GaussianState, LinearDynamics, bogoliubov_tpi,
                        decorrelation_norm, dump_state, dynamics_from_couplings,
                        epr_variance, evolve, load_state, log_negativity,
-                       mean_photons, symplectic_eigenvalues, symplectic_form,
-                       tensor, thermal, tmss, vacuum)
-from .fock_oracle import (FockObservables, FockState, evolve_exact,
-                          hamiltonian_matrix, leakage, observables,
-                          suggest_dims, vacuum_state)
+                       mean_photons, quadratic_dynamics, symplectic_eigenvalues,
+                       symplectic_form, tensor, thermal, tmss, vacuum)
+from .fock_oracle import (Crosscheck, FockObservables, FockState, crosscheck,
+                          evolve_exact, hamiltonian_matrix, leakage,
+                          observables, suggest_dims, vacuum_state)
 from .protocol import (HomodyneSettings, SequentialResult, SignalTrace,
                        SimultaneousResult, beam_splitter_signal,
                        default_time_grid, fig3_sweep, output_signal,

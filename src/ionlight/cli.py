@@ -16,12 +16,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import __version__, fock_oracle, gaussian, protocol
+from . import __version__, fock_oracle, protocol
 from .errors import ConfigError, IonlightError, ParameterError
-from .params import (Couplings, PhysicalParams, coupling_constants,
-                     load_config, params_from_config, validate_regime)
+from .params import (PhysicalParams, coupling_constants, load_config,
+                     params_from_config, validate_regime)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,27 +27,12 @@ EXIT_PHYSICS = 2
 
 ORACLE_TOL = 1e-6
 
-# Run-level config keys (everything else must be a PhysicalParams key).
-RUN_KEY_PARSERS = {
-    "ratio": float,
-    "soft_ratio": float,
-    "kappa_dt": float,
-    "theta1": float,
-    "theta2": float,
-    "t_max": float,
-    "t_step": float,
-    "fig3_r_list": lambda raw: tuple(float(x) for x in raw.split(",")),
-    "oracle_r": float,
-    "oracle_dims": lambda raw: tuple(int(x) for x in raw.split(",")),
-    "seq_t1": float,
-    "seq_kappa_t12": float,
-    "seq_swap_area": float,
-}
-
-
 @dataclass
 class RunConfig:
-    """Physical parameters plus run-level settings for one CLI invocation."""
+    """Physical parameters plus run-level settings for one CLI invocation.
+
+    There is one field per run-level key of ``params.CONFIG_KEYS``.
+    """
 
     params: Optional[PhysicalParams]
     ratio: float = 10.0
@@ -77,22 +60,9 @@ def bundled_config_path(name: str = "indium") -> Path:
     return Path(resources.files("ionlight").joinpath(f"data/{name}.cfg"))
 
 
-def read_run_config(path, require_params: bool = True) -> RunConfig:
-    entries = load_config(path)
-    run_entries = {k: v for k, v in entries.items() if k in RUN_KEY_PARSERS}
-    phys_entries = {k: v for k, v in entries.items() if k not in RUN_KEY_PARSERS}
-    params = None
-    if phys_entries or require_params:
-        params, leftovers = params_from_config(phys_entries)
-        for key, (_, lineno) in leftovers.items():
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
-    cfg = RunConfig(params=params)
-    for key, (raw, lineno) in run_entries.items():
-        try:
-            setattr(cfg, key, RUN_KEY_PARSERS[key](raw))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {raw!r}", line=lineno) from exc
-    return cfg
+def read_run_config(path) -> RunConfig:
+    params, settings = params_from_config(load_config(path))
+    return RunConfig(params=params, **settings)
 
 
 def _fmt(value) -> str:
@@ -172,9 +142,8 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
             print("error: chi1 = 0 and no seq_t1 given", file=sys.stderr)
             return EXIT_USAGE
         t1 = 1.0 / abs(couplings.chi1)   # default pulse area |chi1| t1 = 1
-    delay = (math.inf if math.isinf(cfg.seq_kappa_t12)
-             else cfg.seq_kappa_t12 / cfg.params.kappa)
-    result = protocol.run_sequential(cfg.params, t1=t1, delay_t12=delay,
+    result = protocol.run_sequential(cfg.params, t1=t1,
+                                     delay_t12=cfg.seq_kappa_t12 / cfg.params.kappa,
                                      swap_area=cfg.seq_swap_area)
     print(f"pulse area |chi1|*t1      = {_fmt(abs(couplings.chi1) * t1)}")
     print(f"swap area                 = {_fmt(result.swap_area)}")
@@ -186,39 +155,12 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, args) -> int:
-    r = cfg.oracle_r
-    if r <= 1.0:
-        print(f"error: oracle_r must exceed 1, got {r!r}", file=sys.stderr)
-        return EXIT_USAGE
-    dims = cfg.oracle_dims or fock_oracle.suggest_dims(r)
-    couplings = Couplings.from_chis(1.0, r)
-
-    # Gaussian route.
-    initial = gaussian.vacuum(3, protocol.SIMULTANEOUS_LABELS)
-    dynamics = gaussian.dynamics_from_couplings(couplings.chi1, couplings.chi2, 0.0)
-    g_state = gaussian.evolve(initial, dynamics, couplings.t_pi)
-
-    # Number-basis route.
-    hamiltonian = fock_oracle.hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
-    f_state = fock_oracle.evolve_exact(fock_oracle.vacuum_state(dims),
-                                       hamiltonian, couplings.t_pi)
-    obs = fock_oracle.observables(f_state)
-
-    rows = [
-        ("photons cav1", gaussian.mean_photons(g_state, "cav1"), float(obs.mean_photons[0])),
-        ("photons cav2", gaussian.mean_photons(g_state, "cav2"), float(obs.mean_photons[1])),
-        ("photons motion", gaussian.mean_photons(g_state, "motion"), float(obs.mean_photons[2])),
-        ("EPR var X1-X2", gaussian.epr_variance(g_state, "cav1", "cav2"),
-         _fock_epr(obs, 0.0, 0.0)),
-        ("EPR var P1+P2", gaussian.epr_variance(g_state, "cav1", "cav2",
-                                                math.pi / 2, -math.pi / 2),
-         _fock_epr(obs, math.pi / 2, -math.pi / 2)),
-        ("max |cov| diff", 0.0, float(np.max(np.abs(g_state.cov - obs.covariance)))),
-    ]
-    print(f"r = {r:g}, dims = {dims}, leakage = {obs.leakage!r}")
+    check = fock_oracle.crosscheck(cfg.oracle_r, cfg.oracle_dims)
+    print(f"r = {cfg.oracle_r:g}, dims = {check.dims}, "
+          f"leakage = {check.observables.leakage!r}")
     print(f"{'observable':<16} {'gaussian':>24} {'fock':>24} {'|diff|':>12}")
     worst = 0.0
-    for name, g_val, f_val in rows:
+    for name, g_val, f_val in check.rows:
         diff = abs(g_val - f_val)
         worst = max(worst, diff)
         print(f"{name:<16} {g_val!r:>24} {f_val!r:>24} {diff:>12.3e}")
@@ -228,15 +170,6 @@ def cmd_oracle_check(cfg: RunConfig, args) -> int:
         return EXIT_PHYSICS
     print(f"agreement within {ORACLE_TOL:g}")
     return EXIT_OK
-
-
-def _fock_epr(obs: fock_oracle.FockObservables, theta_i: float, theta_j: float) -> float:
-    w = np.zeros(6)
-    w[0] = math.cos(theta_i)
-    w[1] = -math.sin(theta_i)
-    w[2] = -math.cos(theta_j)
-    w[3] = math.sin(theta_j)
-    return float(w @ obs.covariance @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +211,11 @@ def main(argv=None) -> int:
     print(f"ionlight {__version__}", file=sys.stderr)
     handler, needs_params = COMMANDS[args.command]
     try:
-        if args.config is not None:
-            cfg = read_run_config(args.config, require_params=needs_params)
-        elif needs_params:
-            print("error: this command needs --config", file=sys.stderr)
-            return EXIT_USAGE
-        else:
-            cfg = RunConfig(params=None)
+        cfg = (RunConfig(params=None) if args.config is None
+               else read_run_config(args.config))
         if needs_params and cfg.params is None:
-            print("error: config lacks the physical parameters", file=sys.stderr)
+            print("error: this command needs --config with the physical parameters",
+                  file=sys.stderr)
             return EXIT_USAGE
         return handler(cfg, args)
     except ConfigError as exc:

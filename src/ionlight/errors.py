@@ -9,10 +9,6 @@ class ParameterError(IonlightError, ValueError):
     """A physical parameter is out of its allowed range."""
 
 
-class DegenerateCouplingError(IonlightError, ValueError):
-    """chi1 vanishes, so the coupling ratio r = |chi2/chi1| is undefined."""
-
-
 class UndefinedPeriodError(IonlightError, ValueError):
     """|chi2| <= |chi1|: the dynamics are not periodic and no half-period exists."""
 

@@ -4,7 +4,10 @@ Everything here is deliberately dumb: build the full (sparse) Hamiltonian of
 the driven three-mode system in a truncated product basis, propagate the state
 vector with a Krylov matrix exponential on the blocks of H it occupies, and
 read observables off the amplitudes.  Mode ordering is (cav1, cav2, motion);
-the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.
+the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.  The Hamiltonian
+is built from that index arithmetic alone, never from the Gaussian engine's
+term list, so a sign error in either shows up as a disagreement in
+:func:`crosscheck`.
 
 Quadrature observables use the same X = a + a_dag, vacuum-variance-1
 convention as the gaussian module, so covariance matrices from both engines
@@ -15,12 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from . import gaussian
 from .errors import StateError, TruncationError
+from .params import Couplings
 
 NORM_TOL = 1e-9
 DEFAULT_LEAK_TOL = 1e-9
@@ -240,3 +246,42 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     d_cav = tail_dim(q_cav)
     return (d_cav, d_cav, tail_dim(q_mot))
 
+
+class Crosscheck(NamedTuple):
+    """One half-period from vacuum through both engines, observable by observable."""
+
+    dims: tuple
+    observables: FockObservables
+    rows: tuple                 # (name, gaussian value, number-basis value)
+
+
+def crosscheck(r: float, dims=None) -> Crosscheck:
+    """Run one half-period from vacuum at chi1 = 1, chi2 = r through both engines.
+
+    ``dims`` defaults to :func:`suggest_dims`.  The rows compare the photons
+    per mode, both EPR variances and, last, the largest covariance difference
+    as (name, 0, max |diff|).
+    """
+    if not 1.0 < r < math.inf:
+        raise StateError(f"crosscheck needs a finite r > 1, got {r!r}")
+    dims = suggest_dims(r) if dims is None else tuple(dims)
+    couplings = Couplings.from_chis(1.0, r)
+    labels = ("cav1", "cav2", "motion")
+    g_state = gaussian.evolve(
+        gaussian.vacuum(3, labels),
+        gaussian.dynamics_from_couplings(couplings.chi1, couplings.chi2, 0.0),
+        couplings.t_pi)
+    hamiltonian = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
+    obs = observables(evolve_exact(vacuum_state(dims), hamiltonian, couplings.t_pi))
+    f_state = gaussian.GaussianState(labels, obs.mean_quadratures, obs.covariance,
+                                     validate=False)
+
+    rows = [(f"photons {label}", gaussian.mean_photons(g_state, label),
+             float(obs.mean_photons[k])) for k, label in enumerate(labels)]
+    for name, thetas in (("EPR var X1-X2", (0.0, 0.0)),
+                         ("EPR var P1+P2", (math.pi / 2, -math.pi / 2))):
+        rows.append((name, gaussian.epr_variance(g_state, "cav1", "cav2", *thetas),
+                     gaussian.epr_variance(f_state, "cav1", "cav2", *thetas)))
+    rows.append(("max |cov| diff", 0.0,
+                 float(np.max(np.abs(g_state.cov - obs.covariance)))))
+    return Crosscheck(dims=dims, observables=obs, rows=tuple(rows))

@@ -265,39 +265,63 @@ class LinearDynamics:
         return self.drift.shape[0] // 2
 
 
-def _coupling_block(chi: complex, sign_p: float) -> np.ndarray:
-    # Quadrature image of a_dot = chi * b_dag (sign_p = -1) or chi * b (+1).
-    re, im = chi.real, chi.imag
-    return np.array([[re, -sign_p * im],
-                     [im, sign_p * re]])
+# Quadratic Hamiltonian terms (kind, mode_a, mode_b, chi), in units of hbar:
+#   PAIR      H = i chi a_dag b_dag + h.c.   ->  da/dt = chi b_dag,  db/dt = chi a_dag
+#   EXCHANGE  H = i chi a_dag b + h.c.       ->  da/dt = chi b,      db/dt = -conj(chi) a
+PAIR = "pair"
+EXCHANGE = "exchange"
+
+
+def quadratic_dynamics(labels: Sequence, terms: Iterable,
+                       decay: Optional[dict] = None) -> LinearDynamics:
+    """Drift/diffusion of a quadratic Hamiltonian given as a list of terms.
+
+    The Heisenberg equations da/dt = M a + N a_dag are collected term by term
+    (see PAIR and EXCHANGE above) and mapped to quadratures as a mode
+    transformation.  ``decay`` maps mode labels to amplitude decay rates
+    kappa: each such mode gets -kappa on its drift diagonal and 2 kappa of
+    vacuum noise per quadrature, so the vacuum is a fixed point of pure decay.
+    """
+    labels = tuple(labels)
+    n = len(labels)
+    m = np.zeros((n, n), dtype=complex)
+    nn = np.zeros((n, n), dtype=complex)
+    for kind, mode_a, mode_b, chi in terms:
+        i, j = labels.index(mode_a), labels.index(mode_b)
+        chi = complex(chi)
+        if kind == PAIR:
+            nn[i, j] += chi
+            nn[j, i] += chi
+        elif kind == EXCHANGE:
+            m[i, j] += chi
+            m[j, i] -= chi.conjugate()
+        else:
+            raise StateError(f"unknown term kind {kind!r}")
+    d = np.zeros((2 * n, 2 * n))
+    for label, kappa in (decay or {}).items():
+        k = labels.index(label)
+        m[k, k] -= kappa
+        d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 2.0 * kappa
+    return LinearDynamics(drift=bogoliubov_to_symplectic(m, nn), diffusion=d)
 
 
 def dynamics_from_couplings(chi1: complex, chi2: complex, kappa: float = 0.0,
                             include_decay: bool = True) -> LinearDynamics:
     """Drift/diffusion for the driven three-mode system (cav1, cav2, motion).
 
-    Realizes the Heisenberg equations
+    The Hamiltonian H = i chi1 a1_dag b_dag + i chi2 a2_dag b + h.c. gives
 
         da1/dt = chi1 * b_dag - kappa_a * a1
         da2/dt = chi2 * b     - kappa_a * a2
         db/dt  = chi1 * a1_dag - conj(chi2) * a2
 
-    with kappa_a = kappa if ``include_decay`` else 0.  The diffusion feeds one
-    unit of vacuum noise (2 kappa_a on the diagonal) into each decaying cavity
-    quadrature, so the vacuum is an exact fixed point of pure decay.
+    with kappa_a = kappa if ``include_decay`` else 0.
     """
-    chi1 = complex(chi1)
-    chi2 = complex(chi2)
     kappa_a = float(kappa) if include_decay else 0.0
-    a = np.zeros((6, 6))
-    a[0:2, 4:6] = _coupling_block(chi1, -1.0)          # a1 <- b_dag
-    a[2:4, 4:6] = _coupling_block(chi2, +1.0)          # a2 <- b
-    a[4:6, 0:2] = _coupling_block(chi1, -1.0)          # b <- chi1 a1_dag
-    a[4:6, 2:4] = -_coupling_block(chi2.conjugate(), +1.0)   # b <- -conj(chi2) a2
-    a[0:4, 0:4] -= kappa_a * np.eye(4)
-    d = np.zeros((6, 6))
-    d[0:4, 0:4] = 2.0 * kappa_a * np.eye(4)
-    return LinearDynamics(drift=a, diffusion=d)
+    return quadratic_dynamics(
+        ("cav1", "cav2", "motion"),
+        [(PAIR, "cav1", "motion", chi1), (EXCHANGE, "cav2", "motion", chi2)],
+        {"cav1": kappa_a, "cav2": kappa_a})
 
 
 def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> GaussianState:
@@ -308,8 +332,8 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
     augmented (block upper-triangular) exponential, so there is no step-size
     parameter and no integration error beyond expm round-off.
     """
-    if t < 0.0:
-        raise StateError(f"t must be >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise StateError(f"t must be finite and >= 0, got {t!r}")
     n = 2 * state.n_modes
     if dynamics.drift.shape != (n, n):
         raise StateError(
@@ -344,15 +368,13 @@ def bogoliubov_to_symplectic(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     n = alpha.shape[0]
-    s = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for j in range(n):
-            plus = alpha[i, j] + beta[i, j]
-            minus = alpha[i, j] - beta[i, j]
-            s[2 * i, 2 * j] = plus.real
-            s[2 * i, 2 * j + 1] = -minus.imag
-            s[2 * i + 1, 2 * j] = plus.imag
-            s[2 * i + 1, 2 * j + 1] = minus.real
+    plus = alpha + beta
+    minus = alpha - beta
+    s = np.empty((2 * n, 2 * n))
+    s[0::2, 0::2] = plus.real
+    s[0::2, 1::2] = -minus.imag
+    s[1::2, 0::2] = plus.imag
+    s[1::2, 1::2] = minus.real
     return s
 
 

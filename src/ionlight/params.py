@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigError, DegenerateCouplingError, ParameterError
+from .errors import ConfigError, ParameterError
 
 # Reduced Planck constant, J*s (CODATA 2018 exact value).
 HBAR = 1.054571817e-34
@@ -68,6 +69,10 @@ class PhysicalParams:
     pulse_length_t: Optional[float] = None  # laser pulse duration, s (None -> T_pi)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not cmath.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
         for name in ("nu", "gamma", "kappa", "mass", "wavenumber", "omega_rabi"):
             value = getattr(self, name)
             if not value > 0.0:
@@ -193,26 +198,6 @@ def coupling_constants(params: PhysicalParams) -> Couplings:
     return Couplings.from_chis(chi1, chi2, eta=eta)
 
 
-def derived_rates(chi1: complex, chi2: complex):
-    """Derived quantities for a given pair of coupling rates.
-
-    Returns
-    -------
-    tuple
-        ``(theta_rate, r, beta, t_pi, n_mean)``.  The rate, half-period and
-        photon number are ``None`` unless r > 1.
-
-    Raises
-    ------
-    DegenerateCouplingError
-        If chi1 = 0 (r is undefined).
-    """
-    if chi1 == 0:
-        raise DegenerateCouplingError("chi1 = 0: the ratio r = |chi2/chi1| is undefined")
-    c = Couplings.from_chis(chi1, chi2)
-    return (c.theta_rate, c.r, c.beta, c.t_pi, c.n_mean)
-
-
 # ---------------------------------------------------------------------------
 # operating-regime report
 # ---------------------------------------------------------------------------
@@ -330,29 +315,59 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
 # config files
 # ---------------------------------------------------------------------------
 
-# Frequencies are entered in linear Hz and converted to rad/s on ingestion.
-FREQUENCY_KEYS = {
-    "nu_hz": "nu",
-    "gamma_hz": "gamma",
-    "delta_hz": "delta",
-    "omega_rabi_hz": "omega_rabi",
-    "kappa_hz": "kappa",
-    "g1_hz": "g1",
-    "g2_hz": "g2",
+def _number(raw: str, kind=float, inf_ok: bool = False):
+    """The finiteness rule: NaN and +-inf are refused; ``inf_ok`` admits +inf."""
+    value = kind(raw)
+    if not (cmath.isfinite(value) or (inf_ok and value == math.inf)):
+        raise ValueError("the value must be finite" + (", or inf" if inf_ok else ""))
+    return value
+
+
+def _numbers(kind):
+    return lambda raw: tuple(_number(x, kind) for x in raw.split(","))
+
+
+class ConfigKey(NamedTuple):
+    """How one config key is parsed and where its value goes."""
+
+    parse: Callable               # raw text -> value; ValueError if bad or not finite
+    field: Optional[str] = None   # PhysicalParams field; None: a run-level setting
+    scale: float = 1.0            # 2 pi for the *_hz keys, entered as linear Hz
+    required: bool = False
+
+
+# The config schema.  Run-level settings keep their key as their name
+# (the CLI's RunConfig has one field per such key).
+CONFIG_KEYS = {
+    "nu_hz": ConfigKey(_number, "nu", TWO_PI, True),
+    "gamma_hz": ConfigKey(_number, "gamma", TWO_PI, True),
+    "delta_hz": ConfigKey(_number, "delta", TWO_PI, True),
+    "omega_rabi_hz": ConfigKey(_number, "omega_rabi", TWO_PI, True),
+    "kappa_hz": ConfigKey(_number, "kappa", TWO_PI, True),
+    "g1_hz": ConfigKey(partial(_number, kind=complex), "g1", TWO_PI, True),
+    "g2_hz": ConfigKey(partial(_number, kind=complex), "g2", TWO_PI, True),
+    "mass": ConfigKey(_number, "mass", required=True),
+    "wavenumber": ConfigKey(_number, "wavenumber", required=True),
+    "alpha1": ConfigKey(_number, "alpha1"),
+    "alpha2": ConfigKey(_number, "alpha2"),
+    "theta_l": ConfigKey(_number, "theta_l"),
+    "theta_c": ConfigKey(_number, "theta_c"),
+    "nbar_motion": ConfigKey(_number, "nbar_motion"),
+    "pulse_length_t": ConfigKey(_number, "pulse_length_t"),
+    "ratio": ConfigKey(_number),
+    "soft_ratio": ConfigKey(_number),
+    "kappa_dt": ConfigKey(_number),
+    "theta1": ConfigKey(_number),
+    "theta2": ConfigKey(_number),
+    "t_max": ConfigKey(_number),
+    "t_step": ConfigKey(_number),
+    "fig3_r_list": ConfigKey(_numbers(float)),
+    "oracle_r": ConfigKey(_number),
+    "oracle_dims": ConfigKey(_numbers(int)),
+    "seq_t1": ConfigKey(_number),
+    "seq_kappa_t12": ConfigKey(partial(_number, inf_ok=True)),
+    "seq_swap_area": ConfigKey(_number),
 }
-COMPLEX_FIELDS = {"g1", "g2"}
-PLAIN_KEYS = {
-    "alpha1": "alpha1",
-    "alpha2": "alpha2",
-    "theta_l": "theta_l",
-    "theta_c": "theta_c",
-    "mass": "mass",
-    "wavenumber": "wavenumber",
-    "nbar_motion": "nbar_motion",
-    "pulse_length_t": "pulse_length_t",
-}
-REQUIRED_KEYS = ("nu_hz", "gamma_hz", "delta_hz", "omega_rabi_hz", "kappa_hz",
-                 "g1_hz", "g2_hz", "mass", "wavenumber")
 
 
 def parse_config_text(text: str) -> dict:
@@ -387,39 +402,35 @@ def load_config(path) -> dict:
 
 
 def params_from_config(entries: dict):
-    """Build PhysicalParams from parsed config entries.
+    """Parse config entries through :data:`CONFIG_KEYS`.
 
-    Returns ``(params, leftovers)`` where ``leftovers`` maps keys not owned by
-    this module (run-level settings for the CLI) to their raw entries.
-    Unknown-key rejection is the caller's job, since it knows the full key set.
+    Returns ``(params, run_settings)``: the PhysicalParams built from the
+    physical keys, or ``None`` when the entries name none of them, and a dict
+    of the run-level settings by key.  Unknown keys and unparseable or
+    non-finite values raise :class:`ConfigError` with the line number.
     """
-    missing = [key for key in REQUIRED_KEYS if key not in entries]
+    kwargs = {}
+    settings = {}
+    for key, (raw, lineno) in entries.items():
+        spec = CONFIG_KEYS.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown key {key!r}", line=lineno)
+        try:
+            value = spec.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: cannot use {raw!r} ({exc})",
+                              line=lineno) from exc
+        if spec.field is None:
+            settings[key] = value
+        else:
+            kwargs[spec.field] = value * spec.scale
+    if not kwargs:
+        return None, settings
+    missing = [key for key, spec in CONFIG_KEYS.items()
+               if spec.required and key not in entries]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(sorted(missing))}")
-    kwargs = {}
-    leftovers = {}
-    for key, (raw, lineno) in entries.items():
-        if key in FREQUENCY_KEYS:
-            fieldname = FREQUENCY_KEYS[key]
-            value = _parse_number(raw, key, lineno,
-                                  want_complex=fieldname in COMPLEX_FIELDS)
-            kwargs[fieldname] = value * TWO_PI
-        elif key in PLAIN_KEYS:
-            kwargs[PLAIN_KEYS[key]] = _parse_number(raw, key, lineno)
-        else:
-            leftovers[key] = (raw, lineno)
     try:
-        return PhysicalParams(**kwargs), leftovers
+        return PhysicalParams(**kwargs), settings
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _parse_number(raw: str, key: str, lineno: int, want_complex: bool = False):
-    try:
-        if want_complex:
-            return complex(raw)
-        return float(raw)
-    except ValueError as exc:
-        kind = "complex" if want_complex else "real"
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as a {kind} number",
-                          line=lineno) from exc

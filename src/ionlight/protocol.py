@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import gaussian
 from .errors import ParameterError, UndefinedPeriodError
@@ -45,12 +44,19 @@ DEFAULT_R_LIST = (1.8, 1.5, 1.3, 1.1, 1.05)
 DEFAULT_KAPPA_DT = 0.1
 SIMULTANEOUS_LABELS = ("cav1", "cav2", "motion")
 SEQUENTIAL_LABELS = ("cav", "motion", "pulse1")
+MAX_GRID_POINTS = 1_000_000     # 8 MB per float64 trace column; the default grid has 401
 
 
 def default_time_grid(t_max: float = 8.0, step: float = 0.02) -> np.ndarray:
-    """Time grid in units of 1/kappa, inclusive of both ends."""
-    if t_max <= 0.0 or step <= 0.0:
-        raise ParameterError("t_max and step must be positive")
+    """Time grid in units of 1/kappa, inclusive of both ends.
+
+    At most MAX_GRID_POINTS points; the check comes before the allocation.
+    """
+    if not (0.0 < t_max < math.inf and 0.0 < step < math.inf):
+        raise ParameterError("t_max and step must be positive and finite")
+    if not t_max / step <= MAX_GRID_POINTS - 1:
+        raise ParameterError(
+            f"t_max / step = {t_max / step:.3g} asks for more than {MAX_GRID_POINTS} grid points")
     n = int(round(t_max / step))
     return np.linspace(0.0, n * step, n + 1)
 
@@ -72,9 +78,11 @@ class HomodyneSettings:
     def __post_init__(self):
         if not 0.0 < self.kappa_dt <= 1.0:
             raise ParameterError(f"kappa_dt must be in (0, 1], got {self.kappa_dt!r}")
+        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
+            raise ParameterError("theta1 and theta2 must be finite")
         grid = np.array(self.t_grid, dtype=float).reshape(-1)
-        if grid.size == 0 or np.any(grid < 0.0):
-            raise ParameterError("t_grid must be non-empty with times >= 0")
+        if grid.size == 0 or not np.all((grid >= 0.0) & (grid < math.inf)):
+            raise ParameterError("t_grid must be non-empty with finite times >= 0")
         object.__setattr__(self, "t_grid", grid)
         grid.setflags(write=False)
 
@@ -141,16 +149,6 @@ class SequentialResult:
 # source-field moments and the signal
 # ---------------------------------------------------------------------------
 
-def _require_period(chi1: complex, chi2: complex) -> float:
-    theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
-    if theta_sq <= 0.0:
-        raise UndefinedPeriodError(
-            f"|chi2| <= |chi1| (|chi1|={abs(chi1)!r}, |chi2|={abs(chi2)!r}): "
-            "the protocol needs r > 1"
-        )
-    return theta_sq
-
-
 def quadrature_moments(chi1: complex, chi2: complex,
                        theta1: float = 0.0, theta2: float = 0.0) -> tuple:
     """Second moments of the source quadratures q_j = a_j e^{i theta_j} + h.c.
@@ -161,7 +159,12 @@ def quadrature_moments(chi1: complex, chi2: complex,
     """
     chi1 = complex(chi1)
     chi2 = complex(chi2)
-    theta_sq = _require_period(chi1, chi2)
+    theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
+    if theta_sq <= 0.0:
+        raise UndefinedPeriodError(
+            f"|chi2| <= |chi1| (|chi1|={abs(chi1)!r}, |chi2|={abs(chi2)!r}): "
+            "the protocol needs r > 1"
+        )
     m1, m2 = abs(chi1) ** 2, abs(chi2) ** 2
     q1_sq = ((m1 + m2) ** 2 + 4.0 * m1 * m2) / theta_sq ** 2
     q1q2 = (4.0 * chi1 * chi2 * (m1 + m2)
@@ -239,6 +242,8 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
         r_list = DEFAULT_R_LIST
     r_list = [float(r) for r in r_list]
     for r in r_list:
+        if not math.isfinite(r):
+            raise ParameterError(f"every r must be finite, got {r!r}")
         if r <= 1.0:
             raise UndefinedPeriodError(f"every r must exceed 1, got {r!r}")
     if t_grid is None:
@@ -314,28 +319,6 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
 # sequential protocol
 # ---------------------------------------------------------------------------
 
-def _pair_drift(chi: complex) -> np.ndarray:
-    """Drift of da/dt = chi b_dag, db/dt = chi a_dag on modes (cav, motion)."""
-    a = np.zeros((4, 4))
-    a[0:2, 2:4] = gaussian._coupling_block(chi, -1.0)
-    a[2:4, 0:2] = gaussian._coupling_block(chi, -1.0)
-    return a
-
-
-def _exchange_drift(chi: complex) -> np.ndarray:
-    """Drift of da/dt = chi b, db/dt = -conj(chi) a on modes (cav, motion)."""
-    a = np.zeros((4, 4))
-    a[0:2, 2:4] = gaussian._coupling_block(chi, +1.0)
-    a[2:4, 0:2] = -gaussian._coupling_block(complex(chi).conjugate(), +1.0)
-    return a
-
-
-def _embed_cav_motion(block: np.ndarray) -> np.ndarray:
-    full = np.zeros((6, 6))
-    full[0:4, 0:4] = block
-    return full
-
-
 def _extraction_symplectic(transmittance: float) -> np.ndarray:
     """Beam splitter moving the intracavity field into the pulse-1 register.
 
@@ -399,22 +382,21 @@ def run_sequential(params: PhysicalParams, t1: float,
     )
 
     # Stage A: pair creation between cavity and motion.
-    s_a = expm(_embed_cav_motion(_pair_drift(couplings.chi1)) * t1)
-    state = _apply_symplectic(state, s_a)
+    pair = gaussian.quadratic_dynamics(
+        SEQUENTIAL_LABELS, [(gaussian.PAIR, cav_label, motion_label, couplings.chi1)])
+    state = gaussian.evolve(state, pair, t1)
     stage_a_entanglement = gaussian.log_negativity(state, ("cav",))
 
     # Stage B: emission of pulse 1 during the delay.
-    if math.isinf(delay_t12):
-        transmittance = 1.0
-    else:
-        transmittance = 1.0 - math.exp(-2.0 * params.kappa * delay_t12)
+    transmittance = 1.0 - math.exp(-2.0 * params.kappa * delay_t12)
     state = _apply_symplectic(state, _extraction_symplectic(transmittance))
 
     # Stage C: exchange pulse of the requested area.
     if abs(couplings.chi2) > 0.0 and swap_area > 0.0:
         t2 = swap_area / abs(couplings.chi2)
-        s_c = expm(_embed_cav_motion(_exchange_drift(couplings.chi2)) * t2)
-        state = _apply_symplectic(state, s_c)
+        exchange = gaussian.quadratic_dynamics(
+            SEQUENTIAL_LABELS, [(gaussian.EXCHANGE, cav_label, motion_label, couplings.chi2)])
+        state = gaussian.evolve(state, exchange, t2)
 
     return SequentialResult(
         stage_a_entanglement=stage_a_entanglement,

@@ -120,30 +120,14 @@ def test_criterion_4_gaussian_fock_agreement():
     with criterion(4, "gaussian engine agrees with the number-basis oracle"):
         start = time.perf_counter()
         for r in (1.5, 2.0, 2.5, 3.0):
-            c = Couplings.from_chis(1.0, r)
-            dims = fock_oracle.suggest_dims(r, leak_target=1e-11)
-
-            initial = gaussian.vacuum(3, ("cav1", "cav2", "motion"))
-            dyn = gaussian.dynamics_from_couplings(1.0, r, kappa=0.0)
-            g_state = gaussian.evolve(initial, dyn, c.t_pi)
-
-            h = fock_oracle.hamiltonian_matrix(1.0, r, dims)
-            f_state = fock_oracle.evolve_exact(fock_oracle.vacuum_state(dims),
-                                               h, c.t_pi, leak_tol=1e-10)
-            obs = fock_oracle.observables(f_state)
-
-            assert obs.leakage < 1e-10
-            for mode, idx in (("cav1", 0), ("cav2", 1), ("motion", 2)):
-                assert abs(gaussian.mean_photons(g_state, mode)
-                           - obs.mean_photons[idx]) < 1e-6
-            assert np.max(np.abs(g_state.cov - obs.covariance)) < 1e-6
-            for thetas in ((0.0, 0.0), (math.pi / 2, -math.pi / 2)):
-                w = np.zeros(6)
-                w[0], w[1] = math.cos(thetas[0]), -math.sin(thetas[0])
-                w[2], w[3] = -math.cos(thetas[1]), math.sin(thetas[1])
-                fock_epr = float(w @ obs.covariance @ w)
-                assert abs(gaussian.epr_variance(g_state, "cav1", "cav2", *thetas)
-                           - fock_epr) < 1e-6
+            check = fock_oracle.crosscheck(
+                r, fock_oracle.suggest_dims(r, leak_target=1e-11))
+            assert check.observables.leakage < 1e-10
+            assert [row[0] for row in check.rows] == [
+                "photons cav1", "photons cav2", "photons motion",
+                "EPR var X1-X2", "EPR var P1+P2", "max |cov| diff"]
+            for name, g_val, f_val in check.rows:
+                assert abs(g_val - f_val) < 1e-6, name
         assert time.perf_counter() - start < 60.0
 
 

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,13 @@ class TestFig3:
         assert code == EXIT_USAGE
         assert "exceed 1" in err
 
+    def test_oversized_grid_is_usage_error(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "fine.cfg", extra=["t_step = 1e-9"])
+        code, _, err = run(capsys, "fig3", "--config", cfg,
+                           "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert "grid points" in err
+
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "fig3", "--out", "/dev/null/nope")
         assert code == EXIT_USAGE
@@ -144,6 +152,13 @@ class TestSequential:
         residual = float(re.search(r"motion residual norm\s+= (\S+)", out).group(1))
         assert residual < 1e-3
 
+    def test_ideal_extraction_as_inf(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "seq.cfg", extra=["seq_kappa_t12 = inf"])
+        code, out, _ = run(capsys, "sequential", "--config", cfg)
+        assert code == EXIT_OK
+        residual = float(re.search(r"motion residual norm\s+= (\S+)", out).group(1))
+        assert residual < 1e-9
+
 
 class TestOracleCheck:
     def test_default_agreement(self, capsys):
@@ -160,6 +175,24 @@ class TestOracleCheck:
         path.write_text("oracle_r = 0.5\n")
         code, _, err = run(capsys, "oracle-check", "--config", str(path))
         assert code == EXIT_USAGE
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("command,key,value", [
+        ("sequential", "seq_t1", "inf"),
+        ("fig3", "t_max", "nan"),
+        ("oracle-check", "oracle_r", "nan"),
+        ("fig3", "fig3_r_list", "nan"),
+        ("validate", "delta_hz", "nan"),
+    ])
+    def test_rejected_with_line_number(self, capsys, tmp_path, command, key, value):
+        cfg = rewrite_config(tmp_path, "bad.cfg", drop={key}, extra=[f"{key} = {value}"])
+        lineno = len(Path(cfg).read_text().splitlines())
+        code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert re.search(rf"^\S*\s*error: line {lineno}: key '{key}'", err, re.MULTILINE)
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestRunConfig:

@@ -6,12 +6,12 @@ import pytest
 from conftest import random_couplings
 from ionlight.errors import (InfiniteSqueezingError, StateError,
                              UndefinedPeriodError, UnphysicalStateError)
-from ionlight.gaussian import (GaussianState, LinearDynamics, bogoliubov_tpi,
-                               decorrelation_norm, dump_state,
+from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
+                               bogoliubov_tpi, decorrelation_norm, dump_state,
                                dynamics_from_couplings, epr_variance, evolve,
                                load_state, log_negativity, mean_photons,
-                               symplectic_eigenvalues, symplectic_form, tensor,
-                               thermal, tmss, vacuum)
+                               quadratic_dynamics, symplectic_eigenvalues,
+                               symplectic_form, tensor, thermal, tmss, vacuum)
 from ionlight.params import Couplings
 
 LABELS3 = ("cav1", "cav2", "motion")
@@ -99,6 +99,33 @@ class TestDynamics:
         assert np.all(dyn.diffusion == 0.0)
         assert np.trace(dyn.drift) == 0.0
 
+    def test_term_heisenberg_blocks(self):
+        # da/dt = chi b_dag, db/dt = chi a_dag (pair) and da/dt = chi b,
+        # db/dt = -conj(chi) a (exchange), written out in X = a + a_dag,
+        # P = -i (a - a_dag)
+        re, im = 0.3, -0.8
+        pair = quadratic_dynamics(("a", "b"), [(PAIR, "a", "b", re + 1j * im)]).drift
+        assert np.array_equal(pair[0:2, 2:4], [[re, im], [im, -re]])
+        assert np.array_equal(pair[2:4, 0:2], [[re, im], [im, -re]])
+        swap = quadratic_dynamics(("a", "b"), [(EXCHANGE, "a", "b", re + 1j * im)]).drift
+        assert np.array_equal(swap[0:2, 2:4], [[re, -im], [im, re]])
+        assert np.array_equal(swap[2:4, 0:2], [[-re, -im], [im, -re]])
+        assert np.all(pair[0:2, 0:2] == 0.0) and np.all(swap[2:4, 2:4] == 0.0)
+
+    def test_term_list_is_hamiltonian_on_any_modes(self, rng):
+        labels = ("p", "q", "r", "s")
+        omega = symplectic_form(4)
+        for _ in range(10):
+            terms = [(kind, *rng.choice(labels, 2, replace=False),
+                      complex(*rng.normal(size=2)))
+                     for kind in (PAIR, EXCHANGE, PAIR, EXCHANGE)]
+            a = quadratic_dynamics(labels, terms).drift
+            assert np.max(np.abs(a @ omega + omega @ a.T)) < 1e-12
+
+    def test_unknown_term_kind_rejected(self):
+        with pytest.raises(StateError):
+            quadratic_dynamics(("a", "b"), [("beam splitter", "a", "b", 1.0)])
+
     def test_vacuum_fixed_point_of_pure_decay(self):
         dyn = dynamics_from_couplings(0.0, 0.0, kappa=0.8)
         state = vacuum(3, LABELS3)
@@ -165,6 +192,12 @@ class TestEvolve:
         dyn = dynamics_from_couplings(1.0, 2.0, 0.0)
         with pytest.raises(StateError):
             evolve(vacuum(3, LABELS3), dyn, -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        dyn = dynamics_from_couplings(1.0, 2.0, 0.5)
+        with pytest.raises(StateError):
+            evolve(vacuum(3, LABELS3), dyn, t)
 
 
 class TestBogoliubovMap:

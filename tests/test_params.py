@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ionlight.errors import ConfigError, DegenerateCouplingError, ParameterError
+from ionlight.errors import ConfigError, ParameterError
 from ionlight.params import (Couplings, PhysicalParams, coupling_constants,
-                             derived_rates, lamb_dicke, params_from_config,
-                             parse_config_text, validate_regime)
+                             lamb_dicke, params_from_config, parse_config_text,
+                             validate_regime)
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +72,15 @@ class TestPhysicalParams:
     def test_positivity(self, field, value):
         with pytest.raises(ParameterError):
             make_params(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "nu", "kappa", "delta", "g1", "g2", "alpha1", "alpha2", "theta_l",
+        "theta_c", "nbar_motion", "pulse_length_t",
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            dataclasses.replace(make_params(), **{field: value})
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(ParameterError):
@@ -144,39 +154,45 @@ class TestCouplingConstants:
 
 
 class TestDerivedRates:
+    """The quantities Couplings.from_chis derives from the two rates."""
+
     def test_reference_point(self):
-        theta, r, beta, t_pi, n_mean = derived_rates(1.0, 1.1)
-        assert theta == pytest.approx(math.sqrt(0.21), rel=1e-14)
-        assert r == pytest.approx(1.1, rel=1e-14)
-        assert beta == 0.0
-        assert t_pi == pytest.approx(math.pi / math.sqrt(0.21), rel=1e-14)
+        c = Couplings.from_chis(1.0, 1.1)
+        assert c.theta_rate == pytest.approx(math.sqrt(0.21), rel=1e-14)
+        assert c.r == pytest.approx(1.1, rel=1e-14)
+        assert c.beta == 0.0
+        assert c.t_pi == pytest.approx(math.pi / math.sqrt(0.21), rel=1e-14)
         # about 110 photons per mode at this operating point
-        assert n_mean == pytest.approx(4 * 1.21 / 0.0441, rel=1e-14)
-        assert n_mean == pytest.approx(109.75, abs=1e-2)
+        assert c.n_mean == pytest.approx(4 * 1.21 / 0.0441, rel=1e-14)
+        assert c.n_mean == pytest.approx(109.75, abs=1e-2)
 
     def test_equal_couplings_leave_theta_absent(self):
-        theta, r, beta, t_pi, n_mean = derived_rates(1.0, 1.0)
-        assert r == 1.0
-        assert theta is None and t_pi is None and n_mean is None
+        c = Couplings.from_chis(1.0, 1.0)
+        assert c.r == 1.0
+        assert c.theta_rate is None and c.t_pi is None and c.n_mean is None
 
     def test_r_three(self):
-        theta, r, beta, t_pi, n_mean = derived_rates(1.0, 3.0)
-        assert n_mean == pytest.approx(4 * 9 / 64, rel=1e-14)   # 0.5625
+        assert Couplings.from_chis(1.0, 3.0).n_mean == pytest.approx(4 * 9 / 64, rel=1e-14)
 
     def test_degenerate_chi1(self):
-        with pytest.raises(DegenerateCouplingError):
-            derived_rates(0.0, 1.0)
+        # chi1 = 0 is the r -> infinity limit: the exchange coupling alone
+        c = Couplings.from_chis(0.0, -2.0 + 1.5j)
+        assert c.r == math.inf
+        assert c.theta_rate == 2.5
+        assert c.t_pi == pytest.approx(math.pi / 2.5, rel=1e-15)
+        assert c.n_mean == 0.0
+        assert c.beta is None
 
     def test_beta_is_sum_of_phases(self, rng):
         from conftest import random_couplings
         for _ in range(10):
             chi1, chi2 = random_couplings(rng)
-            _, _, beta, _, _ = derived_rates(chi1, chi2)
+            beta = Couplings.from_chis(chi1, chi2).beta
             assert beta == pytest.approx(np.angle(chi1) + np.angle(chi2), abs=1e-12)
 
     @given(st.floats(min_value=1.01, max_value=50.0))
     def test_photon_number_formula(self, r):
-        _, _, _, _, n_mean = derived_rates(1.0, r)
+        n_mean = Couplings.from_chis(1.0, r).n_mean
         assert n_mean == pytest.approx(4 * r**2 / (1 - r**2) ** 2, rel=1e-12)
 
 
@@ -261,6 +277,29 @@ class TestConfig:
         assert leftovers == {}
         assert params.kappa == pytest.approx(TWO_PI * 1e3, rel=1e-14)
         assert params.g1 == pytest.approx(TWO_PI * 500e3, rel=1e-14)
+
+    def test_run_settings_split_off(self):
+        params, settings = params_from_config(parse_config_text(
+            "oracle_r = 2.5\nseq_kappa_t12 = inf\noracle_dims = 8, 9, 10\n"))
+        assert params is None
+        assert settings == {"oracle_r": 2.5, "seq_kappa_t12": math.inf,
+                            "oracle_dims": (8, 9, 10)}
+
+    def test_unknown_key_reports_line_number(self):
+        with pytest.raises(ConfigError) as err:
+            params_from_config(parse_config_text("ratio = 5\nmystery_knob = 3\n"))
+        assert err.value.line == 2
+        assert "mystery_knob" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "delta_hz = nan", "g1_hz = inf+1j", "seq_t1 = inf", "t_max = -inf",
+        "fig3_r_list = 1.5, nan", "seq_kappa_t12 = nan", "seq_kappa_t12 = -inf",
+        "kappa_dt = 1e999",
+    ])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite") as err:
+            params_from_config(parse_config_text("# header\n" + text + "\n"))
+        assert err.value.line == 2
 
     def test_unparseable_number(self):
         with pytest.raises(ConfigError) as err:

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_couplings
 from ionlight import gaussian
-from ionlight.errors import ParameterError, UndefinedPeriodError
+from ionlight.errors import ParameterError, StateError, UndefinedPeriodError
 from ionlight.params import Couplings, PhysicalParams
-from ionlight.protocol import (DEFAULT_R_LIST, HomodyneSettings,
+from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, HomodyneSettings,
                                beam_splitter_signal, default_time_grid,
                                fig3_sweep, output_signal, quadrature_moments,
                                run_sequential, run_simultaneous)
@@ -129,6 +129,26 @@ class TestOutputSignal:
         with pytest.raises(ParameterError):
             HomodyneSettings(t_grid=np.array([-1.0]))
 
+    @pytest.mark.parametrize("bad", [
+        dict(t_grid=np.array([0.0, math.nan])), dict(t_grid=np.array([0.0, math.inf])),
+        dict(theta1=math.nan), dict(theta2=math.inf),
+    ])
+    def test_non_finite_settings_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            HomodyneSettings(**bad)
+
+    def test_time_grid_bounds(self):
+        assert default_time_grid().size == 401
+        for t_max, step in ((math.nan, 0.02), (8.0, math.inf), (math.inf, 0.02)):
+            with pytest.raises(ParameterError):
+                default_time_grid(t_max, step)
+        # refused before anything is allocated (8e9 points would be 60 GiB)
+        with pytest.raises(ParameterError, match="grid points"):
+            default_time_grid(8.0, 1e-9)
+        assert default_time_grid(MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS
+        with pytest.raises(ParameterError):
+            default_time_grid(MAX_GRID_POINTS - 0.6, 1.0)   # would round up
+
     def test_signal_witnesses_entanglement(self):
         # C drops below 1 exactly when the source state is entangled
         grid = default_time_grid(2.0, 0.1)
@@ -183,6 +203,11 @@ class TestFig3Sweep:
     def test_rejects_r_at_or_below_one(self):
         with pytest.raises(UndefinedPeriodError):
             fig3_sweep([1.5, 0.9])
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_rejects_non_finite_r(self, r):
+        with pytest.raises(ParameterError):
+            fig3_sweep([1.5, r])
 
 
 class TestCsv:
@@ -323,6 +348,13 @@ class TestRunSequential:
             run_sequential(indium_params, t1=0.0)
         with pytest.raises(ParameterError):
             run_sequential(indium_params, t1=-1.0)
+
+    def test_non_finite_stage_times_rejected(self, indium_params):
+        # both drive stages run through gaussian.evolve, which refuses them
+        with pytest.raises(StateError):
+            run_sequential(indium_params, t1=math.inf)
+        with pytest.raises(StateError):
+            run_sequential(indium_params, t1=1e-5, swap_area=math.inf)
 
 
 def abs_chi1(params):
