@@ -6,7 +6,7 @@ modes end up in a two-mode squeezed state while the motion walks away
 uncorrelated, no matter how hot it started.
 """
 
-from ionlight import dump_state, run_simultaneous, tmss
+from ionlight import run_simultaneous, tmss
 from ionlight.cli import bundled_config_path, read_run_config
 from ionlight.params import PhysicalParams
 
@@ -43,5 +43,6 @@ print("difference from the closed-form squeezed state:",
       np.max(np.abs(cold_cav.cov - target.cov)))
 print()
 
-print("final three-mode state, plain-text dump:")
-print(dump_state(result.state))
+print("final covariance, modes (cav1, cav2, motion), quadratures (X, P) each:")
+with np.printoptions(precision=4, suppress=True, linewidth=120):
+    print(result.state.cov)

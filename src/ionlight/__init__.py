@@ -6,8 +6,9 @@ The package is organized around four layers:
   chi1/chi2 and everything derived from them, and the operating-regime checks.
 * :mod:`ionlight.gaussian` - multimode Gaussian states (mean vector +
   covariance matrix, vacuum variance 1) with exact linear evolution, the
-  analytic half-period map, the two-mode squeezed target state, and
-  entanglement diagnostics.
+  closed-form symplectic maps (half-period map, single squeezer or beam
+  splitter), the two-mode squeezed target state, and entanglement
+  diagnostics.
 * :mod:`ionlight.fock_oracle` - an independent brute-force number-basis
   propagator used to verify the Gaussian engine on low-photon instances.
 * :mod:`ionlight.protocol` - the simultaneous and sequential pulse protocols
@@ -24,11 +25,12 @@ from .errors import (ConfigError, InfiniteSqueezingError, IonlightError,
 from .params import (HBAR, Couplings, PhysicalParams, RegimeConstraint,
                      RegimeReport, coupling_constants, lamb_dicke, load_config,
                      params_from_config, parse_config_text, validate_regime)
-from .gaussian import (GaussianState, LinearDynamics, bogoliubov_tpi,
-                       decorrelation_norm, dump_state, dynamics_from_couplings,
-                       epr_variance, evolve, load_state, log_negativity,
-                       mean_photons, quadratic_dynamics, symplectic_eigenvalues,
-                       symplectic_form, tensor, thermal, tmss, vacuum)
+from .gaussian import (GaussianState, LinearDynamics, apply_symplectic,
+                       bogoliubov_tpi, decorrelation_norm,
+                       dynamics_from_couplings, epr_variance, evolve,
+                       log_negativity, mean_photons, quadratic_dynamics,
+                       symplectic_eigenvalues, symplectic_form, tensor,
+                       term_propagator, thermal, tmss, vacuum)
 from .fock_oracle import (Crosscheck, FockObservables, FockState, crosscheck,
                           evolve_exact, hamiltonian_matrix, leakage,
                           observables, suggest_dims, vacuum_state)

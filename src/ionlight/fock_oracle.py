@@ -215,13 +215,6 @@ def observables(state: FockState) -> FockObservables:
     )
 
 
-def mode_populations(state: FockState, mode: int) -> np.ndarray:
-    """Marginal number distribution of one mode (0 = cav1, 1 = cav2, 2 = motion)."""
-    pop = np.abs(state.tensor()) ** 2
-    axes = tuple(ax for ax in range(3) if ax != mode)
-    return pop.sum(axis=axes)
-
-
 def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     """Truncation dimensions for a half-period run at coupling ratio r (vacuum start).
 
@@ -258,6 +251,9 @@ class Crosscheck(NamedTuple):
 def crosscheck(r: float, dims=None) -> Crosscheck:
     """Run one half-period from vacuum at chi1 = 1, chi2 = r through both engines.
 
+    The Gaussian side is the closed-form half-period map that
+    ``protocol.run_simultaneous`` applies.
+
     ``dims`` defaults to :func:`suggest_dims`.  The rows compare the photons
     per mode, both EPR variances and, last, the largest covariance difference
     as (name, 0, max |diff|).
@@ -267,10 +263,8 @@ def crosscheck(r: float, dims=None) -> Crosscheck:
     dims = suggest_dims(r) if dims is None else tuple(dims)
     couplings = Couplings.from_chis(1.0, r)
     labels = ("cav1", "cav2", "motion")
-    g_state = gaussian.evolve(
-        gaussian.vacuum(3, labels),
-        gaussian.dynamics_from_couplings(couplings.chi1, couplings.chi2, 0.0),
-        couplings.t_pi)
+    g_state = gaussian.apply_symplectic(gaussian.vacuum(3, labels),
+                                        gaussian.bogoliubov_tpi(couplings))
     hamiltonian = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
     obs = observables(evolve_exact(vacuum_state(dims), hamiltonian, couplings.t_pi))
     f_state = gaussian.GaussianState(labels, obs.mean_quadratures, obs.covariance,

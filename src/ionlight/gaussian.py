@@ -305,23 +305,61 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
     return LinearDynamics(drift=bogoliubov_to_symplectic(m, nn), diffusion=d)
 
 
-def dynamics_from_couplings(chi1: complex, chi2: complex, kappa: float = 0.0,
-                            include_decay: bool = True) -> LinearDynamics:
+def dynamics_from_couplings(chi1: complex, chi2: complex,
+                            kappa: float = 0.0) -> LinearDynamics:
     """Drift/diffusion for the driven three-mode system (cav1, cav2, motion).
 
     The Hamiltonian H = i chi1 a1_dag b_dag + i chi2 a2_dag b + h.c. gives
 
-        da1/dt = chi1 * b_dag - kappa_a * a1
-        da2/dt = chi2 * b     - kappa_a * a2
+        da1/dt = chi1 * b_dag - kappa * a1
+        da2/dt = chi2 * b     - kappa * a2
         db/dt  = chi1 * a1_dag - conj(chi2) * a2
 
-    with kappa_a = kappa if ``include_decay`` else 0.
+    kappa = 0 is the lossless drive.
     """
-    kappa_a = float(kappa) if include_decay else 0.0
     return quadratic_dynamics(
         ("cav1", "cav2", "motion"),
         [(PAIR, "cav1", "motion", chi1), (EXCHANGE, "cav2", "motion", chi2)],
-        {"cav1": kappa_a, "cav2": kappa_a})
+        {"cav1": kappa, "cav2": kappa})
+
+
+def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
+    """Symplectic matrix exp(A t) of one PAIR or EXCHANGE term, in closed form.
+
+    A is the drift :func:`quadratic_dynamics` derives from the term alone.  It
+    vanishes outside the two modes' quadratures and squares to +|chi|^2 (PAIR)
+    or -|chi|^2 (EXCHANGE) on them, so with P the projector onto them
+
+        exp(A t) = I + (c - 1) P + (s / |chi|) A,
+
+    where (c, s) = (cosh, sinh)(|chi| t) for the two-mode squeezer and
+    (cos, sin)(|chi| t) for the beam splitter.  chi = 0 gives the identity.
+    """
+    if not 0.0 <= t < math.inf:
+        raise StateError(f"t must be finite and >= 0, got {t!r}")
+    kind, mode_a, mode_b, chi = term
+    if mode_a == mode_b:
+        raise StateError(f"a term must couple two distinct modes, got {mode_a!r} twice")
+    drift = quadratic_dynamics(labels, [term]).drift
+    rate = abs(complex(chi))
+    if rate == 0.0:
+        return np.eye(2 * len(labels))
+    angle = rate * t
+    if kind == PAIR:
+        c, s = math.cosh(angle), math.sinh(angle)
+    else:
+        c, s = math.cos(angle), math.sin(angle)
+    out = np.eye(2 * len(labels)) + (s / rate) * drift
+    for label in (mode_a, mode_b):
+        k = labels.index(label)
+        out[2 * k, 2 * k] = out[2 * k + 1, 2 * k + 1] = c
+    return out
+
+
+def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
+    """The state after the linear map S: mean S m, covariance S cov S^T."""
+    return GaussianState(state.mode_labels, s @ state.mean,
+                         s @ state.cov @ s.T, validate=False)
 
 
 def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> GaussianState:
@@ -330,7 +368,10 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
     Uses the matrix exponential of the drift; the diffusion integral
     int_0^t e^{As} D e^{A^T s} ds is evaluated in closed form through one
     augmented (block upper-triangular) exponential, so there is no step-size
-    parameter and no integration error beyond expm round-off.
+    parameter and no integration error beyond expm round-off.  The lossless
+    protocols use the closed forms :func:`bogoliubov_tpi` and
+    :func:`term_propagator` instead; this route is their cross-check and the
+    only one with decay.
     """
     if not 0.0 <= t < math.inf:
         raise StateError(f"t must be finite and >= 0, got {t!r}")
@@ -342,18 +383,16 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
         )
     a = dynamics.drift
     d = dynamics.diffusion
-    if np.any(d):
-        block = np.zeros((2 * n, 2 * n))
-        block[:n, :n] = -a
-        block[:n, n:] = d
-        block[n:, n:] = a.T
-        w = expm(block * t)
-        propagator = w[n:, n:].T            # e^{A t}
-        integral = propagator @ w[:n, n:]   # int_0^t e^{As} D e^{A^T s} ds
-        integral = 0.5 * (integral + integral.T)
-    else:
-        propagator = expm(a * t)
-        integral = 0.0
+    if not np.any(d):
+        return apply_symplectic(state, expm(a * t))
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -a
+    block[:n, n:] = d
+    block[n:, n:] = a.T
+    w = expm(block * t)
+    propagator = w[n:, n:].T            # e^{A t}
+    integral = propagator @ w[:n, n:]   # int_0^t e^{As} D e^{A^T s} ds
+    integral = 0.5 * (integral + integral.T)
     mean = propagator @ state.mean
     cov = propagator @ state.cov @ propagator.T + integral
     return GaussianState(state.mode_labels, mean, cov, validate=False)
@@ -433,35 +472,3 @@ def tmss(r: float, beta: float = 0.0,
     cov = np.block([[cosh_2s * np.eye(2), cross],
                     [cross.T, cosh_2s * np.eye(2)]])
     return GaussianState(tuple(labels), np.zeros(4), cov, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# plain-text state dump
-# ---------------------------------------------------------------------------
-
-def dump_state(state: GaussianState) -> str:
-    """Serialize a state: labels line, mean line, then the covariance rows.
-
-    Floats are written with shortest round-trip formatting (repr), so parsing
-    the text back reproduces the state bit for bit.
-    """
-    lines = [" ".join(str(l) for l in state.mode_labels)]
-    lines.append(" ".join(repr(float(x)) for x in state.mean))
-    for row in state.cov:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_state(text: str) -> GaussianState:
-    """Parse the output of :func:`dump_state`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise StateError("state dump needs a labels line and a mean line")
-    labels = tuple(lines[0].split())
-    mean = np.array([float(x) for x in lines[1].split()])
-    rows = [[float(x) for x in line.split()] for line in lines[2:]]
-    if len(rows) != 2 * len(labels):
-        raise StateError(
-            f"expected {2 * len(labels)} covariance rows, got {len(rows)}"
-        )
-    return GaussianState(labels, mean, np.array(rows))

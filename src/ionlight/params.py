@@ -121,10 +121,13 @@ class Couplings:
         """Build a record from the two rates, deriving what is derivable.
 
         chi1 = 0 is accepted and treated as the r -> infinity limit (the
-        exchange coupling alone): theta_rate = |chi2| and n_mean = 0.
+        exchange coupling alone): theta_rate = |chi2| and n_mean = 0.  A
+        non-finite rate raises :class:`ParameterError`.
         """
         chi1 = complex(chi1)
         chi2 = complex(chi2)
+        if not (cmath.isfinite(chi1) and cmath.isfinite(chi2)):
+            raise ParameterError(f"chi1 and chi2 must be finite, got {chi1!r}, {chi2!r}")
         theta = r = beta = t_pi = n_mean = None
         if chi1 == 0 and chi2 == 0:
             pass

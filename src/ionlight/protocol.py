@@ -11,6 +11,11 @@ Two protocols are implemented:
   state back onto the cavity, so the two emitted pulses end up entangled and
   the motion ends up clean.  The motion is the memory in between.
 
+Both are lossless during the drive, so every stage is one symplectic map in
+closed form, applied by :func:`gaussian.apply_symplectic`; the matrix
+exponential of :func:`gaussian.evolve` runs only the lossy variant of the
+simultaneous pulse and the cross-checks against these closed forms.
+
 The measured quantity downstream of the cavity is the normalized variance of
 the balanced-homodyne difference current, binned at kappa*dt:
 
@@ -175,8 +180,8 @@ def quadrature_moments(chi1: complex, chi2: complex,
 def output_signal(couplings: Couplings, kappa: float,
                   settings: HomodyneSettings) -> SignalTrace:
     """Homodyne signal C(t) of the emitted bichromatic pulse (closed form)."""
-    if kappa <= 0.0:
-        raise ParameterError(f"kappa must be positive, got {kappa!r}")
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     q1_sq, q1q2 = quadrature_moments(couplings.chi1, couplings.chi2,
                                      settings.theta1, settings.theta2)
     total = 2.0 * q1_sq
@@ -202,11 +207,9 @@ def beam_splitter_signal(couplings: Couplings,
 
         C = Var(Q1 - Q2) / (Var Q1 + Var Q2).
     """
-    full = gaussian.vacuum(3, SIMULTANEOUS_LABELS)
-    s_map = gaussian.bogoliubov_tpi(couplings)
-    source = GaussianState(SIMULTANEOUS_LABELS, s_map @ full.mean,
-                           s_map @ full.cov @ s_map.T,
-                           validate=False).reduced(("cav1", "cav2"))
+    source = gaussian.apply_symplectic(
+        gaussian.vacuum(3, SIMULTANEOUS_LABELS),
+        gaussian.bogoliubov_tpi(couplings)).reduced(("cav1", "cav2"))
 
     def rot(theta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
@@ -267,9 +270,11 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
     """Drive both couplings for one half-period from vacuum x vacuum x thermal.
 
     The normative run is lossless during the drive (the pulse is much shorter
-    than the cavity lifetime); ``include_decay=True`` switches cavity decay on
-    during the drive for sensitivity studies and is not the protocol being
-    characterized.
+    than the cavity lifetime) and applies the exact half-period map
+    :func:`gaussian.bogoliubov_tpi`.  ``include_decay=True`` switches cavity
+    decay on during the drive for sensitivity studies and is not the protocol
+    being characterized; having no closed form, it runs through
+    :func:`gaussian.evolve`.
 
     The regime inequalities are checked first and a failing set raises unless
     ``force`` is given.
@@ -293,9 +298,11 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
         gaussian.vacuum(2, ("cav1", "cav2")),
         gaussian.thermal(params.nbar_motion, "motion"),
     )
-    dynamics = gaussian.dynamics_from_couplings(
-        couplings.chi1, couplings.chi2, params.kappa, include_decay=include_decay)
-    final = gaussian.evolve(initial, dynamics, couplings.t_pi)
+    if include_decay:
+        final = gaussian.evolve(initial, gaussian.dynamics_from_couplings(
+            couplings.chi1, couplings.chi2, params.kappa), couplings.t_pi)
+    else:
+        final = gaussian.apply_symplectic(initial, gaussian.bogoliubov_tpi(couplings))
 
     diagnostics = {
         "t_pi": couplings.t_pi,
@@ -319,44 +326,22 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
 # sequential protocol
 # ---------------------------------------------------------------------------
 
-def _extraction_symplectic(transmittance: float) -> np.ndarray:
-    """Beam splitter moving the intracavity field into the pulse-1 register.
-
-    ``transmittance`` is the power fraction handed to the register; the cavity
-    is refilled with the register's prior (vacuum) content.  Transmittance 1
-    is a pure relabeling.
-    """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ParameterError(f"transmittance must be in [0, 1], got {transmittance!r}")
-    c = math.sqrt(1.0 - transmittance)
-    s = math.sqrt(transmittance)
-    full = np.eye(6)
-    full[0, 0] = full[1, 1] = c
-    full[4, 4] = full[5, 5] = c
-    full[4, 0] = full[5, 1] = s
-    full[0, 4] = full[1, 5] = -s
-    return full
-
-
-def _apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    return GaussianState(state.mode_labels, s @ state.mean,
-                         s @ state.cov @ s.T, validate=False)
-
-
 def run_sequential(params: PhysicalParams, t1: float,
                    delay_t12: float = math.inf,
                    swap_area: float = math.pi / 2,
                    force: bool = True) -> SequentialResult:
     """Sequential pulses with the motion as intermediate memory.
 
-    Stage A drives the pair-creation coupling alone for ``t1`` (two-mode
-    squeezing of cavity and motion with parameter |chi1| * t1).  Stage B lets
-    the light leave during ``delay_t12`` seconds: the emitted exponential mode
-    is collected into the pulse-1 register through a beam splitter of
+    Each stage is one symplectic map, in closed form from a single term (see
+    :func:`gaussian.term_propagator`).  Stage A drives the pair-creation
+    coupling alone for ``t1``: a two-mode squeezer of cavity and motion with
+    parameter |chi1| * t1.  Stage B lets the light leave during ``delay_t12``
+    seconds: the emitted exponential mode is collected into the pulse-1
+    register by a beam splitter of area acos(exp(-kappa T12)), i.e.
     transmittance 1 - exp(-2 kappa T12), with vacuum refilling the cavity
-    (``math.inf`` gives ideal extraction).  Stage C drives the exchange
-    coupling for t2 = swap_area / |chi2|; area pi/2 swaps the stored motional
-    state onto the cavity, which subsequently leaves as pulse 2.
+    (``math.inf`` gives ideal extraction, area pi/2).  Stage C drives the
+    exchange coupling for t2 = swap_area / |chi2|; area pi/2 swaps the stored
+    motional state onto the cavity, which subsequently leaves as pulse 2.
 
     Decay during the short drive stages is neglected, as in the simultaneous
     protocol; kappa * delay_t12 >= 5 is recommended so most of pulse 1 is
@@ -364,9 +349,9 @@ def run_sequential(params: PhysicalParams, t1: float,
     """
     if not t1 > 0.0:
         raise ParameterError(f"t1 must be positive, got {t1!r}")
-    if delay_t12 < 0.0:
+    if not delay_t12 >= 0.0:
         raise ParameterError(f"delay_t12 must be >= 0, got {delay_t12!r}")
-    if swap_area < 0.0:
+    if not swap_area >= 0.0:
         raise ParameterError(f"swap_area must be >= 0, got {swap_area!r}")
     couplings = coupling_constants(params)
     if not force:
@@ -381,22 +366,22 @@ def run_sequential(params: PhysicalParams, t1: float,
         gaussian.vacuum(1, (pulse_label,)),
     )
 
+    def stage(state, term, t):
+        return gaussian.apply_symplectic(
+            state, gaussian.term_propagator(SEQUENTIAL_LABELS, term, t))
+
     # Stage A: pair creation between cavity and motion.
-    pair = gaussian.quadratic_dynamics(
-        SEQUENTIAL_LABELS, [(gaussian.PAIR, cav_label, motion_label, couplings.chi1)])
-    state = gaussian.evolve(state, pair, t1)
+    state = stage(state, (gaussian.PAIR, cav_label, motion_label, couplings.chi1), t1)
     stage_a_entanglement = gaussian.log_negativity(state, ("cav",))
 
     # Stage B: emission of pulse 1 during the delay.
-    transmittance = 1.0 - math.exp(-2.0 * params.kappa * delay_t12)
-    state = _apply_symplectic(state, _extraction_symplectic(transmittance))
+    state = stage(state, (gaussian.EXCHANGE, pulse_label, cav_label, 1.0),
+                  math.acos(math.exp(-params.kappa * delay_t12)))
 
     # Stage C: exchange pulse of the requested area.
-    if abs(couplings.chi2) > 0.0 and swap_area > 0.0:
-        t2 = swap_area / abs(couplings.chi2)
-        exchange = gaussian.quadratic_dynamics(
-            SEQUENTIAL_LABELS, [(gaussian.EXCHANGE, cav_label, motion_label, couplings.chi2)])
-        state = gaussian.evolve(state, exchange, t2)
+    if abs(couplings.chi2) > 0.0:
+        state = stage(state, (gaussian.EXCHANGE, cav_label, motion_label, couplings.chi2),
+                      swap_area / abs(couplings.chi2))
 
     return SequentialResult(
         stage_a_entanglement=stage_a_entanglement,

@@ -211,3 +211,24 @@ class TestRunConfig:
         settings = indium_config.settings()
         assert settings.kappa_dt == 0.1
         assert settings.t_grid[-1] == pytest.approx(8.0)
+
+
+class TestNoMatrixExponential:
+    """The lossless paths are closed-form maps; expm is only the cross-check."""
+
+    def test_default_paths_never_reach_expm(self, capsys, tmp_path, monkeypatch,
+                                            indium_params):
+        from ionlight import fock_oracle, gaussian, protocol
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm reached")
+
+        monkeypatch.setattr(gaussian, "expm", refuse)
+        for argv in (["simulate", "--config", INDIUM],
+                     ["sequential", "--config", INDIUM],
+                     ["fig3", "--out", str(tmp_path)]):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_OK, (argv, err)
+        fock_oracle.crosscheck(3.0)
+        with pytest.raises(AssertionError, match="expm reached"):
+            protocol.run_simultaneous(indium_params, force=True, include_decay=True)

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 
 from ionlight.errors import StateError, TruncationError
 from ionlight.fock_oracle import (FockState, evolve_exact, hamiltonian_matrix,
-                                  leakage, mode_populations, observables,
-                                  suggest_dims, vacuum_state)
+                                  leakage, observables, suggest_dims,
+                                  vacuum_state)
 
 
 def number_operator(dims, mode):
@@ -128,7 +128,7 @@ class TestEvolveExact:
         out = evolve_exact(vacuum_state(dims), h, half_period(r))
         # population of nb = 0 is the overlap of the reduced motional state
         # with its initial (vacuum) state
-        assert mode_populations(out, 2)[0] > 1 - 1e-8
+        assert np.sum(np.abs(out.tensor()[:, :, 0]) ** 2) > 1 - 1e-8
 
     def test_leakage_raises_for_tiny_basis(self):
         r = 2.0

@@ -7,11 +7,12 @@ from conftest import random_couplings
 from ionlight.errors import (InfiniteSqueezingError, StateError,
                              UndefinedPeriodError, UnphysicalStateError)
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
-                               bogoliubov_tpi, decorrelation_norm, dump_state,
-                               dynamics_from_couplings, epr_variance, evolve,
-                               load_state, log_negativity, mean_photons,
-                               quadratic_dynamics, symplectic_eigenvalues,
-                               symplectic_form, tensor, thermal, tmss, vacuum)
+                               apply_symplectic, bogoliubov_tpi,
+                               decorrelation_norm, dynamics_from_couplings,
+                               epr_variance, evolve, log_negativity,
+                               mean_photons, quadratic_dynamics,
+                               symplectic_eigenvalues, symplectic_form, tensor,
+                               term_propagator, thermal, tmss, vacuum)
 from ionlight.params import Couplings
 
 LABELS3 = ("cav1", "cav2", "motion")
@@ -93,11 +94,6 @@ class TestDynamics:
             a = dynamics_from_couplings(chi1, chi2, kappa=0.0).drift
             omega = symplectic_form(3)
             assert np.max(np.abs(a @ omega + omega @ a.T)) < 1e-12
-
-    def test_decay_disabled(self):
-        dyn = dynamics_from_couplings(1.0, 2.0, kappa=0.5, include_decay=False)
-        assert np.all(dyn.diffusion == 0.0)
-        assert np.trace(dyn.drift) == 0.0
 
     def test_term_heisenberg_blocks(self):
         # da/dt = chi b_dag, db/dt = chi a_dag (pair) and da/dt = chi b,
@@ -200,6 +196,43 @@ class TestEvolve:
             evolve(vacuum(3, LABELS3), dyn, t)
 
 
+class TestTermPropagator:
+    def test_is_symplectic(self, rng):
+        labels = ("p", "q", "r")
+        omega = symplectic_form(3)
+        for kind in (PAIR, EXCHANGE):
+            for _ in range(5):
+                chi = complex(*rng.normal(size=2))
+                s = term_propagator(labels, (kind, "r", "p", chi), rng.uniform(0.0, 3.0))
+                assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-12 * max(1.0, np.max(s) ** 2)
+                # the third mode is untouched
+                assert np.array_equal(s[2:4, :], np.eye(6)[2:4, :])
+
+    def test_zero_rate_and_zero_time_are_identity(self):
+        for kind in (PAIR, EXCHANGE):
+            assert np.array_equal(term_propagator(("a", "b"), (kind, "a", "b", 0.0), 2.0),
+                                  np.eye(4))
+            assert np.array_equal(term_propagator(("a", "b"), (kind, "a", "b", 0.3 - 1j), 0.0),
+                                  np.eye(4))
+
+    def test_quarter_swap_exchanges_modes(self):
+        # area pi/2 with chi = 1: a -> b, b -> -a
+        s = term_propagator(("a", "b"), (EXCHANGE, "a", "b", 1.0), math.pi / 2)
+        assert np.allclose(s, [[0, 0, 1, 0], [0, 0, 0, 1],
+                               [-1, 0, 0, 0], [0, -1, 0, 0]], atol=1e-15)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(StateError):
+            term_propagator(("a", "b"), (PAIR, "a", "b", 1.0), t)
+
+    def test_bad_terms_rejected(self):
+        with pytest.raises(StateError):
+            term_propagator(("a", "b"), (PAIR, "a", "a", 1.0), 1.0)
+        with pytest.raises(StateError):
+            term_propagator(("a", "b"), ("squeezer", "a", "b", 1.0), 1.0)
+
+
 class TestBogoliubovMap:
     def test_bogoliubov_identity(self, rng):
         for _ in range(20):
@@ -231,6 +264,17 @@ class TestBogoliubovMap:
         expected = np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
         # cav1 untouched, cav2 picks up the -u = -1 sign, motion flips
         assert np.allclose(s, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_exact_near_degeneracy(self, gap):
+        # the closed form keeps the photon number and leaves the motion
+        # untouched however close r is to 1 (E_N there is a separate matter)
+        c = Couplings.from_chis(1.0, 1.0 + gap)
+        out = apply_symplectic(vacuum(3, LABELS3), bogoliubov_tpi(c))
+        for mode in ("cav1", "cav2"):
+            assert mean_photons(out, mode) == pytest.approx(c.n_mean, rel=1e-14)
+        assert np.array_equal(out.reduced(("motion",)).cov, np.eye(2))
+        assert decorrelation_norm(out, ("motion",), ("cav1", "cav2")) == 0.0
 
     def test_requires_r_above_one(self):
         with pytest.raises(UndefinedPeriodError):
@@ -358,20 +402,3 @@ class TestDiagnostics:
         assert log_negativity(cold.reduced(("cav1", "cav2")), ("cav1",)) == \
             pytest.approx(log_negativity(hot.reduced(("cav1", "cav2")), ("cav1",)),
                           abs=1e-9)
-
-
-class TestDump:
-    def test_round_trip(self, rng):
-        chi1, chi2 = random_couplings(rng)
-        state, _ = half_period_state(chi1, chi2, nbar=0.3)
-        text = dump_state(state)
-        back = load_state(text)
-        assert back.mode_labels == state.mode_labels
-        assert np.array_equal(back.mean, state.mean)
-        assert np.array_equal(back.cov, state.cov)
-
-    def test_reject_truncated_dump(self):
-        text = dump_state(vacuum(2, ("a", "b")))
-        lines = text.splitlines()
-        with pytest.raises(StateError):
-            load_state("\n".join(lines[:-1]))

@@ -183,6 +183,12 @@ class TestDerivedRates:
         assert c.n_mean == 0.0
         assert c.beta is None
 
+    @pytest.mark.parametrize("chis", [(1.0, math.nan), (math.nan, 1.0),
+                                      (1.0, complex(math.inf, 0.0)), (-math.inf, 2.0)])
+    def test_non_finite_rate_rejected(self, chis):
+        with pytest.raises(ParameterError):
+            Couplings.from_chis(*chis)
+
     def test_beta_is_sum_of_phases(self, rng):
         from conftest import random_couplings
         for _ in range(10):

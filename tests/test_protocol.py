@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import random_couplings
 from ionlight import gaussian
 from ionlight.errors import ParameterError, StateError, UndefinedPeriodError
-from ionlight.params import Couplings, PhysicalParams
+from ionlight.params import Couplings, PhysicalParams, coupling_constants
 from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, HomodyneSettings,
                                beam_splitter_signal, default_time_grid,
                                fig3_sweep, output_signal, quadrature_moments,
@@ -120,6 +121,11 @@ class TestOutputSignal:
     def test_kappa_validation(self):
         with pytest.raises(ParameterError):
             output_signal(Couplings.from_chis(1.0, 1.1), 0.0, HomodyneSettings())
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ParameterError):
+            output_signal(Couplings.from_chis(1.0, 1.1), kappa, HomodyneSettings())
 
     def test_kappa_dt_validation(self):
         with pytest.raises(ParameterError):
@@ -266,6 +272,20 @@ class TestRunSimultaneous:
         assert np.max(np.abs(cold.cov - warm.cov)) < 1e-9
         assert np.max(np.abs(cold.mean - warm.mean)) < 1e-9
 
+    def test_motion_untouched_exactly(self, indium_params, rng):
+        # the half-period map only flips the motion's sign: its covariance
+        # comes back bit for bit, with no correlation to the light
+        base_r = coupling_constants(indium_params).r
+        for _ in range(20):
+            r, nbar = rng.uniform(1.06, 3.0), rng.uniform(0.0, 100.0)
+            p = dataclasses.replace(indium_params, g2=indium_params.g2 * (r / base_r),
+                                    nbar_motion=nbar)
+            result = run_simultaneous(p, force=True)
+            assert result.couplings.r == pytest.approx(r, rel=1e-12)
+            assert np.array_equal(result.state.reduced(("motion",)).cov,
+                                  gaussian.thermal(nbar).cov)
+            assert result.diagnostics["motion_decorrelation"] == 0.0
+
     def test_lossy_drive_variant(self, indium_params, indium_config):
         # non-normative sensitivity run: decay on during the drive loses a
         # little light but must stay physical and nearly decorrelated
@@ -350,13 +370,30 @@ class TestRunSequential:
             run_sequential(indium_params, t1=-1.0)
 
     def test_non_finite_stage_times_rejected(self, indium_params):
-        # both drive stages run through gaussian.evolve, which refuses them
+        # both drive stages go through gaussian.term_propagator, which refuses them
         with pytest.raises(StateError):
             run_sequential(indium_params, t1=math.inf)
         with pytest.raises(StateError):
             run_sequential(indium_params, t1=1e-5, swap_area=math.inf)
 
+    @pytest.mark.parametrize("bad", [dict(swap_area=math.nan), dict(delay_t12=math.nan),
+                                     dict(swap_area=-0.1), dict(delay_t12=-1.0)])
+    def test_nan_or_negative_stage_arguments_rejected(self, indium_params, bad):
+        with pytest.raises(ParameterError):
+            run_sequential(indium_params, t1=1e-5, **bad)
+
+    @pytest.mark.parametrize("kappa_t12", [0.0, 0.3, 2.0, math.inf])
+    def test_extraction_hands_over_the_emitted_fraction(self, indium_params, kappa_t12):
+        # without the swap pulse, pulse 1 holds 1 - exp(-2 kappa T12) of the
+        # sinh^2(|chi1| t1) photons stage A put in the cavity; the rest stays
+        result = run_sequential(indium_params, t1=1.0 / abs_chi1(indium_params),
+                                delay_t12=kappa_t12 / indium_params.kappa, swap_area=0.0)
+        made = math.sinh(1.0) ** 2
+        emitted = -math.expm1(-2.0 * kappa_t12)
+        assert gaussian.mean_photons(result.state, "pulse1") == pytest.approx(
+            emitted * made, rel=1e-12, abs=1e-15)
+        assert gaussian.mean_photons(result.state, "cav") == pytest.approx(
+            (1.0 - emitted) * made, rel=1e-12, abs=1e-15)
 
 def abs_chi1(params):
-    from ionlight.params import coupling_constants
     return abs(coupling_constants(params).chi1)
