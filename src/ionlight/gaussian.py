@@ -14,7 +14,7 @@ in this module are written for variance 1.
 A state is ``(mode_labels, mean, cov)``: a real vector of length 2N ordered
 (X1, P1, X2, P2, ...) and a real symmetric 2N x 2N matrix of centered,
 symmetrized second moments.  Physicality means every symplectic eigenvalue of
-cov is >= 1.
+cov is >= 1, decided up to the round-off bound of :func:`_spectrum_bound`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,17 @@ from .errors import (InfiniteSqueezingError, StateError, UndefinedPeriodError,
 from .params import Couplings
 
 SYMMETRY_TOL = 1e-12
-PHYSICALITY_TOL = 1e-9
+
+# Double precision resolves the symplectic spectrum of cov only to about
+# eps * ||cov||_F^2: the eigenvalues of i Omega cov inherit the conditioning of
+# cov, whichever solver computes them.  Whether some nu is below 1 is decided
+# against that bound, and past SPECTRUM_LIMIT it cannot be decided at all.
+# Up to a bound of 1e-4 the E_N of the two-mode squeezed and the sequential
+# states agrees with its closed form to 2e-6 relative (worst of a dense
+# sweep); at 7e-3 (r - 1 = 1e-3) it is off by 6e-5, at pulse area 10 by 0.1.
+# The one limit thus bounds how close r may come to 1 and how large nbar and
+# the pulse areas may grow.
+SPECTRUM_LIMIT = 1e-4
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -41,6 +51,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
     return omega
+
+
+def _spectrum_bound(cov: np.ndarray) -> float:
+    """Round-off bound eps * ||cov||_F^2 on the symplectic eigenvalues of cov.
+
+    Partial transposition flips signs only, so the bound holds for the
+    partially transposed covariance as well.  Raises :class:`StateError`
+    when the bound is not finite or exceeds ``SPECTRUM_LIMIT``.
+    """
+    bound = np.finfo(float).eps * float(np.vdot(cov, cov))
+    if not bound <= SPECTRUM_LIMIT:
+        raise StateError(
+            f"round-off bound eps*||cov||^2 = {bound:.3g} is not within {SPECTRUM_LIMIT:g}: "
+            "double precision cannot resolve the symplectic spectrum "
+            "(r too close to 1, or nbar or a pulse area too large)"
+        )
+    return bound
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -60,7 +87,10 @@ class GaussianState:
     """Gaussian state over labelled bosonic modes.
 
     Construction validates symmetry of the covariance (to 1e-12) and, by
-    default, physicality (symplectic eigenvalues >= 1 - 1e-9).
+    default, physicality: every symplectic eigenvalue must be >= 1 - b, with
+    b = eps * ||cov||_F^2 the round-off bound of the spectrum, and b must
+    not exceed ``SPECTRUM_LIMIT``.  Internal states (maps of states already
+    known to be physical) skip the check.
     """
 
     mode_labels: tuple
@@ -88,8 +118,9 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if self.validate:
+            bound = _spectrum_bound(cov)
             nu_min = float(np.min(symplectic_eigenvalues(cov)))
-            if nu_min < 1.0 - PHYSICALITY_TOL:
+            if nu_min < 1.0 - bound:
                 raise UnphysicalStateError(
                     f"covariance violates the uncertainty relation: "
                     f"smallest symplectic eigenvalue {nu_min!r}"
@@ -102,11 +133,7 @@ class GaussianState:
         return len(self.mode_labels)
 
     def mode_index(self, label) -> int:
-        try:
-            return self.mode_labels.index(label)
-        except ValueError:
-            raise StateError(f"unknown mode label {label!r}; "
-                             f"have {self.mode_labels!r}") from None
+        return _label_index(self.mode_labels, label)
 
     def quad_indices(self, labels: Iterable) -> list:
         """Flat quadrature indices (X then P per mode) for the given labels."""
@@ -121,6 +148,13 @@ class GaussianState:
         idx = self.quad_indices(labels)
         return GaussianState(tuple(labels), self.mean[idx],
                              self.cov[np.ix_(idx, idx)], validate=False)
+
+
+def _label_index(labels: tuple, label) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise StateError(f"unknown mode label {label!r}; have {labels!r}") from None
 
 
 def vacuum(n_modes: int, labels: Optional[Sequence] = None) -> GaussianState:
@@ -196,7 +230,10 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     """Logarithmic negativity across the bipartition (partition | rest).
 
     E_N = sum of -ln(nu) over symplectic eigenvalues nu < 1 of the partially
-    transposed covariance matrix.  Zero for every separable Gaussian state.
+    transposed covariance matrix, where "< 1" means below 1 by more than the
+    round-off bound b = eps * ||cov||_F^2; so E_N is exactly zero for every
+    separable Gaussian state.  Raises :class:`StateError` when b exceeds
+    ``SPECTRUM_LIMIT``: double precision cannot resolve such a spectrum.
     """
     part = tuple(partition)
     if not part:
@@ -204,10 +241,12 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     rest = [l for l in state.mode_labels if l not in part]
     if not rest:
         raise StateError("partition must be a strict subset of the modes")
+    bound = _spectrum_bound(state.cov)
     nu_min = float(np.min(symplectic_eigenvalues(state.cov)))
-    if nu_min < 1.0 - PHYSICALITY_TOL:
+    if nu_min < 1.0 - bound:
         raise UnphysicalStateError(
-            f"smallest symplectic eigenvalue {nu_min!r} is below 1"
+            f"smallest symplectic eigenvalue {nu_min!r} is below 1 "
+            f"by more than the round-off bound {bound:.3g}"
         )
     # Partial transposition flips the sign of P on the transposed modes.
     flip = np.ones(2 * state.n_modes)
@@ -215,9 +254,9 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
         flip[2 * state.mode_index(label) + 1] = -1.0
     cov_pt = state.cov * np.outer(flip, flip)
     nu = symplectic_eigenvalues(cov_pt)
-    # eigenvalues within round-off of 1 carry no negativity; without the
-    # cutoff every separable state would report ~1e-16 instead of 0
-    return float(np.sum([-math.log(v) for v in nu if v < 1.0 - 1e-12]))
+    # Eigenvalues within the bound of 1 carry no negativity.  A state that
+    # passed both checks has every nu >= 1/||cov||_F > 1e-6, so ln(nu) is finite.
+    return float(np.sum([-math.log(v) for v in nu if v < 1.0 - bound]))
 
 
 def decorrelation_norm(state: GaussianState, block_a: Sequence, block_b: Sequence) -> float:
@@ -287,7 +326,7 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
     m = np.zeros((n, n), dtype=complex)
     nn = np.zeros((n, n), dtype=complex)
     for kind, mode_a, mode_b, chi in terms:
-        i, j = labels.index(mode_a), labels.index(mode_b)
+        i, j = _label_index(labels, mode_a), _label_index(labels, mode_b)
         chi = complex(chi)
         if kind == PAIR:
             nn[i, j] += chi
@@ -299,7 +338,7 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
             raise StateError(f"unknown term kind {kind!r}")
     d = np.zeros((2 * n, 2 * n))
     for label, kappa in (decay or {}).items():
-        k = labels.index(label)
+        k = _label_index(labels, label)
         m[k, k] -= kappa
         d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 2.0 * kappa
     return LinearDynamics(drift=bogoliubov_to_symplectic(m, nn), diffusion=d)
@@ -334,6 +373,7 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
 
     where (c, s) = (cosh, sinh)(|chi| t) for the two-mode squeezer and
     (cos, sin)(|chi| t) for the beam splitter.  chi = 0 gives the identity.
+    A squeezer whose cosh overflows double precision raises StateError.
     """
     if not 0.0 <= t < math.inf:
         raise StateError(f"t must be finite and >= 0, got {t!r}")
@@ -346,7 +386,10 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
         return np.eye(2 * len(labels))
     angle = rate * t
     if kind == PAIR:
-        c, s = math.cosh(angle), math.sinh(angle)
+        try:
+            c, s = math.cosh(angle), math.sinh(angle)
+        except OverflowError:
+            raise StateError(f"pair area |chi| t = {angle!r} overflows double precision") from None
     else:
         c, s = math.cos(angle), math.sin(angle)
     out = np.eye(2 * len(labels)) + (s / rate) * drift

@@ -220,14 +220,12 @@ def beam_splitter_signal(couplings: Couplings,
     rotation[2:4, 2:4] = rot(settings.theta2)
     sigma = rotation @ source.cov @ rotation.T
 
-    out = np.empty_like(settings.t_grid)
-    for k, t in enumerate(settings.t_grid):
-        weight = 2.0 * settings.kappa_dt * math.exp(-2.0 * t)
-        measured = weight * sigma + np.eye(4)
-        var1, var2 = measured[0, 0], measured[2, 2]
-        cross = measured[0, 2]
-        out[k] = (var1 + var2 - 2.0 * cross) / (var1 + var2)
-    return out
+    # measured covariance per grid point: weight * sigma + identity
+    weight = 2.0 * settings.kappa_dt * np.exp(-2.0 * settings.t_grid)
+    var1 = weight * sigma[0, 0] + 1.0
+    var2 = weight * sigma[2, 2] + 1.0
+    cross = weight * sigma[0, 2]
+    return (var1 + var2 - 2.0 * cross) / (var1 + var2)
 
 
 def fig3_sweep(r_list: Optional[Iterable[float]] = None,

@@ -159,6 +159,15 @@ class TestSequential:
         residual = float(re.search(r"motion residual norm\s+= (\S+)", out).group(1))
         assert residual < 1e-9
 
+    def test_overflowing_pulse_area_is_an_error(self, capsys, tmp_path):
+        # |chi1| * t1 is about 890 here: cosh of it overflows double precision
+        cfg = rewrite_config(tmp_path, "seq.cfg", extra=["seq_t1 = 1e-2"])
+        code, out, err = run(capsys, "sequential", "--config", cfg)
+        assert code == EXIT_USAGE
+        assert re.search(r"^error: .*overflows", err, re.MULTILINE)
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestOracleCheck:
     def test_default_agreement(self, capsys):

@@ -58,6 +58,10 @@ class TestStateBasics:
     def test_unphysical_cov_rejected(self):
         with pytest.raises(UnphysicalStateError):
             GaussianState(("a",), np.zeros(2), 0.5 * np.eye(2))
+        # next to a mode too bright for the round-off bound, physicality cannot
+        # be decided, so the state is refused rather than waved through
+        with pytest.raises(StateError, match="round-off bound"):
+            GaussianState(("a", "b"), np.zeros(4), np.diag([1e8, 1e8, 0.5, 0.5]))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(StateError):
@@ -121,6 +125,16 @@ class TestDynamics:
     def test_unknown_term_kind_rejected(self):
         with pytest.raises(StateError):
             quadratic_dynamics(("a", "b"), [("beam splitter", "a", "b", 1.0)])
+
+    def test_unknown_label_in_term_rejected(self):
+        with pytest.raises(StateError, match="'z'"):
+            quadratic_dynamics(("a", "b"), [(PAIR, "a", "z", 1.0)])
+        with pytest.raises(StateError, match="'z'"):
+            term_propagator(("a", "b"), (EXCHANGE, "z", "a", 1.0), 1.0)
+
+    def test_unknown_label_in_decay_rejected(self):
+        with pytest.raises(StateError, match="'z'"):
+            quadratic_dynamics(("a", "b"), [(PAIR, "a", "b", 1.0)], {"z": 0.5})
 
     def test_vacuum_fixed_point_of_pure_decay(self):
         dyn = dynamics_from_couplings(0.0, 0.0, kappa=0.8)
@@ -225,6 +239,13 @@ class TestTermPropagator:
     def test_bad_time_rejected(self, t):
         with pytest.raises(StateError):
             term_propagator(("a", "b"), (PAIR, "a", "b", 1.0), t)
+
+    def test_overflowing_pair_area_rejected(self):
+        # cosh(720) is past the largest double; the beam splitter just wraps
+        with pytest.raises(StateError, match="overflows"):
+            term_propagator(("a", "b"), (PAIR, "a", "b", 2.0), 360.0)
+        assert np.all(np.isfinite(
+            term_propagator(("a", "b"), (EXCHANGE, "a", "b", 2.0), 360.0)))
 
     def test_bad_terms_rejected(self):
         with pytest.raises(StateError):
@@ -348,6 +369,20 @@ class TestDiagnostics:
     def test_log_negativity_of_product_state(self):
         assert log_negativity(vacuum(2, ("a", "b")), ("a",)) == 0.0
         assert log_negativity(tensor(thermal(1.0, "a"), thermal(2.0, "b")), ("b",)) == 0.0
+        # locally squeezed, then a bright thermal third mode
+        squeeze = np.diag([math.exp(2.0), math.exp(-2.0), math.exp(-1.0), math.exp(1.0)])
+        local = apply_symplectic(vacuum(2, ("a", "b")), squeeze)
+        assert log_negativity(tensor(local, thermal(300.0, "c")), ("a",)) == 0.0
+
+    @pytest.mark.parametrize("c", [0.0, 2.0, 4.0, 4.0 - 1e-12])
+    def test_log_negativity_of_classically_correlated_state(self, c):
+        # a I + c Z off the diagonal: the partial transpose has nu = a - c,
+        # so E_N is exactly zero while a - c >= 1, and correlation up to the
+        # boundary a - c = 1 carries no spurious round-off negativity
+        a = 5.0
+        cross = c * np.diag([1.0, -1.0])
+        cov = np.block([[a * np.eye(2), cross], [cross.T, a * np.eye(2)]])
+        assert log_negativity(GaussianState(("a", "b"), np.zeros(4), cov), ("a",)) == 0.0
 
     def test_log_negativity_of_tmss_r3(self):
         # pure two-mode squeezed state: E_N = 2s with sinh s = 3/4
@@ -358,6 +393,24 @@ class TestDiagnostics:
     def test_log_negativity_grows_as_r_approaches_one(self):
         values = [log_negativity(tmss(r), ("cav1",)) for r in (3.0, 2.0, 1.5, 1.1)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("gap", [1e-2, 3e-3])
+    def test_physical_near_degenerate_state_accepted(self, gap):
+        # the smallest nu of tmss(1 + gap) misses 1 by up to ~1e-5 in round-off;
+        # both physicality checks allow for it, and E_N = 2s to the 2e-6
+        # that gaussian.SPECTRUM_LIMIT is chosen for
+        state = tmss(1.0 + gap, beta=0.4)
+        checked = GaussianState(state.mode_labels, state.mean, state.cov)
+        r = 1.0 + gap
+        assert log_negativity(checked, ("cav1",)) == pytest.approx(
+            2.0 * math.asinh(2.0 * r / (r * r - 1.0)), rel=2e-6)
+
+    def test_log_negativity_rejects_non_finite(self):
+        cov = np.eye(4)
+        cov[0, 0] = math.nan
+        state = GaussianState(("a", "b"), np.zeros(4), cov, validate=False)
+        with pytest.raises(StateError, match="round-off bound"):
+            log_negativity(state, ("a",))
 
     def test_log_negativity_rejects_unphysical(self):
         state = GaussianState(("a", "b"), np.zeros(4), np.eye(4), validate=False)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -6,7 +7,8 @@ import pytest
 
 from conftest import random_couplings
 from ionlight import gaussian
-from ionlight.errors import ParameterError, StateError, UndefinedPeriodError
+from ionlight.errors import (ParameterError, StateError, UndefinedPeriodError,
+                             UnphysicalStateError)
 from ionlight.params import Couplings, PhysicalParams, coupling_constants
 from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, HomodyneSettings,
                                beam_splitter_signal, default_time_grid,
@@ -275,16 +277,40 @@ class TestRunSimultaneous:
     def test_motion_untouched_exactly(self, indium_params, rng):
         # the half-period map only flips the motion's sign: its covariance
         # comes back bit for bit, with no correlation to the light
-        base_r = coupling_constants(indium_params).r
         for _ in range(20):
             r, nbar = rng.uniform(1.06, 3.0), rng.uniform(0.0, 100.0)
-            p = dataclasses.replace(indium_params, g2=indium_params.g2 * (r / base_r),
-                                    nbar_motion=nbar)
-            result = run_simultaneous(p, force=True)
+            result = run_simultaneous(at_ratio(indium_params, r, nbar), force=True)
             assert result.couplings.r == pytest.approx(r, rel=1e-12)
             assert np.array_equal(result.state.reduced(("motion",)).cov,
                                   gaussian.thermal(nbar).cov)
             assert result.diagnostics["motion_decorrelation"] == 0.0
+
+    @pytest.mark.parametrize("nbar", [0.0, 100.0])
+    @pytest.mark.parametrize("gap", [1e-1, 3e-2, 1e-2, 5e-3])
+    def test_log_negativity_near_degeneracy(self, indium_params, gap, nbar):
+        # complex chi phases; E_N = 2s with sinh s = 2r/(r^2 - 1)
+        p = at_ratio(indium_params, 1.0 + gap, nbar, phases=(0.7, -2.1))
+        result = run_simultaneous(p, force=True)
+        r = result.couplings.r
+        assert r == pytest.approx(1.0 + gap, rel=1e-12)
+        assert result.diagnostics["log_negativity"] == pytest.approx(
+            2.0 * math.asinh(2.0 * r / (r * r - 1.0)), rel=1e-6)
+
+    @pytest.mark.parametrize("r,nbar", [(1.010, 0.0), (1.011, 25.0), (1.0115, 50.0),
+                                        (1.012, 75.0), (1.013, 100.0)])
+    def test_log_negativity_at_near_degenerate_benchmark_points(self, indium_params, r, nbar):
+        result = run_simultaneous(at_ratio(indium_params, r, nbar), force=True)
+        r = result.couplings.r
+        assert result.diagnostics["log_negativity"] == pytest.approx(
+            2.0 * math.asinh(2.0 * r / (r * r - 1.0)), rel=1e-8)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5])
+    def test_unresolvable_spectrum_refused(self, indium_params, gap):
+        # round-off of the spectrum exceeds gaussian.SPECTRUM_LIMIT: a typed
+        # error, not a false "unphysical" verdict or a degraded E_N
+        with pytest.raises(StateError, match="round-off bound") as info:
+            run_simultaneous(at_ratio(indium_params, 1.0 + gap, 0.0), force=True)
+        assert not isinstance(info.value, UnphysicalStateError)
 
     def test_lossy_drive_variant(self, indium_params, indium_config):
         # non-normative sensitivity run: decay on during the drive loses a
@@ -382,6 +408,21 @@ class TestRunSequential:
         with pytest.raises(ParameterError):
             run_sequential(indium_params, t1=1e-5, **bad)
 
+    @pytest.mark.parametrize("nbar", [0.0, 10.0])
+    @pytest.mark.parametrize("area", [2.0, 4.0, 5.0])
+    def test_entanglement_at_large_areas(self, indium_params, area, nbar):
+        p = dataclasses.replace(indium_params, nbar_motion=nbar)
+        result = run_sequential(p, t1=area / abs_chi1(p))
+        want = squeezed_thermal_log_negativity(area, nbar)
+        assert result.stage_a_entanglement == pytest.approx(want, rel=1e-6)
+        assert result.final_entanglement == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("area", [8.0, 30.0])
+    def test_unresolvable_areas_refused(self, indium_params, area):
+        with pytest.raises(StateError, match="round-off bound") as info:
+            run_sequential(indium_params, t1=area / abs_chi1(indium_params))
+        assert not isinstance(info.value, UnphysicalStateError)
+
     @pytest.mark.parametrize("kappa_t12", [0.0, 0.3, 2.0, math.inf])
     def test_extraction_hands_over_the_emitted_fraction(self, indium_params, kappa_t12):
         # without the swap pulse, pulse 1 holds 1 - exp(-2 kappa T12) of the
@@ -397,3 +438,25 @@ class TestRunSequential:
 
 def abs_chi1(params):
     return abs(coupling_constants(params).chi1)
+
+
+def at_ratio(params, r, nbar, phases=(0.0, 0.0)):
+    """The parameter set with |chi2/chi1| = r (through g2), nbar and chi phases shifted."""
+    base_r = coupling_constants(params).r
+    return dataclasses.replace(params, g1=params.g1 * cmath.exp(1j * phases[0]),
+                               g2=params.g2 * (r / base_r) * cmath.exp(1j * phases[1]),
+                               nbar_motion=nbar)
+
+
+def squeezed_thermal_log_negativity(area, nbar):
+    """E_N of vacuum x thermal(nbar) after a two-mode squeezer of the given area.
+
+    With a, b = 1, 2 nbar + 1 the smaller symplectic eigenvalue of the
+    partially transposed covariance is
+    (a + b) cosh(2 area) / 2 - sqrt((a - b)^2 + (a + b)^2 sinh(2 area)^2) / 2,
+    written here in its cancellation-free form 2ab / (sum of the two terms).
+    """
+    a, b = 1.0, 2.0 * nbar + 1.0
+    nu = 2.0 * a * b / ((a + b) * math.cosh(2.0 * area)
+                        + math.hypot(a - b, (a + b) * math.sinh(2.0 * area)))
+    return max(0.0, -math.log(nu))
