@@ -19,24 +19,47 @@ The package is organized around four layers:
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, InfiniteSqueezingError, IonlightError,
-                     ParameterError, StateError, TruncationError,
-                     UndefinedPeriodError, UnphysicalStateError)
-from .params import (HBAR, Couplings, PhysicalParams, RegimeConstraint,
-                     RegimeReport, coupling_constants, lamb_dicke, load_config,
-                     params_from_config, parse_config_text, validate_regime)
-from .gaussian import (GaussianState, LinearDynamics, apply_symplectic,
-                       bogoliubov_tpi, decorrelation_norm,
-                       dynamics_from_couplings, epr_variance, evolve,
-                       log_negativity, mean_photons, quadratic_dynamics,
-                       symplectic_eigenvalues, symplectic_form, tensor,
-                       term_propagator, thermal, tmss, vacuum)
-from .fock_oracle import (Crosscheck, FockObservables, FockState, crosscheck,
-                          evolve_exact, hamiltonian_matrix, leakage,
-                          observables, suggest_dims, vacuum_state)
-from .protocol import (HomodyneSettings, SequentialResult, SignalTrace,
-                       SimultaneousResult, beam_splitter_signal,
-                       default_time_grid, fig3_sweep, output_signal,
-                       quadrature_moments, run_sequential, run_simultaneous)
+# Public names by home module.  Nothing is imported until a name is first
+# used (PEP 562), so ``import ionlight`` and the parameter-only commands
+# never load numpy or scipy.
+_EXPORTS = {
+    "errors": ("ConfigError", "InfiniteSqueezingError", "IonlightError",
+               "ParameterError", "StateError", "TruncationError",
+               "UndefinedPeriodError", "UnphysicalStateError"),
+    "params": ("HBAR", "Couplings", "PhysicalParams", "RegimeConstraint",
+               "RegimeReport", "coupling_constants", "lamb_dicke", "load_config",
+               "params_from_config", "parse_config_text", "validate_regime"),
+    "gaussian": ("GaussianState", "LinearDynamics", "apply_symplectic",
+                 "bogoliubov_tpi", "decorrelation_norm", "dynamics_from_couplings",
+                 "epr_variance", "evolve", "log_negativity", "mean_photons",
+                 "quadratic_dynamics", "symplectic_eigenvalues", "symplectic_form",
+                 "tensor", "term_propagator", "thermal", "tmss", "vacuum"),
+    "fock_oracle": ("Crosscheck", "FockObservables", "FockState", "crosscheck",
+                    "evolve_exact", "hamiltonian_matrix", "leakage", "observables",
+                    "suggest_dims", "vacuum_state"),
+    "protocol": ("HomodyneSettings", "SequentialResult", "SignalTrace",
+                 "SimultaneousResult", "beam_splitter_signal", "default_time_grid",
+                 "fig3_sweep", "output_signal", "quadrature_moments",
+                 "run_sequential", "run_simultaneous"),
+}
+# name -> home module; each module is also public under its own name.
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in (module, *names)}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

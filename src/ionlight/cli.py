@@ -14,12 +14,19 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import __version__, fock_oracle, protocol
+from . import __version__
 from .errors import ConfigError, IonlightError, ParameterError
-from .params import (PhysicalParams, coupling_constants, load_config,
-                     params_from_config, validate_regime)
+from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, PhysicalParams,
+                     coupling_constants, load_config, params_from_config,
+                     validate_regime)
+
+# Only the parameter layer is imported here: ``validate`` and ``couplings``
+# run without numpy.  The commands that need the protocols or the oracle
+# import them when they run.
+if TYPE_CHECKING:
+    from . import protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,12 +44,12 @@ class RunConfig:
     params: Optional[PhysicalParams]
     ratio: float = 10.0
     soft_ratio: float = 2.0
-    kappa_dt: float = protocol.DEFAULT_KAPPA_DT
+    kappa_dt: float = DEFAULT_KAPPA_DT
     theta1: float = 0.0
     theta2: float = 0.0
     t_max: float = 8.0
     t_step: float = 0.02
-    fig3_r_list: tuple = protocol.DEFAULT_R_LIST
+    fig3_r_list: tuple = DEFAULT_R_LIST
     oracle_r: float = 3.0
     oracle_dims: Optional[tuple] = None
     seq_t1: Optional[float] = None
@@ -50,6 +57,7 @@ class RunConfig:
     seq_swap_area: float = math.pi / 2
 
     def settings(self) -> protocol.HomodyneSettings:
+        from . import protocol
         return protocol.HomodyneSettings(
             theta1=self.theta1, theta2=self.theta2, kappa_dt=self.kappa_dt,
             t_grid=protocol.default_time_grid(self.t_max, self.t_step))
@@ -101,6 +109,7 @@ def cmd_couplings(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    from . import protocol
     ratio = args.ratio if args.ratio is not None else cfg.ratio
     try:
         result = protocol.run_simultaneous(cfg.params, force=args.force, ratio=ratio)
@@ -121,6 +130,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_fig3(cfg: RunConfig, args) -> int:
+    from . import protocol
     out_dir = Path(args.out) if args.out else Path(".")
     traces = protocol.fig3_sweep(cfg.fig3_r_list, kappa_dt=cfg.kappa_dt,
                                  t_grid=protocol.default_time_grid(cfg.t_max, cfg.t_step),
@@ -135,6 +145,7 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
 
 
 def cmd_sequential(cfg: RunConfig, args) -> int:
+    from . import protocol
     couplings = coupling_constants(cfg.params)
     t1 = cfg.seq_t1
     if t1 is None:
@@ -155,6 +166,7 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, args) -> int:
+    from . import fock_oracle
     check = fock_oracle.crosscheck(cfg.oracle_r, cfg.oracle_dims)
     print(f"r = {cfg.oracle_r:g}, dims = {check.dims}, "
           f"leakage = {check.observables.leakage!r}")

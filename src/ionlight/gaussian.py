@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (InfiniteSqueezingError, StateError, UndefinedPeriodError,
                      UnphysicalStateError)
@@ -403,6 +402,16 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
     """The state after the linear map S: mean S m, covariance S cov S^T."""
     return GaussianState(state.mode_labels, s @ state.mean,
                          s @ state.cov @ s.T, validate=False)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """The matrix exponential, from scipy, imported on first use.
+
+    Only :func:`evolve` needs scipy, so the lossless protocols run without
+    loading it.
+    """
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> GaussianState:

@@ -339,6 +339,12 @@ class ConfigKey(NamedTuple):
     required: bool = False
 
 
+# Defaults of the run-level keys ``kappa_dt`` and ``fig3_r_list``, shared by
+# the protocols and the CLI: the detection bin kappa*dt and the coupling
+# ratios r of the standard Fig. 3 sweep.
+DEFAULT_KAPPA_DT = 0.1
+DEFAULT_R_LIST = (1.8, 1.5, 1.3, 1.1, 1.05)
+
 # The config schema.  Run-level settings keep their key as their name
 # (the CLI's RunConfig has one field per such key).
 CONFIG_KEYS = {

@@ -43,10 +43,9 @@ import numpy as np
 from . import gaussian
 from .errors import ParameterError, UndefinedPeriodError
 from .gaussian import GaussianState
-from .params import Couplings, PhysicalParams, coupling_constants, validate_regime
+from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, Couplings, PhysicalParams,
+                     coupling_constants, validate_regime)
 
-DEFAULT_R_LIST = (1.8, 1.5, 1.3, 1.1, 1.05)
-DEFAULT_KAPPA_DT = 0.1
 SIMULTANEOUS_LABELS = ("cav1", "cav2", "motion")
 SEQUENTIAL_LABELS = ("cav", "motion", "pulse1")
 MAX_GRID_POINTS = 1_000_000     # 8 MB per float64 trace column; the default grid has 401

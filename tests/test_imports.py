@@ -1,0 +1,179 @@
+"""What each entry point imports, and the lazy package namespace.
+
+``import ionlight`` resolves its public names on first use, and each CLI
+subcommand imports only the layers it runs: ``validate`` and ``couplings``
+need no numpy, and the protocol commands need no scipy.  Module loading is
+checked in fresh interpreters, never by timing.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ionlight
+from ionlight.cli import bundled_config_path
+
+SRC = str(Path(ionlight.__file__).resolve().parents[1])
+INDIUM = str(bundled_config_path())
+NUMERIC = ("numpy", "scipy")
+
+
+def fresh_run(code: str) -> dict:
+    """Run ``code`` in a new interpreter on this checkout's sources.
+
+    ``code`` may set ``result``; returns it with the NUMERIC packages that
+    were loaded by the end.  Anything the code prints is discarded.
+    """
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "result = None",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        *("    " + line for line in code.splitlines()),
+        f"loaded = [name for name in {NUMERIC!r} if name in sys.modules]",
+        "print(json.dumps({'result': result, 'loaded': loaded}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli_run(*argv) -> dict:
+    return fresh_run(f"from ionlight import cli\nresult = cli.main({list(argv)!r})")
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("code", ["import ionlight", "import ionlight.cli",
+                                      "from ionlight import coupling_constants, validate_regime"])
+    def test_import_loads_no_numpy(self, code):
+        assert fresh_run(code)["loaded"] == []
+
+    @pytest.mark.parametrize("command", ["validate", "couplings"])
+    def test_parameter_commands_load_no_numpy(self, command):
+        assert cli_run(command, "--config", INDIUM) == {"result": 0, "loaded": []}
+
+    def test_usage_error_loads_no_numpy(self):
+        assert cli_run("simulate") == {"result": 1, "loaded": []}
+        assert cli_run("no-such-command") == {"result": 1, "loaded": []}
+
+    def test_config_error_loads_no_numpy(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(bundled_config_path().read_text() + "no_such_key = 1\n")
+        assert cli_run("simulate", "--config", str(bad)) == {"result": 1, "loaded": []}
+
+    @pytest.mark.parametrize("command", ["simulate", "sequential", "fig3"])
+    def test_protocol_commands_load_no_scipy(self, command, tmp_path):
+        out = cli_run(command, "--config", INDIUM, "--out", str(tmp_path))
+        assert out == {"result": 0, "loaded": ["numpy"]}
+
+    def test_oracle_check_imports_scipy_when_it_runs(self):
+        assert cli_run("oracle-check") == {"result": 0, "loaded": ["numpy", "scipy"]}
+
+    def test_decay_imports_expm_on_first_use(self):
+        out = fresh_run("\n".join([
+            "import math",
+            "from ionlight import cli, protocol",
+            "before = 'scipy' in sys.modules",
+            "params = cli.read_run_config(cli.bundled_config_path()).params",
+            "res = protocol.run_simultaneous(params, force=True, include_decay=True)",
+            "result = [before, math.isfinite(res.diagnostics['log_negativity'])]",
+        ]))
+        assert out == {"result": [False, True], "loaded": ["numpy", "scipy"]}
+
+
+def _load_perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Signatures of the functions the benchmark's tracer wraps, by span name.
+TRACED_SIGNATURES = {
+    "params.load_config": "(path) -> 'dict'",
+    "params.params_from_config": "(entries: 'dict')",
+    "params.coupling_constants": "(params: 'PhysicalParams') -> 'Couplings'",
+    "params.validate_regime": (
+        "(params: 'PhysicalParams', couplings: 'Optional[Couplings]' = None, "
+        "much_greater_ratio: 'float' = 10.0, soft_ratio: 'float' = 2.0) -> 'RegimeReport'"),
+    "gaussian.evolve": (
+        "(state: 'GaussianState', dynamics: 'LinearDynamics', t: 'float') -> 'GaussianState'"),
+    "gaussian.log_negativity": "(state: 'GaussianState', partition: 'Sequence') -> 'float'",
+    "gaussian.symplectic_eigenvalues": "(cov: 'np.ndarray') -> 'np.ndarray'",
+    "gaussian.bogoliubov_tpi": "(couplings: 'Couplings') -> 'np.ndarray'",
+    "protocol.run_simultaneous": (
+        "(params: 'PhysicalParams', force: 'bool' = False, ratio: 'float' = 10.0, "
+        "include_decay: 'bool' = False) -> 'SimultaneousResult'"),
+    "protocol.run_sequential": (
+        "(params: 'PhysicalParams', t1: 'float', delay_t12: 'float' = inf, "
+        "swap_area: 'float' = 1.5707963267948966, force: 'bool' = True) -> 'SequentialResult'"),
+    "protocol.output_signal": (
+        "(couplings: 'Couplings', kappa: 'float', settings: 'HomodyneSettings') -> 'SignalTrace'"),
+    "protocol.beam_splitter_signal": (
+        "(couplings: 'Couplings', settings: 'HomodyneSettings') -> 'np.ndarray'"),
+    "protocol.fig3_sweep": (
+        "(r_list: 'Optional[Iterable[float]]' = None, kappa_dt: 'float' = 0.1, "
+        "t_grid: 'Optional[np.ndarray]' = None, theta1: 'float' = 0.0, "
+        "theta2: 'float' = 0.0) -> 'list'"),
+    "protocol.SignalTrace.to_csv": "(self) -> 'str'",
+    "fock_oracle.suggest_dims": "(r: 'float', leak_target: 'float' = 1e-12, pad: 'int' = 2) -> 'tuple'",
+    "fock_oracle.hamiltonian_matrix": "(chi1: 'complex', chi2: 'complex', dims) -> 'sp.csr_matrix'",
+    "fock_oracle.evolve_exact": (
+        "(state: 'FockState', hamiltonian: 'sp.spmatrix', t: 'float', "
+        "leak_tol: 'float' = 1e-09) -> 'FockState'"),
+    "fock_oracle.observables": "(state: 'FockState') -> 'FockObservables'",
+    "cli.main": "(argv=None) -> 'int'",
+}
+
+
+class TestLazyNamespace:
+    def test_names_resolve_to_their_home_module(self):
+        for name, home in ionlight._HOME.items():
+            module = importlib.import_module(f"ionlight.{home}")
+            expected = module if name == home else getattr(module, name)
+            assert getattr(ionlight, name) is expected, name
+        assert ionlight.__all__ == sorted(ionlight._HOME)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(ionlight.__all__) <= set(dir(ionlight))
+        assert "__version__" in dir(ionlight)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ionlight.no_such_name
+        assert not hasattr(ionlight, "_private")
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from ionlight import *", namespace)
+        for name in ionlight.__all__:
+            assert namespace[name] is getattr(ionlight, name), name
+
+    def test_defaults_have_one_home(self):
+        from ionlight import cli, params, protocol
+        assert protocol.DEFAULT_R_LIST is params.DEFAULT_R_LIST
+        assert protocol.DEFAULT_KAPPA_DT is params.DEFAULT_KAPPA_DT
+        config = cli.RunConfig(params=None)
+        assert config.fig3_r_list is params.DEFAULT_R_LIST
+        assert config.kappa_dt == params.DEFAULT_KAPPA_DT
+
+    def test_traced_functions_keep_modules_and_signatures(self):
+        traced = _load_perfbench_tracing().TRACED
+        assert {span for span, _, _ in traced} == set(TRACED_SIGNATURES)
+        for span, module_name, attr in traced:
+            owner = importlib.import_module(module_name)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert owner.__module__ == module_name, span
+            assert str(inspect.signature(owner)) == TRACED_SIGNATURES[span], span
+            if "." not in attr and attr in ionlight.__all__:
+                assert getattr(ionlight, attr) is owner, span
