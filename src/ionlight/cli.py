@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import __version__
 from .errors import ConfigError, IonlightError, ParameterError
@@ -25,8 +25,6 @@ from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, PhysicalParams,
 # Only the parameter layer is imported here: ``validate`` and ``couplings``
 # run without numpy.  The commands that need the protocols or the oracle
 # import them when they run.
-if TYPE_CHECKING:
-    from . import protocol
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,12 +53,6 @@ class RunConfig:
     seq_t1: Optional[float] = None
     seq_kappa_t12: float = 10.0
     seq_swap_area: float = math.pi / 2
-
-    def settings(self) -> protocol.HomodyneSettings:
-        from . import protocol
-        return protocol.HomodyneSettings(
-            theta1=self.theta1, theta2=self.theta2, kappa_dt=self.kappa_dt,
-            t_grid=protocol.default_time_grid(self.t_max, self.t_step))
 
 
 def bundled_config_path(name: str = "indium") -> Path:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from . import gaussian
+from . import gaussian, protocol
 from .errors import StateError, TruncationError
 from .params import Couplings
 
@@ -251,8 +251,8 @@ class Crosscheck(NamedTuple):
 def crosscheck(r: float, dims=None) -> Crosscheck:
     """Run one half-period from vacuum at chi1 = 1, chi2 = r through both engines.
 
-    The Gaussian side is the closed-form half-period map that
-    ``protocol.run_simultaneous`` applies.
+    The Gaussian side runs :func:`protocol.simultaneous_stages`, the
+    closed-form half-period map that ``protocol.run_simultaneous`` applies.
 
     ``dims`` defaults to :func:`suggest_dims`.  The rows compare the photons
     per mode, both EPR variances and, last, the largest covariance difference
@@ -262,11 +262,11 @@ def crosscheck(r: float, dims=None) -> Crosscheck:
         raise StateError(f"crosscheck needs a finite r > 1, got {r!r}")
     dims = suggest_dims(r) if dims is None else tuple(dims)
     couplings = Couplings.from_chis(1.0, r)
-    labels = ("cav1", "cav2", "motion")
-    g_state = gaussian.apply_symplectic(gaussian.vacuum(3, labels),
-                                        gaussian.bogoliubov_tpi(couplings))
+    labels = protocol.SIMULTANEOUS_LABELS
+    (pulse,) = protocol.simultaneous_stages(couplings)
+    (g_state,) = protocol.run_stages(gaussian.vacuum(3, labels), (pulse,))
     hamiltonian = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
-    obs = observables(evolve_exact(vacuum_state(dims), hamiltonian, couplings.t_pi))
+    obs = observables(evolve_exact(vacuum_state(dims), hamiltonian, pulse.t))
     f_state = gaussian.GaussianState(labels, obs.mean_quadratures, obs.covariance,
                                      validate=False)
 

@@ -57,7 +57,9 @@ def _spectrum_bound(cov: np.ndarray) -> float:
 
     Partial transposition flips signs only, so the bound holds for the
     partially transposed covariance as well.  Raises :class:`StateError`
-    when the bound is not finite or exceeds ``SPECTRUM_LIMIT``.
+    when the bound is not finite or exceeds ``SPECTRUM_LIMIT``, and
+    :class:`UnphysicalStateError` when the smallest symplectic eigenvalue of
+    cov is below 1 by more than the bound.
     """
     bound = np.finfo(float).eps * float(np.vdot(cov, cov))
     if not bound <= SPECTRUM_LIMIT:
@@ -65,6 +67,12 @@ def _spectrum_bound(cov: np.ndarray) -> float:
             f"round-off bound eps*||cov||^2 = {bound:.3g} is not within {SPECTRUM_LIMIT:g}: "
             "double precision cannot resolve the symplectic spectrum "
             "(r too close to 1, or nbar or a pulse area too large)"
+        )
+    nu_min = float(np.min(symplectic_eigenvalues(cov)))
+    if nu_min < 1.0 - bound:
+        raise UnphysicalStateError(
+            f"covariance violates the uncertainty relation: smallest symplectic "
+            f"eigenvalue {nu_min!r} is below 1 by more than the round-off bound {bound:.3g}"
         )
     return bound
 
@@ -117,13 +125,7 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if self.validate:
-            bound = _spectrum_bound(cov)
-            nu_min = float(np.min(symplectic_eigenvalues(cov)))
-            if nu_min < 1.0 - bound:
-                raise UnphysicalStateError(
-                    f"covariance violates the uncertainty relation: "
-                    f"smallest symplectic eigenvalue {nu_min!r}"
-                )
+            _spectrum_bound(cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
 
@@ -241,12 +243,6 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     if not rest:
         raise StateError("partition must be a strict subset of the modes")
     bound = _spectrum_bound(state.cov)
-    nu_min = float(np.min(symplectic_eigenvalues(state.cov)))
-    if nu_min < 1.0 - bound:
-        raise UnphysicalStateError(
-            f"smallest symplectic eigenvalue {nu_min!r} is below 1 "
-            f"by more than the round-off bound {bound:.3g}"
-        )
     # Partial transposition flips the sign of P on the transposed modes.
     flip = np.ones(2 * state.n_modes)
     for label in part:
@@ -343,11 +339,16 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
     return LinearDynamics(drift=bogoliubov_to_symplectic(m, nn), diffusion=d)
 
 
+def simultaneous_terms(chi1: complex, chi2: complex) -> tuple:
+    """The simultaneous pulse's terms, H = i chi1 a1_dag b_dag + i chi2 a2_dag b + h.c."""
+    return ((PAIR, "cav1", "motion", chi1), (EXCHANGE, "cav2", "motion", chi2))
+
+
 def dynamics_from_couplings(chi1: complex, chi2: complex,
                             kappa: float = 0.0) -> LinearDynamics:
     """Drift/diffusion for the driven three-mode system (cav1, cav2, motion).
 
-    The Hamiltonian H = i chi1 a1_dag b_dag + i chi2 a2_dag b + h.c. gives
+    The terms of :func:`simultaneous_terms` give
 
         da1/dt = chi1 * b_dag - kappa * a1
         da2/dt = chi2 * b     - kappa * a2
@@ -355,10 +356,8 @@ def dynamics_from_couplings(chi1: complex, chi2: complex,
 
     kappa = 0 is the lossless drive.
     """
-    return quadratic_dynamics(
-        ("cav1", "cav2", "motion"),
-        [(PAIR, "cav1", "motion", chi1), (EXCHANGE, "cav2", "motion", chi2)],
-        {"cav1": kappa, "cav2": kappa})
+    return quadratic_dynamics(("cav1", "cav2", "motion"), simultaneous_terms(chi1, chi2),
+                              {"cav1": kappa, "cav2": kappa})
 
 
 def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:

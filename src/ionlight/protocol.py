@@ -11,10 +11,10 @@ Two protocols are implemented:
   state back onto the cavity, so the two emitted pulses end up entangled and
   the motion ends up clean.  The motion is the memory in between.
 
-Both are lossless during the drive, so every stage is one symplectic map in
-closed form, applied by :func:`gaussian.apply_symplectic`; the matrix
-exponential of :func:`gaussian.evolve` runs only the lossy variant of the
-simultaneous pulse and the cross-checks against these closed forms.
+Each is a tuple of named :class:`Stage` records.  Both are lossless during
+the drive, so every stage is one symplectic map in closed form, applied by
+:func:`run_stages`; the matrix exponential of :func:`gaussian.evolve` runs
+only the lossy variant of the simultaneous pulse and the cross-checks.
 
 The measured quantity downstream of the cavity is the normalized variance of
 the balanced-homodyne difference current, binned at kappa*dt:
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,6 +149,23 @@ class SequentialResult:
     state: GaussianState
 
 
+class Stage(NamedTuple):
+    """One lossless stage: its term list, driven for ``t``, and that map in closed form."""
+
+    name: str
+    terms: tuple                # PAIR/EXCHANGE terms, as gaussian.quadratic_dynamics reads them
+    t: float
+    symplectic: np.ndarray      # gaussian.bogoliubov_tpi or gaussian.term_propagator
+
+
+def run_stages(state: GaussianState, stages: Iterable[Stage]) -> tuple:
+    """Apply each stage's symplectic map in turn; the state after each stage."""
+    states = [state]
+    for stage in stages:
+        states.append(gaussian.apply_symplectic(states[-1], stage.symplectic))
+    return tuple(states[1:])
+
+
 # ---------------------------------------------------------------------------
 # source-field moments and the signal
 # ---------------------------------------------------------------------------
@@ -206,9 +223,8 @@ def beam_splitter_signal(couplings: Couplings,
 
         C = Var(Q1 - Q2) / (Var Q1 + Var Q2).
     """
-    source = gaussian.apply_symplectic(
-        gaussian.vacuum(3, SIMULTANEOUS_LABELS),
-        gaussian.bogoliubov_tpi(couplings)).reduced(("cav1", "cav2"))
+    source = run_stages(gaussian.vacuum(3, SIMULTANEOUS_LABELS),
+                        simultaneous_stages(couplings))[-1].reduced(("cav1", "cav2"))
 
     def rot(theta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
@@ -261,8 +277,16 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
 # simultaneous protocol
 # ---------------------------------------------------------------------------
 
-def run_simultaneous(params: PhysicalParams, force: bool = False,
-                     ratio: float = 10.0,
+def simultaneous_stages(couplings: Couplings) -> tuple:
+    """``("pulse",)``: one half-period of both couplings; needs |chi2| > |chi1|."""
+    if couplings.theta_rate is None:
+        raise UndefinedPeriodError(f"couplings give r = {couplings.r!r}; the simultaneous "
+                                   "protocol needs |chi2| > |chi1|")
+    return (Stage("pulse", gaussian.simultaneous_terms(couplings.chi1, couplings.chi2),
+                  couplings.t_pi, gaussian.bogoliubov_tpi(couplings)),)
+
+
+def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float = 10.0,
                      include_decay: bool = False) -> SimultaneousResult:
     """Drive both couplings for one half-period from vacuum x vacuum x thermal.
 
@@ -270,36 +294,29 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
     than the cavity lifetime) and applies the exact half-period map
     :func:`gaussian.bogoliubov_tpi`.  ``include_decay=True`` switches cavity
     decay on during the drive for sensitivity studies and is not the protocol
-    being characterized; having no closed form, it runs through
-    :func:`gaussian.evolve`.
+    being characterized; having no closed form, it runs the pulse's terms
+    through :func:`gaussian.evolve`.
 
     The regime inequalities are checked first and a failing set raises unless
     ``force`` is given.
     """
     couplings = coupling_constants(params)
-    if couplings.theta_rate is None:
-        raise UndefinedPeriodError(
-            f"couplings give r = {couplings.r!r}; the simultaneous protocol "
-            "needs |chi2| > |chi1|"
-        )
+    (pulse,) = simultaneous_stages(couplings)
     if not force:
         report = validate_regime(params, couplings, much_greater_ratio=ratio)
         if not report.overall_pass:
             failed = [c.name for c in report.constraints if not c.passed]
-            raise ParameterError(
-                "operating-regime check failed "
-                f"({', '.join(failed)}); pass force=True to run anyway"
-            )
+            raise ParameterError("operating-regime check failed "
+                                 f"({', '.join(failed)}); pass force=True to run anyway")
 
-    initial = gaussian.tensor(
-        gaussian.vacuum(2, ("cav1", "cav2")),
-        gaussian.thermal(params.nbar_motion, "motion"),
-    )
+    initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
+                              gaussian.thermal(params.nbar_motion, "motion"))
     if include_decay:
-        final = gaussian.evolve(initial, gaussian.dynamics_from_couplings(
-            couplings.chi1, couplings.chi2, params.kappa), couplings.t_pi)
+        decay = {"cav1": params.kappa, "cav2": params.kappa}
+        final = gaussian.evolve(initial, gaussian.quadratic_dynamics(
+            SIMULTANEOUS_LABELS, pulse.terms, decay), pulse.t)
     else:
-        final = gaussian.apply_symplectic(initial, gaussian.bogoliubov_tpi(couplings))
+        (final,) = run_stages(initial, (pulse,))
 
     diagnostics = {
         "t_pi": couplings.t_pi,
@@ -315,19 +332,16 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
         "motion_decorrelation": gaussian.decorrelation_norm(
             final, ("motion",), ("cav1", "cav2")),
     }
-    return SimultaneousResult(state=final, couplings=couplings,
-                              diagnostics=diagnostics)
+    return SimultaneousResult(state=final, couplings=couplings, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # sequential protocol
 # ---------------------------------------------------------------------------
 
-def run_sequential(params: PhysicalParams, t1: float,
-                   delay_t12: float = math.inf,
-                   swap_area: float = math.pi / 2,
-                   force: bool = True) -> SequentialResult:
-    """Sequential pulses with the motion as intermediate memory.
+def sequential_stages(couplings: Couplings, kappa: float, t1: float, delay_t12: float,
+                      swap_area: float) -> tuple:
+    """The sequential protocol over (cav, motion, pulse1): ``("pair", "extract", "swap")``.
 
     Each stage is one symplectic map, in closed form from a single term (see
     :func:`gaussian.term_propagator`).  Stage A drives the pair-creation
@@ -339,10 +353,7 @@ def run_sequential(params: PhysicalParams, t1: float,
     (``math.inf`` gives ideal extraction, area pi/2).  Stage C drives the
     exchange coupling for t2 = swap_area / |chi2|; area pi/2 swaps the stored
     motional state onto the cavity, which subsequently leaves as pulse 2.
-
-    Decay during the short drive stages is neglected, as in the simultaneous
-    protocol; kappa * delay_t12 >= 5 is recommended so most of pulse 1 is
-    actually out before the swap.
+    With chi2 = 0 stage C has no drive: it lasts 0 and is the identity.
     """
     if not t1 > 0.0:
         raise ParameterError(f"t1 must be positive, got {t1!r}")
@@ -350,38 +361,36 @@ def run_sequential(params: PhysicalParams, t1: float,
         raise ParameterError(f"delay_t12 must be >= 0, got {delay_t12!r}")
     if not swap_area >= 0.0:
         raise ParameterError(f"swap_area must be >= 0, got {swap_area!r}")
-    couplings = coupling_constants(params)
-    if not force:
-        report = validate_regime(params, couplings)
-        if not report.overall_pass:
-            raise ParameterError("operating-regime check failed")
+    cav, motion, pulse1 = SEQUENTIAL_LABELS
+    stages = (("pair", (gaussian.PAIR, cav, motion, couplings.chi1), t1),
+              ("extract", (gaussian.EXCHANGE, pulse1, cav, 1.0),
+               math.acos(math.exp(-kappa * delay_t12))),
+              ("swap", (gaussian.EXCHANGE, cav, motion, couplings.chi2),
+               swap_area / abs(couplings.chi2) if couplings.chi2 else 0.0))
+    return tuple(Stage(name, (term,), t,
+                       gaussian.term_propagator(SEQUENTIAL_LABELS, term, t))
+                 for name, term, t in stages)
 
-    cav_label, motion_label, pulse_label = SEQUENTIAL_LABELS
-    state = gaussian.tensor(
-        gaussian.vacuum(1, (cav_label,)),
-        gaussian.thermal(params.nbar_motion, motion_label),
-        gaussian.vacuum(1, (pulse_label,)),
-    )
 
-    def stage(state, term, t):
-        return gaussian.apply_symplectic(
-            state, gaussian.term_propagator(SEQUENTIAL_LABELS, term, t))
+def run_sequential(params: PhysicalParams, t1: float, delay_t12: float = math.inf,
+                   swap_area: float = math.pi / 2) -> SequentialResult:
+    """Sequential pulses with the motion as intermediate memory.
 
-    # Stage A: pair creation between cavity and motion.
-    state = stage(state, (gaussian.PAIR, cav_label, motion_label, couplings.chi1), t1)
-    stage_a_entanglement = gaussian.log_negativity(state, ("cav",))
+    Runs the stages of :func:`sequential_stages` from vacuum x thermal x
+    vacuum.  There is no regime gate.
 
-    # Stage B: emission of pulse 1 during the delay.
-    state = stage(state, (gaussian.EXCHANGE, pulse_label, cav_label, 1.0),
-                  math.acos(math.exp(-params.kappa * delay_t12)))
-
-    # Stage C: exchange pulse of the requested area.
-    if abs(couplings.chi2) > 0.0:
-        state = stage(state, (gaussian.EXCHANGE, cav_label, motion_label, couplings.chi2),
-                      swap_area / abs(couplings.chi2))
+    Decay during the short drive stages is neglected, as in the simultaneous
+    protocol; kappa * delay_t12 >= 5 is recommended so most of pulse 1 is
+    actually out before the swap.
+    """
+    initial = gaussian.tensor(gaussian.vacuum(1, ("cav",)),
+                              gaussian.thermal(params.nbar_motion, "motion"),
+                              gaussian.vacuum(1, ("pulse1",)))
+    after_pair, _, state = run_stages(initial, sequential_stages(
+        coupling_constants(params), params.kappa, t1, delay_t12, swap_area))
 
     return SequentialResult(
-        stage_a_entanglement=stage_a_entanglement,
+        stage_a_entanglement=gaussian.log_negativity(after_pair, ("cav",)),
         final_entanglement=gaussian.log_negativity(
             state.reduced(("cav", "pulse1")), ("pulse1",)),
         motion_residual_norm=gaussian.decorrelation_norm(

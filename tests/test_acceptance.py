@@ -115,16 +115,26 @@ def test_criterion_3_analytic_numeric_equivalence(rng):
                     closed = gaussian.term_propagator(labels, term, t)
                     reference = expm(gaussian.quadratic_dynamics(labels, [term]).drift * t)
                     assert np.linalg.norm(closed - reference) < 1e-9 * np.linalg.norm(reference)
-        for _ in range(20):
-            chi1, chi2 = random_couplings(rng, r_low=1.05, r_high=3.0)
-            nbar = rng.uniform(0.0, 3.0)
+        # Every stage of both protocols, as the protocols build them.
+        draws = [(*random_couplings(rng, r_low=1.05, r_high=3.0), rng.uniform(0.0, 3.0))
+                 for _ in range(20)]
+        for chi1, chi2, nbar in draws:
             c = Couplings.from_chis(chi1, chi2)
-            initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
-                                      gaussian.thermal(nbar, "motion"))
-            dyn = gaussian.dynamics_from_couplings(chi1, chi2, kappa=0.0)
-            evolved = gaussian.evolve(initial, dyn, c.t_pi)
-            mapped = gaussian.apply_symplectic(initial, gaussian.bogoliubov_tpi(c))
-            assert np.linalg.norm(evolved.cov - mapped.cov) < 1e-9
+            # pair area |chi1| t1, kappa T12 (kappa = 1) and swap area
+            area, kappa_t12, swap_area = rng.uniform((0.1, 0.0, 0.0), (2.0, 5.0, 3.0))
+            motion = gaussian.thermal(nbar, "motion")
+            for initial, stages in (
+                    (gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")), motion),
+                     protocol.simultaneous_stages(c)),
+                    (gaussian.tensor(gaussian.vacuum(1, ("cav",)), motion,
+                                     gaussian.vacuum(1, ("pulse1",))),
+                     protocol.sequential_stages(c, 1.0, area / abs(chi1),
+                                                kappa_t12, swap_area))):
+                after = protocol.run_stages(initial, stages)
+                for before, stage, mapped in zip((initial,) + after[:-1], stages, after):
+                    dyn = gaussian.quadratic_dynamics(before.mode_labels, stage.terms)
+                    evolved = gaussian.evolve(before, dyn, stage.t)
+                    assert np.linalg.norm(evolved.cov - mapped.cov) < 1e-9, stage.name
         assert time.perf_counter() - start < 1.0
 
 

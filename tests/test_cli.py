@@ -216,11 +216,6 @@ class TestRunConfig:
         assert rc.oracle_dims == (8, 8, 8)
         assert rc.ratio == 5.0            # from the bundled file
 
-    def test_settings_roundtrip(self, indium_config):
-        settings = indium_config.settings()
-        assert settings.kappa_dt == 0.1
-        assert settings.t_grid[-1] == pytest.approx(8.0)
-
 
 class TestNoMatrixExponential:
     """The lossless paths are closed-form maps; expm is only the cross-check."""

@@ -115,7 +115,7 @@ TRACED_SIGNATURES = {
         "include_decay: 'bool' = False) -> 'SimultaneousResult'"),
     "protocol.run_sequential": (
         "(params: 'PhysicalParams', t1: 'float', delay_t12: 'float' = inf, "
-        "swap_area: 'float' = 1.5707963267948966, force: 'bool' = True) -> 'SequentialResult'"),
+        "swap_area: 'float' = 1.5707963267948966) -> 'SequentialResult'"),
     "protocol.output_signal": (
         "(couplings: 'Couplings', kappa: 'float', settings: 'HomodyneSettings') -> 'SignalTrace'"),
     "protocol.beam_splitter_signal": (

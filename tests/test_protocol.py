@@ -10,10 +10,12 @@ from ionlight import gaussian
 from ionlight.errors import (ParameterError, StateError, UndefinedPeriodError,
                              UnphysicalStateError)
 from ionlight.params import Couplings, PhysicalParams, coupling_constants
-from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, HomodyneSettings,
+from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, SEQUENTIAL_LABELS,
+                               SIMULTANEOUS_LABELS, HomodyneSettings,
                                beam_splitter_signal, default_time_grid,
                                fig3_sweep, output_signal, quadrature_moments,
-                               run_sequential, run_simultaneous)
+                               run_sequential, run_simultaneous, run_stages,
+                               sequential_stages, simultaneous_stages)
 
 # Frozen reference values for the r = 1.1 operating point, theta1 + theta2 = 0
 # (first computed with the attenuate-and-mix model, then pinned):
@@ -435,6 +437,65 @@ class TestRunSequential:
             emitted * made, rel=1e-12, abs=1e-15)
         assert gaussian.mean_photons(result.state, "cav") == pytest.approx(
             (1.0 - emitted) * made, rel=1e-12, abs=1e-15)
+
+
+class TestStages:
+    def test_stage_names(self, indium_params):
+        c = coupling_constants(indium_params)
+        assert tuple(s.name for s in simultaneous_stages(c)) == ("pulse",)
+        stages = sequential_stages(c, indium_params.kappa, t1=1e-5, delay_t12=1e-6,
+                                   swap_area=math.pi / 2)
+        assert tuple(s.name for s in stages) == ("pair", "extract", "swap")
+
+    def test_one_state_per_stage(self, indium_params):
+        c = coupling_constants(indium_params)
+        for labels, stages in (
+                (SIMULTANEOUS_LABELS, simultaneous_stages(c)),
+                (SEQUENTIAL_LABELS, sequential_stages(c, indium_params.kappa, t1=1e-5,
+                                                      delay_t12=math.inf, swap_area=1.0))):
+            states = run_stages(gaussian.vacuum(3, labels), stages)
+            assert len(states) == len(stages)
+            assert all(state.mode_labels == labels for state in states)
+        assert run_stages(gaussian.vacuum(3, SIMULTANEOUS_LABELS), ()) == ()
+
+    def test_runs_apply_the_stages(self, indium_params):
+        c = coupling_constants(indium_params)
+        (pulse,) = simultaneous_stages(c)
+        assert pulse.t == c.t_pi
+        assert np.array_equal(pulse.symplectic, gaussian.bogoliubov_tpi(c))
+        result = run_simultaneous(indium_params, force=True)
+        initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
+                                  gaussian.thermal(indium_params.nbar_motion, "motion"))
+        (final,) = run_stages(initial, (pulse,))
+        assert np.array_equal(final.cov, result.state.cov)
+
+    @pytest.mark.parametrize("swap_area", [1.0, math.inf])
+    def test_swap_without_exchange_coupling_is_identity(self, indium_params, swap_area):
+        # chi2 = 0: the swap stage is the identity map, so the protocol ends
+        # bit for bit where the extraction left it
+        p = dataclasses.replace(indium_params, g2=0.0, nbar_motion=2.0)
+        c = coupling_constants(p)
+        assert c.chi2 == 0.0
+        stages = sequential_stages(c, p.kappa, t1=1.0 / abs(c.chi1),
+                                   delay_t12=1.0 / p.kappa, swap_area=swap_area)
+        assert stages[-1].t == 0.0
+        assert np.array_equal(stages[-1].symplectic, np.eye(6))
+        initial = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(2.0),
+                                  gaussian.vacuum(1, ("pulse1",)))
+        _, extracted, _ = run_stages(initial, stages)
+        final = run_sequential(p, t1=1.0 / abs(c.chi1), delay_t12=1.0 / p.kappa,
+                               swap_area=swap_area).state
+        assert final.mean.tobytes() == extracted.mean.tobytes()
+        assert final.cov.tobytes() == extracted.cov.tobytes()
+
+    def test_undefined_period_checked_before_regime_gate(self, indium_params):
+        blue = dataclasses.replace(indium_params, delta=-indium_params.delta)
+        assert coupling_constants(blue).r < 1.0
+        with pytest.raises(UndefinedPeriodError):
+            run_simultaneous(blue, force=False)
+        with pytest.raises(UndefinedPeriodError):
+            simultaneous_stages(coupling_constants(blue))
+
 
 def abs_chi1(params):
     return abs(coupling_constants(params).chi1)
