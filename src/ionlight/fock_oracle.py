@@ -1,13 +1,18 @@
 """Brute-force number-basis propagator used to cross-check the Gaussian engine.
 
-Everything here is deliberately dumb: build the full (sparse) Hamiltonian of
-the driven three-mode system in a truncated product basis, propagate the state
-vector with a Krylov matrix exponential on the blocks of H it occupies, and
-read observables off the amplitudes.  Mode ordering is (cav1, cav2, motion);
-the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.  The Hamiltonian
-is built from that index arithmetic alone, never from the Gaussian engine's
-term list, so a sign error in either shows up as a disagreement in
-:func:`crosscheck`.
+Everything here is deliberately dumb: the sparse Hamiltonian of the driven
+three-mode system in a truncated product basis, a Krylov matrix exponential,
+and observables read off the amplitudes.  Mode ordering is (cav1, cav2,
+motion); the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.  The
+Hamiltonian is built from that index arithmetic alone, never from the
+Gaussian engine's term list, so a sign error in either shows up as a
+disagreement in :func:`crosscheck`.
+
+H conserves n1 - n2 - nb, so a start state occupies few of the product
+states: the vacuum's sector holds about 1% of them.  Past building H, the
+work touches only the occupied states: :func:`evolve_exact` propagates the
+blocks of H they reach, and the norm checks, :func:`leakage` and
+:func:`observables` read the nonzero amplitudes alone.
 
 Quadrature observables use the same X = a + a_dag, vacuum-variance-1
 convention as the gaussian module, so covariance matrices from both engines
@@ -17,7 +22,7 @@ are directly comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from . import gaussian, protocol
-from .errors import StateError, TruncationError
+from .errors import StateError, TruncationError, UndefinedPeriodError
 from .params import Couplings
 
 NORM_TOL = 1e-9
@@ -34,10 +39,15 @@ DEFAULT_LEAK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Truncated number-basis state vector over (cav1, cav2, motion)."""
+    """Truncated number-basis state vector over (cav1, cav2, motion).
+
+    ``support`` holds the flat indices of the nonzero amplitudes, in
+    ascending order; the norm check and the observables read only those.
+    """
 
     dims: tuple
     amplitudes: np.ndarray
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -49,12 +59,15 @@ class FockState:
                 f"amplitude vector has length {vec.shape[0]}, "
                 f"expected {dims[0] * dims[1] * dims[2]}"
             )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_TOL:
+        support = np.flatnonzero(vec)
+        norm = float(np.linalg.norm(vec[support]))
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise StateError(f"state norm is {norm!r}, expected 1")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", vec)
+        object.__setattr__(self, "support", support)
         vec.setflags(write=False)
+        support.setflags(write=False)
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
@@ -69,38 +82,49 @@ def vacuum_state(dims) -> FockState:
 def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> sp.csr_matrix:
     """Sparse matrix of H/hbar = i chi1 a1+ b+ + i chi2 a2+ b + h.c. in the truncated basis.
 
-    Built from the flat index of each number state.  Hermiticity is exact by
-    construction (the conjugate part is added explicitly, entry by entry).
+    H has four offset diagonals.  a1+ b+ takes |n1, n2, nb> to
+    |n1+1, n2, nb+1>, d2*db + 1 further on in the flat index, with amplitude
+    sqrt(n1+1) sqrt(nb+1); a2+ b takes it to |n1, n2+1, nb-1>, db - 1
+    further on, with amplitude sqrt(n2+1) sqrt(nb).  Each amplitude is an
+    outer product of 1-D sqrt(n) ladders that vanish where the move leaves
+    the basis.  The h.c. diagonals are the conjugates of the same entries,
+    so hermiticity is exact by construction.
     """
     d1, d2, db = (int(d) for d in dims)
     if min(d1, d2, db) < 2:
         raise StateError(f"dims must all be >= 2, got {dims!r}")
     size = d1 * d2 * db
-    # scipy stores 32-bit indices where they fit; building in them spares a copy
-    index = np.int32 if size < 2**31 else np.int64
-    n1, n2, nb = np.indices((d1, d2, db), dtype=index).reshape(3, -1)
-    flat = np.arange(size, dtype=index)
-    # a1+ b+ : |n1, n2, nb> -> sqrt(n1+1) sqrt(nb+1) |n1+1, n2, nb+1>
-    pair = (n1 < d1 - 1) & (nb < db - 1)
-    # a2+ b  : |n1, n2, nb> -> sqrt(n2+1) sqrt(nb) |n1, n2+1, nb-1>
-    exch = (n2 < d2 - 1) & (nb > 0)
-    cols = np.concatenate([flat[pair], flat[exch]])
-    rows = np.concatenate([flat[pair] + d2 * db + 1, flat[exch] + db - 1])
-    vals = np.concatenate([
-        (1j * complex(chi1)) * (np.sqrt(n1[pair] + 1) * np.sqrt(nb[pair] + 1)),
-        (1j * complex(chi2)) * (np.sqrt(n2[exch] + 1) * np.sqrt(nb[exch])),
-    ])
-    h = sp.coo_matrix((np.concatenate([vals, vals.conj()]),
-                       (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-                      shape=(size, size)).tocsr()
-    h.eliminate_zeros()     # a zero coupling stores no entries
-    return h
+    shape = (d1, d2, db)
+
+    def raising(d):         # sqrt(n + 1), zero on the top level
+        return np.append(np.sqrt(np.arange(1, d)), 0.0)
+
+    pair = np.broadcast_to(raising(d1)[:, None, None] * raising(db), shape).reshape(-1)
+    exch = np.broadcast_to(raising(d2)[:, None] * np.sqrt(np.arange(db)), shape).reshape(-1)
+    p, e = d2 * db + 1, db - 1
+    # Row f holds the columns f - p, f - e, f + e, f + p, in that order.  The
+    # amplitudes vanish wherever a move would leave the basis, so every
+    # out-of-range column carries a zero, and zeros are not stored.
+    vals = np.zeros((size, 4), dtype=complex)
+    np.multiply(1j * complex(chi1), pair[:-p], out=vals[p:, 0])
+    np.multiply(1j * complex(chi2), exch[:-e], out=vals[e:, 1])
+    np.conjugate(vals[e:, 1], out=vals[:-e, 2])
+    np.conjugate(vals[p:, 0], out=vals[:-p, 3])
+    keep = vals != 0
+    # scipy stores 32-bit indices where they fit (columns reach 2 * size and
+    # the entry count 4 * size); building in them spares a copy
+    index = np.int32 if 4 * size < 2**31 else np.int64
+    cols = np.arange(size, dtype=index)[:, None] + np.array([-p, -e, e, p], dtype=index)
+    indptr = np.zeros(size + 1, dtype=index)
+    indptr[1:] = np.cumsum(keep.reshape(-1), dtype=index)[3::4]
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
 
 
 def leakage(state: FockState) -> float:
     """Largest total population sitting on the top level of any mode."""
-    pop = np.abs(state.tensor()) ** 2
-    return float(max(pop[-1, :, :].sum(), pop[:, -1, :].sum(), pop[:, :, -1].sum()))
+    pop = np.abs(state.amplitudes[state.support]) ** 2
+    levels = np.unravel_index(state.support, state.dims)
+    return float(max(pop[n == d - 1].sum() for n, d in zip(levels, state.dims)))
 
 
 def evolve_exact(state: FockState, hamiltonian: sp.spmatrix, t: float,
@@ -126,15 +150,15 @@ def evolve_exact(state: FockState, hamiltonian: sp.spmatrix, t: float,
     from scipy.sparse.csgraph import connected_components
     hamiltonian = hamiltonian.tocsr()
     _, labels = connected_components(hamiltonian.astype(bool), directed=False)
-    occupied = np.unique(labels[np.flatnonzero(state.amplitudes)])
+    occupied = np.unique(labels[state.support])
     idx = np.flatnonzero(np.isin(labels, occupied))
     block = hamiltonian[idx][:, idx]
-    vec = np.zeros_like(state.amplitudes)
-    vec[idx] = expm_multiply(-1j * t * block.tocsc(), state.amplitudes[idx])
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > NORM_TOL:
+    evolved = expm_multiply(-1j * t * block.tocsc(), state.amplitudes[idx])
+    norm = float(np.linalg.norm(evolved))
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
-    vec = vec / norm
+    vec = np.zeros_like(state.amplitudes)
+    vec[idx] = evolved / norm
     out = FockState(state.dims, vec)
     leak = leakage(out)
     if leak > leak_tol:
@@ -157,38 +181,42 @@ class FockObservables:
     leakage: float
 
 
-def _apply_lowering(tensor: np.ndarray, axis: int) -> np.ndarray:
-    """a|psi> along one mode axis of the amplitude tensor."""
-    d = tensor.shape[axis]
-    weights = np.sqrt(np.arange(1, d))
-    shifted = np.take(tensor, np.arange(1, d), axis=axis)
-    shape = [1, 1, 1]
-    shape[axis] = d - 1
-    shifted = shifted * weights.reshape(shape)
-    pad = [(0, 0)] * 3
-    pad[axis] = (0, 1)
-    return np.pad(shifted, pad)
-
-
 def observables(state: FockState) -> FockObservables:
-    """Mean photon numbers, full quadrature covariance, and the joint cav1/cav2 distribution."""
-    psi = state.tensor()
-    pop = np.abs(psi) ** 2
-    means = np.array([
-        float((pop.sum(axis=(1, 2)) * np.arange(state.dims[0])).sum()),
-        float((pop.sum(axis=(0, 2)) * np.arange(state.dims[1])).sum()),
-        float((pop.sum(axis=(0, 1)) * np.arange(state.dims[2])).sum()),
-    ])
+    """Mean photon numbers, full quadrature covariance, and the joint cav1/cav2 distribution.
 
-    lowered = [_apply_lowering(psi, axis) for axis in range(3)]
-    disp = np.array([np.vdot(psi, low) for low in lowered])           # <a_i>
-    # n_ij = <a_i+ a_j>, s_ij = <a_i a_j>, centered on the displacements.
+    Every moment is a sum over the nonzero amplitudes psi[n] of
+    conj(psi[n - shift]) c(n) psi[n], for an operator that lowers |n> to
+    |n - shift>; the amplitude at n - shift is gathered at flat index
+    minus the strides of the shift.
+    """
+    dims = state.dims
+    amps, support = state.amplitudes, state.support
+    psi = amps[support]
+    levels = np.unravel_index(support, dims)
+    strides = (dims[1] * dims[2], dims[2], 1)
+
+    def moment(coeff, offset):
+        """<psi| O |psi> for O |n> = coeff(n) |n - e>, e at flat offset ``offset``."""
+        keep = np.flatnonzero(coeff)
+        return complex(np.vdot(amps[support[keep] - offset], coeff[keep] * psi[keep]))
+
+    root = [np.sqrt(n) for n in levels]
+    disp = np.array([moment(root[i], strides[i]) for i in range(3)])     # <a_i>
+    # n_ij = <a_i+ a_j>: a_j lowers |n> to |n - e_j>, and a_i+ takes that to
+    # |n - e_j + e_i> unless it would leave the basis.  s_ij = <a_j a_i>.
+    # Both are centered on the displacements.
     n_mat = np.empty((3, 3), dtype=complex)
     s_mat = np.empty((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
-            n_mat[i, j] = np.vdot(lowered[i], lowered[j]) - np.conj(disp[i]) * disp[j]
-            s_mat[i, j] = np.vdot(psi, _apply_lowering(lowered[i], j)) - disp[i] * disp[j]
+            m_i = levels[i] - (i == j)
+            inside = m_i < dims[i] - 1
+            n_mat[i, j] = moment(root[j] * np.sqrt(m_i + 1) * inside,
+                                 strides[j] - strides[i]) - np.conj(disp[i]) * disp[j]
+            s_mat[i, j] = moment(root[i] * np.sqrt(np.maximum(levels[j] - (i == j), 0)),
+                                 strides[i] + strides[j]) - disp[i] * disp[j]
+    pop = np.abs(psi) ** 2
+    means = np.array([float(np.dot(pop, n)) for n in levels])
 
     cov = np.empty((6, 6))
     for i in range(3):
@@ -210,9 +238,19 @@ def observables(state: FockState) -> FockObservables:
         mean_photons=means,
         covariance=cov,
         mean_quadratures=quad_means,
-        joint_photon_distribution=pop.sum(axis=2),
+        joint_photon_distribution=np.bincount(
+            levels[0] * dims[1] + levels[1], weights=pop,
+            minlength=dims[0] * dims[1]).reshape(dims[:2]),
         leakage=leakage(state),
     )
+
+
+def _require_half_period(r: float, caller: str) -> None:
+    """Refuse a non-finite r (StateError) and r <= 1 (UndefinedPeriodError)."""
+    if not math.isfinite(r):
+        raise StateError(f"{caller} needs a finite r, got {r!r}")
+    if r <= 1.0:
+        raise UndefinedPeriodError(f"{caller} needs r > 1 for a half-period, got {r!r}")
 
 
 def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
@@ -223,8 +261,7 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     ratio (2r/(1+r^2))^2 per level, the motion transiently reaches mean
     occupation r^2/(r^2-1).
     """
-    if r <= 1.0:
-        raise StateError(f"suggest_dims needs r > 1, got {r!r}")
+    _require_half_period(r, "suggest_dims")
 
     def tail_dim(q: float) -> int:
         # smallest d with (1-q) q^(d-1) <= leak_target
@@ -258,8 +295,7 @@ def crosscheck(r: float, dims=None) -> Crosscheck:
     per mode, both EPR variances and, last, the largest covariance difference
     as (name, 0, max |diff|).
     """
-    if not 1.0 < r < math.inf:
-        raise StateError(f"crosscheck needs a finite r > 1, got {r!r}")
+    _require_half_period(r, "crosscheck")
     dims = suggest_dims(r) if dims is None else tuple(dims)
     couplings = Couplings.from_chis(1.0, r)
     labels = protocol.SIMULTANEOUS_LABELS

@@ -403,14 +403,45 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
                          s @ state.cov @ s.T, validate=False)
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """The matrix exponential, from scipy, imported on first use.
+# Numerator coefficients of the [13/13] Pade approximant to exp, and the
+# 1-norm up to which it is accurate to double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    Only :func:`evolve` needs scipy, so the lossless protocols run without
-    loading it.
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """The matrix exponential of a real square matrix, by scaling and squaring.
+
+    The [13/13] Pade approximant of exp(A / 2^s), squared s times, with s
+    the least integer that brings ||A||_1 / 2^s to at most 5.37 (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 2005).  Only numpy's ``@`` and
+    ``linalg.solve`` are used: scipy's LAPACK path leaves OpenBLAS helper
+    threads spinning after each call, even on 6x6 matrices.
     """
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    a = np.asarray(a, dtype=float)
+    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    if not norm < math.inf:
+        raise StateError(f"matrix exponential of a non-finite matrix (1-norm {norm!r})")
+    ident = np.eye(a.shape[0])
+    if norm == 0.0:
+        return ident
+    s = max(0, math.ceil(math.log2(norm / _THETA13)))
+    a = a / 2.0 ** s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> GaussianState:

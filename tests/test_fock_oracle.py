@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from ionlight.errors import StateError, TruncationError
+from ionlight.errors import StateError, TruncationError, UndefinedPeriodError
 from ionlight.fock_oracle import (FockState, evolve_exact, hamiltonian_matrix,
                                   leakage, observables, suggest_dims,
                                   vacuum_state)
@@ -33,6 +34,77 @@ def kron_hamiltonian(chi1, chi2, dims):
     half = (1j * complex(chi1)) * (a1.conj().T @ b.conj().T) \
         + (1j * complex(chi2)) * (a2.conj().T @ b)
     return (half + half.conj().T).tocsr()
+
+
+def index_hamiltonian(chi1, chi2, dims):
+    """Reference build of H from the flat index of every product state, through COO."""
+    d1, d2, db = dims
+    size = d1 * d2 * db
+    n1, n2, nb = np.indices(dims).reshape(3, -1)
+    flat = np.arange(size)
+    pair = (n1 < d1 - 1) & (nb < db - 1)     # a1+ b+ stays in the basis
+    exch = (n2 < d2 - 1) & (nb > 0)          # a2+ b stays in the basis
+    cols = np.concatenate([flat[pair], flat[exch]])
+    rows = np.concatenate([flat[pair] + d2 * db + 1, flat[exch] + db - 1])
+    vals = np.concatenate([
+        (1j * complex(chi1)) * (np.sqrt(n1[pair] + 1) * np.sqrt(nb[pair] + 1)),
+        (1j * complex(chi2)) * (np.sqrt(n2[exch] + 1) * np.sqrt(nb[exch])),
+    ])
+    h = sp.coo_matrix((np.concatenate([vals, vals.conj()]),
+                       (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                      shape=(size, size)).tocsr()
+    h.eliminate_zeros()
+    h.sort_indices()
+    return h
+
+
+def lowered(tensor, axis):
+    """a|psi> along one mode axis of the amplitude tensor, by shifting the whole tensor."""
+    d = tensor.shape[axis]
+    shape = [1, 1, 1]
+    shape[axis] = d - 1
+    shifted = np.take(tensor, np.arange(1, d), axis=axis) * np.sqrt(np.arange(1, d)).reshape(shape)
+    pad = [(0, 0)] * 3
+    pad[axis] = (0, 1)
+    return np.pad(shifted, pad)
+
+
+def tensor_moments(state):
+    """Photon numbers, <a_i>, <a_i+ a_j> and <a_j a_i> from the full amplitude tensor."""
+    psi = state.tensor()
+    pop = np.abs(psi) ** 2
+    photons = np.array([(pop.sum(axis=tuple(k for k in range(3) if k != axis))
+                         * np.arange(psi.shape[axis])).sum() for axis in range(3)])
+    low = [lowered(psi, axis) for axis in range(3)]
+    disp = np.array([np.vdot(psi, x) for x in low])
+    n_raw = np.array([[np.vdot(low[i], low[j]) for j in range(3)] for i in range(3)])
+    s_raw = np.array([[np.vdot(psi, lowered(low[i], j)) for j in range(3)] for i in range(3)])
+    return photons, disp, n_raw, s_raw, pop.sum(axis=2)
+
+
+def covariance_from_moments(disp, n_raw, s_raw):
+    """Symmetrised quadrature covariance (X = a + a+, P = -i(a - a+)) of the moments."""
+    n = n_raw - np.outer(disp.conj(), disp)
+    s = s_raw - np.outer(disp, disp)
+    cov = np.empty((6, 6))
+    cov[0::2, 0::2] = 2 * s.real + 2 * n.real + np.eye(3)
+    cov[0::2, 1::2] = 2 * s.imag + 2 * n.imag
+    cov[1::2, 0::2] = 2 * s.imag - 2 * n.imag
+    cov[1::2, 1::2] = -2 * s.real + 2 * n.real + np.eye(3)
+    return 0.5 * (cov + cov.T)
+
+
+@st.composite
+def fock_states(draw):
+    """Normalised states on dims up to 6, with dense or sparse random supports."""
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=3, max_size=3)))
+    size = dims[0] * dims[1] * dims[2]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    density = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    vec[rng.random(size) >= density] = 0.0
+    vec[draw(st.integers(0, size - 1))] += 1.0
+    return FockState(dims, vec / np.linalg.norm(vec))
 
 
 class TestHamiltonian:
@@ -76,6 +148,24 @@ class TestHamiltonian:
         assert np.array_equal(h.indptr, ref.indptr)
         assert np.array_equal(h.indices, ref.indices)
         np.testing.assert_array_max_ulp(h.data.view(float), ref.data.view(float), maxulp=1)
+
+    @pytest.mark.parametrize("chi1, chi2, dims", [
+        (0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7)),
+        (-0.3 + 1.1j, 2.33j, (9, 8, 6)),
+        (1e-3 - 2.0j, -1.5 + 0.5j, (2, 2, 2)),
+        (0.4j, 0.0, (3, 7, 2)),
+        (0.0, 1.0 - 1.0j, (6, 2, 5)),
+        (0.0, 0.0, (3, 3, 3)),
+        (1.0 + 1.0j, 2.5 - 0.1j, (25, 25, 45)),
+    ])
+    def test_matches_index_build_exactly(self, chi1, chi2, dims):
+        h = hamiltonian_matrix(chi1, chi2, dims)
+        ref = index_hamiltonian(chi1, chi2, dims)
+        assert h.has_sorted_indices
+        assert h.nnz == ref.nnz
+        assert np.array_equal(h.indptr, ref.indptr)
+        assert np.array_equal(h.indices, ref.indices)
+        assert np.array_equal(h.data, ref.data)
 
     def test_too_small_dims_rejected(self):
         with pytest.raises(StateError):
@@ -188,6 +278,31 @@ class TestObservables:
     def test_norm_validation(self):
         with pytest.raises(StateError):
             FockState((4, 4, 4), np.ones(64, dtype=complex))
+        vec = np.zeros(64, dtype=complex)
+        vec[0] = math.nan
+        with pytest.raises(StateError):
+            FockState((4, 4, 4), vec)
+
+    def test_support_lists_the_nonzero_amplitudes(self):
+        vec = np.zeros(4 * 4 * 4, dtype=complex)
+        vec[[3, 17, 40]] = [0.6, 0.0, 0.8j]
+        assert np.array_equal(FockState((4, 4, 4), vec).support, [3, 40])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(fock_states())
+    def test_match_full_tensor_moments(self, state):
+        photons, disp, n_raw, s_raw, joint = tensor_moments(state)
+        obs = observables(state)
+        scale = max(1.0, float(np.max(np.abs(obs.covariance))))
+        assert np.max(np.abs(obs.mean_photons - photons)) <= 1e-13 * scale
+        assert np.max(np.abs(obs.covariance - covariance_from_moments(disp, n_raw, s_raw))) \
+            <= 1e-13 * scale
+        assert np.max(np.abs(obs.mean_quadratures[0::2] - 2 * disp.real)) <= 1e-13 * scale
+        assert np.max(np.abs(obs.mean_quadratures[1::2] - 2 * disp.imag)) <= 1e-13 * scale
+        assert np.max(np.abs(obs.joint_photon_distribution - joint)) <= 1e-13
+        pop = np.abs(state.tensor()) ** 2
+        top = max(pop[-1].sum(), pop[:, -1].sum(), pop[:, :, -1].sum())
+        assert abs(obs.leakage - top) <= 1e-13
 
 
 class TestConvergence:
@@ -211,5 +326,5 @@ class TestConvergence:
         assert leakage(out) < 1e-10
 
     def test_suggest_dims_needs_r_above_one(self):
-        with pytest.raises(StateError):
+        with pytest.raises(UndefinedPeriodError):
             suggest_dims(1.0)

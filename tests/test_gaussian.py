@@ -9,7 +9,7 @@ from ionlight.errors import (InfiniteSqueezingError, StateError,
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
                                apply_symplectic, bogoliubov_tpi,
                                decorrelation_norm, dynamics_from_couplings,
-                               epr_variance, evolve, log_negativity,
+                               epr_variance, evolve, expm, log_negativity,
                                mean_photons, quadratic_dynamics,
                                symplectic_eigenvalues, symplectic_form, tensor,
                                term_propagator, thermal, tmss, vacuum)
@@ -208,6 +208,63 @@ class TestEvolve:
         dyn = dynamics_from_couplings(1.0, 2.0, 0.5)
         with pytest.raises(StateError):
             evolve(vacuum(3, LABELS3), dyn, t)
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestPadeExpm:
+    """gaussian.expm against scipy.linalg.expm, at 1e-12 relative to the largest entry."""
+
+    @pytest.mark.parametrize("kind", [PAIR, EXCHANGE])
+    @pytest.mark.parametrize("area", [0.0, 0.1, 1.0, 3.0, 30.0])
+    def test_term_drifts(self, kind, area):
+        from scipy.linalg import expm as scipy_expm
+        labels = ("a", "b", "c")
+        term = (kind, "c", "a", 0.8 * np.exp(0.9j))
+        t = area / 0.8
+        drift = quadratic_dynamics(labels, [term]).drift
+        ours, theirs = expm(drift * t), scipy_expm(drift * t)
+        exact = term_propagator(labels, term, t)
+        assert relative_gap(ours, exact) <= 1e-12
+        # At pair area 30 scipy's own result is 2.5e-12 off the closed form,
+        # so the two may differ by that much there.
+        assert relative_gap(ours, theirs) <= max(1e-12, 2.0 * relative_gap(theirs, exact))
+
+    def test_decay_block_of_evolve(self, monkeypatch):
+        from scipy.linalg import expm as scipy_expm
+        from ionlight import gaussian
+        blocks = []
+
+        def spy(a):
+            blocks.append(np.array(a))
+            return expm(a)
+
+        monkeypatch.setattr(gaussian, "expm", spy)
+        dyn = dynamics_from_couplings(0.7 + 0.3j, 1.1 - 0.9j, kappa=0.4)
+        evolve(tensor(vacuum(2, ("cav1", "cav2")), thermal(2.0, "motion")), dyn, 2.5)
+        (block,) = blocks
+        assert block.shape == (12, 12)
+        assert relative_gap(expm(block), scipy_expm(block)) <= 1e-12
+
+    def test_zero_matrix_is_identity(self):
+        assert np.array_equal(expm(np.zeros((6, 6))), np.eye(6))
+
+    @pytest.mark.parametrize("norm", [1e-8, 1e-4, 1e-1, 1.0, 10.0, 1e2, 1e3])
+    def test_random_matrices_over_norms(self, norm):
+        from scipy.linalg import expm as scipy_expm
+        rng = np.random.default_rng(int(-math.log10(norm) * 10) + 100)
+        a = rng.standard_normal((12, 12))
+        a *= norm / np.max(np.sum(np.abs(a), axis=0))
+        assert relative_gap(expm(a), scipy_expm(a)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        a = np.eye(4)
+        a[1, 2] = bad
+        with pytest.raises(StateError):
+            expm(a)
 
 
 class TestTermPropagator:

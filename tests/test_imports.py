@@ -2,8 +2,8 @@
 
 ``import ionlight`` resolves its public names on first use, and each CLI
 subcommand imports only the layers it runs: ``validate`` and ``couplings``
-need no numpy, and the protocol commands need no scipy.  Module loading is
-checked in fresh interpreters, never by timing.
+need no numpy, and the protocol commands and ``gaussian.evolve`` need no
+scipy.  Module loading is checked in fresh interpreters, never by timing.
 """
 
 import importlib
@@ -77,16 +77,24 @@ class TestImportGraph:
     def test_oracle_check_imports_scipy_when_it_runs(self):
         assert cli_run("oracle-check") == {"result": 0, "loaded": ["numpy", "scipy"]}
 
-    def test_decay_imports_expm_on_first_use(self):
+    def test_decay_loads_no_scipy(self):
         out = fresh_run("\n".join([
             "import math",
             "from ionlight import cli, protocol",
-            "before = 'scipy' in sys.modules",
             "params = cli.read_run_config(cli.bundled_config_path()).params",
             "res = protocol.run_simultaneous(params, force=True, include_decay=True)",
-            "result = [before, math.isfinite(res.diagnostics['log_negativity'])]",
+            "result = math.isfinite(res.diagnostics['log_negativity'])",
         ]))
-        assert out == {"result": [False, True], "loaded": ["numpy", "scipy"]}
+        assert out == {"result": True, "loaded": ["numpy"]}
+
+    def test_gaussian_evolve_loads_no_scipy(self):
+        out = fresh_run("\n".join([
+            "import ionlight.gaussian as g",
+            "dynamics = g.dynamics_from_couplings(1.0, 1.5, 0.1)",
+            "state = g.evolve(g.vacuum(3, ('cav1', 'cav2', 'motion')), dynamics, 2.0)",
+            "result = g.mean_photons(state, 'cav1') > 0.0",
+        ]))
+        assert out == {"result": True, "loaded": ["numpy"]}
 
 
 def _load_perfbench_tracing():

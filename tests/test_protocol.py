@@ -425,6 +425,29 @@ class TestRunSequential:
             run_sequential(indium_params, t1=area / abs_chi1(indium_params))
         assert not isinstance(info.value, UnphysicalStateError)
 
+    @pytest.mark.parametrize("swap_area", [1.2, math.pi / 2])
+    def test_final_covariance_matches_evolved_terms(self, indium_params, swap_area):
+        # H = i chi1 a+ b+ + i chi2 a+ b + h.c., a the cavity and b the motion,
+        # one coupling at a time; in between, the beam splitter i c+ a + h.c.
+        # of area acos(exp(-kappa T12)) hands the emitted light to pulse 1 (c).
+        # Local phases leave E_N and photon numbers alone; the covariance
+        # carries the phase of every stage.
+        p = at_ratio(indium_params, 1.3, 1.5, phases=(0.7, -2.1))
+        c = coupling_constants(p)
+        t1, delay = 0.8 / abs(c.chi1), 1.5 / p.kappa
+        labels = ("cav", "motion", "pulse1")
+        stages = (((gaussian.PAIR, "cav", "motion", c.chi1), t1),
+                  ((gaussian.EXCHANGE, "pulse1", "cav", 1.0),
+                   math.acos(math.exp(-p.kappa * delay))),
+                  ((gaussian.EXCHANGE, "cav", "motion", c.chi2), swap_area / abs(c.chi2)))
+        state = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(1.5, "motion"),
+                                gaussian.vacuum(1, ("pulse1",)))
+        for term, t in stages:
+            state = gaussian.evolve(state, gaussian.quadratic_dynamics(labels, [term]), t)
+        final = run_sequential(p, t1=t1, delay_t12=delay, swap_area=swap_area).state
+        assert final.mode_labels == labels
+        assert np.max(np.abs(final.cov - state.cov)) <= 1e-9 * np.max(np.abs(state.cov))
+
     @pytest.mark.parametrize("kappa_t12", [0.0, 0.3, 2.0, math.inf])
     def test_extraction_hands_over_the_emitted_fraction(self, indium_params, kappa_t12):
         # without the swap pulse, pulse 1 holds 1 - exp(-2 kappa T12) of the
