@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one refusal of r <= 1."""
 
 
 class IonlightError(Exception):
@@ -53,3 +53,14 @@ class ConfigError(IonlightError, ValueError):
         if self.line is not None:
             return f"line {self.line}: {base}"
         return base
+
+
+def require_half_period(r) -> None:
+    """Refuse a coupling ratio r = |chi2/chi1| for which no half-period exists.
+
+    ``r`` is ``None`` when both rates vanish, as in ``params.Couplings``.  A
+    caller that refuses a non-finite r does so first, with its own type.
+    """
+    if r is None or r <= 1.0:
+        raise UndefinedPeriodError(
+            f"r = |chi2/chi1| must exceed 1 for a half-period to exist, got r = {r!r}")

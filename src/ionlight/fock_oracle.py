@@ -1,18 +1,22 @@
 """Brute-force number-basis propagator used to cross-check the Gaussian engine.
 
 Everything here is deliberately dumb: the sparse Hamiltonian of the driven
-three-mode system in a truncated product basis, a Krylov matrix exponential,
+three-mode system in a truncated number basis, a Krylov matrix exponential,
 and observables read off the amplitudes.  Mode ordering is (cav1, cav2,
 motion); the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.  The
-Hamiltonian is built from that index arithmetic alone, never from the
-Gaussian engine's term list, so a sign error in either shows up as a
+Hamiltonian is built from number-state index arithmetic alone, never from
+the Gaussian engine's term list, so a sign error in either shows up as a
 disagreement in :func:`crosscheck`.
 
-H conserves n1 - n2 - nb, so a start state occupies few of the product
-states: the vacuum's sector holds about 1% of them.  Past building H, the
-work touches only the occupied states: :func:`evolve_exact` propagates the
-blocks of H they reach, and the norm checks, :func:`leakage` and
-:func:`observables` read the nonzero amplitudes alone.
+H conserves L = n1 - n2 - nb, so it is block-diagonal over the sectors of
+fixed L, and a start state occupies few of them: the vacuum lives in L = 0,
+about 1% of the product states.  :func:`hamiltonian_matrix` builds nothing
+up front; each sector's block is built on first use, straight from hops on
+the (n1, n2) lattice, and :func:`evolve_exact` builds and propagates only
+the sectors the state occupies.  The norm checks, :func:`leakage` and
+:func:`observables` read the nonzero amplitudes alone.  Memory therefore
+follows the occupied sectors, apart from the amplitude vector itself,
+which :class:`FockState` keeps over the whole product basis.
 
 Quadrature observables use the same X = a + a_dag, vacuum-variance-1
 convention as the gaussian module, so covariance matrices from both engines
@@ -30,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from . import gaussian, protocol
-from .errors import StateError, TruncationError, UndefinedPeriodError
+from .errors import StateError, TruncationError, require_half_period
 from .params import Couplings
 
 NORM_TOL = 1e-9
@@ -79,45 +83,99 @@ def vacuum_state(dims) -> FockState:
     return FockState(tuple(dims), vec)
 
 
-def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> sp.csr_matrix:
-    """Sparse matrix of H/hbar = i chi1 a1+ b+ + i chi2 a2+ b + h.c. in the truncated basis.
+class Sector(NamedTuple):
+    """H restricted to the states of one conserved sector."""
 
-    H has four offset diagonals.  a1+ b+ takes |n1, n2, nb> to
-    |n1+1, n2, nb+1>, d2*db + 1 further on in the flat index, with amplitude
-    sqrt(n1+1) sqrt(nb+1); a2+ b takes it to |n1, n2+1, nb-1>, db - 1
-    further on, with amplitude sqrt(n2+1) sqrt(nb).  Each amplitude is an
-    outer product of 1-D sqrt(n) ladders that vanish where the move leaves
-    the basis.  The h.c. diagonals are the conjugates of the same entries,
-    so hermiticity is exact by construction.
+    states: np.ndarray          # flat product-basis indices, ascending
+    matrix: sp.csr_matrix       # H on those states, in the same order
+
+
+@dataclass(frozen=True, eq=False)
+class SectorHamiltonian:
+    """H/hbar = i chi1 a1+ b+ + i chi2 a2+ b + h.c. in the truncated basis, by sector.
+
+    H conserves L = n1 - n2 - nb, so it is block-diagonal over the sectors
+    of fixed L.  :meth:`sector` builds the CSR block of one sector on first
+    use and keeps it; ``nnz`` counts the entries of the blocks built so far.
     """
-    d1, d2, db = (int(d) for d in dims)
-    if min(d1, d2, db) < 2:
-        raise StateError(f"dims must all be >= 2, got {dims!r}")
-    size = d1 * d2 * db
-    shape = (d1, d2, db)
 
-    def raising(d):         # sqrt(n + 1), zero on the top level
-        return np.append(np.sqrt(np.arange(1, d)), 0.0)
+    chi1: complex
+    chi2: complex
+    dims: tuple
+    _sectors: dict = field(default_factory=dict, init=False, repr=False)
 
-    pair = np.broadcast_to(raising(d1)[:, None, None] * raising(db), shape).reshape(-1)
-    exch = np.broadcast_to(raising(d2)[:, None] * np.sqrt(np.arange(db)), shape).reshape(-1)
-    p, e = d2 * db + 1, db - 1
-    # Row f holds the columns f - p, f - e, f + e, f + p, in that order.  The
-    # amplitudes vanish wherever a move would leave the basis, so every
-    # out-of-range column carries a zero, and zeros are not stored.
-    vals = np.zeros((size, 4), dtype=complex)
-    np.multiply(1j * complex(chi1), pair[:-p], out=vals[p:, 0])
-    np.multiply(1j * complex(chi2), exch[:-e], out=vals[e:, 1])
-    np.conjugate(vals[e:, 1], out=vals[:-e, 2])
-    np.conjugate(vals[p:, 0], out=vals[:-p, 3])
-    keep = vals != 0
-    # scipy stores 32-bit indices where they fit (columns reach 2 * size and
-    # the entry count 4 * size); building in them spares a copy
-    index = np.int32 if 4 * size < 2**31 else np.int64
-    cols = np.arange(size, dtype=index)[:, None] + np.array([-p, -e, e, p], dtype=index)
-    indptr = np.zeros(size + 1, dtype=index)
-    indptr[1:] = np.cumsum(keep.reshape(-1), dtype=index)[3::4]
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        if len(dims) != 3 or min(dims) < 2:
+            raise StateError(f"dims must be three integers >= 2, got {self.dims!r}")
+        object.__setattr__(self, "chi1", complex(self.chi1))
+        object.__setattr__(self, "chi2", complex(self.chi2))
+        object.__setattr__(self, "dims", dims)
+
+    @property
+    def nnz(self) -> int:
+        return sum(sector.matrix.nnz for sector in self._sectors.values())
+
+    def sector(self, ell: int) -> Sector:
+        """The block of the sector n1 - n2 - nb = ``ell``."""
+        if ell not in self._sectors:
+            self._sectors[ell] = self._build(ell)
+        return self._sectors[ell]
+
+    def _build(self, ell: int) -> Sector:
+        """The block of one sector, from index arithmetic on the (n1, n2) lattice.
+
+        A state of the sector is a lattice point (n1, n2) with
+        nb = n1 - n2 - ell in [0, db).  Its states are numbered row by row
+        in n1, so the numbering ascends with the flat product index
+        (n1 * d2 + n2) * db + nb.  a1+ b+ is the hop n1 -> n1 + 1, with
+        amplitude sqrt(n1+1) sqrt(nb+1), into the next row; a2+ b is the hop
+        n2 -> n2 + 1, with amplitude sqrt(n2+1) sqrt(nb), to the next state
+        of the row.  A hop that leaves the basis is not stored, nor is a
+        zero entry.  The h.c. entries are the conjugates of the same
+        values, so hermiticity is exact by construction.
+        """
+        d1, d2, db = self.dims
+        n1 = np.arange(d1)
+        lo = np.maximum(n1 - ell - (db - 1), 0)       # nb <= db - 1
+        count = np.maximum(np.minimum(n1 - ell, d2 - 1) - lo + 1, 0)    # nb >= 0
+        first = np.concatenate(([0], np.cumsum(count)))    # sector index of row n1's first state
+        size = int(first[-1])
+        row = np.repeat(n1, count)
+        n2 = np.arange(size) - first[row] + lo[row]
+        nb = row - n2 - ell
+        pair = np.flatnonzero((row < d1 - 1) & (nb < db - 1))    # a1+ b+ stays in the basis
+        exch = np.flatnonzero((n2 < d2 - 1) & (nb > 0))          # a2+ b stays in the basis
+        pair_to = first[row[pair] + 1] + n2[pair] - lo[row[pair] + 1]
+        # Row k holds the columns of its pair source, its exchange source (k - 1),
+        # its exchange target (k + 1) and its pair target, in ascending order.
+        # scipy stores 32-bit indices where they fit (the entry count reaches
+        # 4 * size); building in them spares a copy
+        index = np.int32 if 4 * size < 2**31 else np.int64
+        vals = np.zeros((size, 4), dtype=complex)
+        cols = np.zeros((size, 4), dtype=index)
+        vals[pair_to, 0] = (1j * self.chi1) * (np.sqrt(row[pair] + 1) * np.sqrt(nb[pair] + 1))
+        vals[exch + 1, 1] = (1j * self.chi2) * (np.sqrt(n2[exch] + 1) * np.sqrt(nb[exch]))
+        vals[exch, 2] = np.conjugate(vals[exch + 1, 1])
+        vals[pair, 3] = np.conjugate(vals[pair_to, 0])
+        cols[pair_to, 0] = pair
+        cols[exch + 1, 1] = exch
+        cols[exch, 2] = exch + 1
+        cols[pair, 3] = pair_to
+        keep = vals != 0
+        indptr = np.zeros(size + 1, dtype=index)
+        indptr[1:] = np.cumsum(np.count_nonzero(keep, axis=1), dtype=index)
+        matrix = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
+        return Sector(states=(row * d2 + n2) * db + nb, matrix=matrix)
+
+
+def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> SectorHamiltonian:
+    """H/hbar = i chi1 a1+ b+ + i chi2 a2+ b + h.c. over (cav1, cav2, motion) at ``dims``.
+
+    Builds nothing yet: :func:`evolve_exact` asks for the sectors a state
+    occupies, and only those are built.
+    """
+    return SectorHamiltonian(chi1, chi2, dims)
 
 
 def leakage(state: FockState) -> float:
@@ -127,33 +185,29 @@ def leakage(state: FockState) -> float:
     return float(max(pop[n == d - 1].sum() for n, d in zip(levels, state.dims)))
 
 
-def evolve_exact(state: FockState, hamiltonian: sp.spmatrix, t: float,
+def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
                  leak_tol: float = DEFAULT_LEAK_TOL) -> FockState:
     """Apply exp(-i H t) to the state (Krylov evaluation, no approximation knobs).
 
-    Only the blocks of H that the state's nonzero amplitudes reach are
-    propagated; every other amplitude stays exactly zero.
+    Only the sectors of H that the state's nonzero amplitudes occupy are
+    built and propagated; every other amplitude stays exactly zero.
 
     Raises :class:`TruncationError` when the propagated state puts more than
     ``leak_tol`` population on the top level of any mode, since observables
     are then contaminated by the basis cutoff.
     """
-    if hamiltonian.shape != (state.amplitudes.size, state.amplitudes.size):
+    if hamiltonian.dims != state.dims:
         raise StateError(
-            f"Hamiltonian shape {hamiltonian.shape} does not match "
-            f"state length {state.amplitudes.size}"
+            f"Hamiltonian dims {hamiltonian.dims!r} do not match state dims {state.dims!r}"
         )
     if t == 0.0:
         return state
-    # exp(-i H t) is block-diagonal over the connected components of H's
-    # sparsity graph, so only the components the state occupies evolve.
-    from scipy.sparse.csgraph import connected_components
-    hamiltonian = hamiltonian.tocsr()
-    _, labels = connected_components(hamiltonian.astype(bool), directed=False)
-    occupied = np.unique(labels[state.support])
-    idx = np.flatnonzero(np.isin(labels, occupied))
-    block = hamiltonian[idx][:, idx]
-    evolved = expm_multiply(-1j * t * block.tocsc(), state.amplitudes[idx])
+    n1, n2, nb = np.unravel_index(state.support, state.dims)
+    sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
+    idx = np.concatenate([sector.states for sector in sectors])
+    evolved = np.concatenate([
+        expm_multiply(-1j * t * sector.matrix, state.amplitudes[sector.states])
+        for sector in sectors])
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
@@ -245,12 +299,11 @@ def observables(state: FockState) -> FockObservables:
     )
 
 
-def _require_half_period(r: float, caller: str) -> None:
-    """Refuse a non-finite r (StateError) and r <= 1 (UndefinedPeriodError)."""
+def _require_finite_r(r: float, caller: str) -> None:
+    """Refuse a non-finite r (StateError), then r <= 1 (UndefinedPeriodError)."""
     if not math.isfinite(r):
         raise StateError(f"{caller} needs a finite r, got {r!r}")
-    if r <= 1.0:
-        raise UndefinedPeriodError(f"{caller} needs r > 1 for a half-period, got {r!r}")
+    require_half_period(r)
 
 
 def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
@@ -261,7 +314,7 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     ratio (2r/(1+r^2))^2 per level, the motion transiently reaches mean
     occupation r^2/(r^2-1).
     """
-    _require_half_period(r, "suggest_dims")
+    _require_finite_r(r, "suggest_dims")
 
     def tail_dim(q: float) -> int:
         # smallest d with (1-q) q^(d-1) <= leak_target
@@ -295,7 +348,7 @@ def crosscheck(r: float, dims=None) -> Crosscheck:
     per mode, both EPR variances and, last, the largest covariance difference
     as (name, 0, max |diff|).
     """
-    _require_half_period(r, "crosscheck")
+    _require_finite_r(r, "crosscheck")
     dims = suggest_dims(r) if dims is None else tuple(dims)
     couplings = Couplings.from_chis(1.0, r)
     labels = protocol.SIMULTANEOUS_LABELS

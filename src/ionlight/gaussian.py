@@ -25,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (InfiniteSqueezingError, StateError, UndefinedPeriodError,
-                     UnphysicalStateError)
+from .errors import (InfiniteSqueezingError, StateError, UnphysicalStateError,
+                     require_half_period)
 from .params import Couplings
 
 SYMMETRY_TOL = 1e-12
@@ -510,12 +510,9 @@ def bogoliubov_tpi(couplings: Couplings) -> np.ndarray:
     (u^2 - |v|^2 = 1).  Requires |chi2| > |chi1|; chi1 = 0 is the trivial
     limit u = 1, v = 0.
     """
+    require_half_period(couplings.r)
     chi1, chi2 = couplings.chi1, couplings.chi2
     theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
-    if theta_sq <= 0.0:
-        raise UndefinedPeriodError(
-            f"|chi2| <= |chi1| (r = {couplings.r!r}): no half-period exists"
-        )
     u = (abs(chi1) ** 2 + abs(chi2) ** 2) / theta_sq
     v = 2.0 * chi1 * chi2 / theta_sq
     alpha = np.diag([u, -u, -1.0]).astype(complex)

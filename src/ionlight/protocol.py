@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import gaussian
-from .errors import ParameterError, UndefinedPeriodError
+from .errors import ParameterError, require_half_period
 from .gaussian import GaussianState
 from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, Couplings, PhysicalParams,
                      coupling_constants, validate_regime)
@@ -180,12 +180,8 @@ def quadrature_moments(chi1: complex, chi2: complex,
     """
     chi1 = complex(chi1)
     chi2 = complex(chi2)
+    require_half_period(abs(chi2) / abs(chi1) if chi1 else (math.inf if chi2 else None))
     theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
-    if theta_sq <= 0.0:
-        raise UndefinedPeriodError(
-            f"|chi2| <= |chi1| (|chi1|={abs(chi1)!r}, |chi2|={abs(chi2)!r}): "
-            "the protocol needs r > 1"
-        )
     m1, m2 = abs(chi1) ** 2, abs(chi2) ** 2
     q1_sq = ((m1 + m2) ** 2 + 4.0 * m1 * m2) / theta_sq ** 2
     q1q2 = (4.0 * chi1 * chi2 * (m1 + m2)
@@ -260,8 +256,7 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
     for r in r_list:
         if not math.isfinite(r):
             raise ParameterError(f"every r must be finite, got {r!r}")
-        if r <= 1.0:
-            raise UndefinedPeriodError(f"every r must exceed 1, got {r!r}")
+        require_half_period(r)
     if t_grid is None:
         t_grid = default_time_grid()
     traces = []
@@ -279,9 +274,7 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
 
 def simultaneous_stages(couplings: Couplings) -> tuple:
     """``("pulse",)``: one half-period of both couplings; needs |chi2| > |chi1|."""
-    if couplings.theta_rate is None:
-        raise UndefinedPeriodError(f"couplings give r = {couplings.r!r}; the simultaneous "
-                                   "protocol needs |chi2| > |chi1|")
+    require_half_period(couplings.r)
     return (Stage("pulse", gaussian.simultaneous_terms(couplings.chi1, couplings.chi2),
                   couplings.t_pi, gaussian.bogoliubov_tpi(couplings)),)
 

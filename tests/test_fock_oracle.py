@@ -6,10 +6,12 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from ionlight import fock_oracle, gaussian, protocol
 from ionlight.errors import StateError, TruncationError, UndefinedPeriodError
 from ionlight.fock_oracle import (FockState, evolve_exact, hamiltonian_matrix,
                                   leakage, observables, suggest_dims,
                                   vacuum_state)
+from ionlight.params import Couplings
 
 
 def number_operator(dims, mode):
@@ -56,6 +58,37 @@ def index_hamiltonian(chi1, chi2, dims):
     h.eliminate_zeros()
     h.sort_indices()
     return h
+
+
+def assembled(h):
+    """Every sector's block of ``h`` scattered into the product basis, as one CSR matrix."""
+    d1, d2, db = h.dims
+    size = d1 * d2 * db
+    rows, cols, vals = [], [], []
+    for ell in range(2 - d2 - db, d1):      # every value of n1 - n2 - nb
+        sector = h.sector(ell)
+        block = sector.matrix.tocoo()
+        rows.append(sector.states[block.row])
+        cols.append(sector.states[block.col])
+        vals.append(block.data)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size))
+
+
+def assert_matches_index_build(chi1, chi2, dims):
+    """The assembled oracle Hamiltonian equals :func:`index_hamiltonian` bit for bit."""
+    h = assembled(fock_oracle.hamiltonian_matrix(chi1, chi2, dims))
+    ref = index_hamiltonian(chi1, chi2, dims)
+    assert h.has_sorted_indices
+    assert h.nnz == ref.nnz
+    assert np.array_equal(h.indptr, ref.indptr)
+    assert np.array_equal(h.indices, ref.indices)
+    assert np.array_equal(h.data, ref.data)
+
+
+def worst_row(check):
+    """Largest |Gaussian - number basis| over the rows of a crosscheck."""
+    return max(abs(g_val - f_val) for _, g_val, f_val in check.rows)
 
 
 def lowered(tensor, axis):
@@ -109,26 +142,26 @@ def fock_states(draw):
 
 class TestHamiltonian:
     def test_hermitian_exactly(self):
-        h = hamiltonian_matrix(0.7 + 0.2j, 1.9 - 0.4j, (5, 5, 5))
+        h = assembled(hamiltonian_matrix(0.7 + 0.2j, 1.9 - 0.4j, (5, 5, 5)))
         assert (h - h.conj().T).nnz == 0
 
     def test_pair_term_conserves_mode2(self):
         dims = (6, 6, 6)
-        h = hamiltonian_matrix(1.0, 0.0, dims)
+        h = assembled(hamiltonian_matrix(1.0, 0.0, dims))
         n2 = number_operator(dims, 1)
         comm = h @ n2 - n2 @ h
         assert np.max(np.abs(comm.toarray())) == 0.0
 
     def test_pair_term_conserves_n1_minus_nb(self):
         dims = (6, 6, 6)
-        h = hamiltonian_matrix(1.0 + 0.5j, 0.0, dims)
+        h = assembled(hamiltonian_matrix(1.0 + 0.5j, 0.0, dims))
         k = number_operator(dims, 0) - number_operator(dims, 2)
         comm = h @ k - k @ h
         assert np.max(np.abs(comm.toarray())) == 0.0
 
     def test_exchange_term_conserves_n2_plus_nb(self):
         dims = (6, 6, 6)
-        h = hamiltonian_matrix(0.0, 2.0 - 1.0j, dims)
+        h = assembled(hamiltonian_matrix(0.0, 2.0 - 1.0j, dims))
         k = number_operator(dims, 1) + number_operator(dims, 2)
         comm = h @ k - k @ h
         assert np.max(np.abs(comm.toarray())) == 0.0
@@ -140,7 +173,7 @@ class TestHamiltonian:
         (0.0, 2.0 - 1.0j, (3, 5, 4)),
     ])
     def test_matches_kron_build(self, chi1, chi2, dims):
-        h = hamiltonian_matrix(chi1, chi2, dims)
+        h = assembled(hamiltonian_matrix(chi1, chi2, dims))
         ref = kron_hamiltonian(chi1, chi2, dims)
         h.sort_indices()
         ref.sort_indices()
@@ -159,13 +192,7 @@ class TestHamiltonian:
         (1.0 + 1.0j, 2.5 - 0.1j, (25, 25, 45)),
     ])
     def test_matches_index_build_exactly(self, chi1, chi2, dims):
-        h = hamiltonian_matrix(chi1, chi2, dims)
-        ref = index_hamiltonian(chi1, chi2, dims)
-        assert h.has_sorted_indices
-        assert h.nnz == ref.nnz
-        assert np.array_equal(h.indptr, ref.indptr)
-        assert np.array_equal(h.indices, ref.indices)
-        assert np.array_equal(h.data, ref.data)
+        assert_matches_index_build(chi1, chi2, dims)
 
     def test_too_small_dims_rejected(self):
         with pytest.raises(StateError):
@@ -229,34 +256,80 @@ class TestEvolveExact:
         assert err.value.leakage > 1e-9
         assert err.value.dims == dims
 
-    @pytest.mark.parametrize("case", ["vacuum", "two_sectors", "generic"])
+    @pytest.mark.parametrize("case", ["vacuum", "two_sectors", "all_sectors"])
     def test_matches_dense_expm(self, case):
         dims = (5, 5, 5)
         n = 125
         t = 0.37
+        # real chi1: the pair-term entries are purely imaginary
+        h = hamiltonian_matrix(1.0, 2.5, dims)
         psi = np.zeros(n, dtype=complex)
-        if case == "generic":
-            # a sparse Hermitian matrix with no conserved quantity
+        if case == "all_sectors":
+            # a seeded random amplitude on every product state
             rng = np.random.default_rng(7)
-            m = sp.random(n, n, density=0.01, random_state=rng) \
-                + 1j * sp.random(n, n, density=0.01, random_state=rng)
-            h = (m + m.conj().T).tocsr()
-            psi[0] = 1.0
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi /= np.linalg.norm(psi)
         else:
-            # real chi1: the pair-term entries are purely imaginary
-            h = hamiltonian_matrix(1.0, 2.5, dims)
             psi[0] = 1.0
             if case == "two_sectors":
                 psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
                 psi /= math.sqrt(2.0)
         out = evolve_exact(FockState(dims, psi), h, t, leak_tol=1.0)
-        expected = scipy.linalg.expm(-1j * t * h.toarray()) @ psi
+        expected = scipy.linalg.expm(-1j * t * assembled(h).toarray()) @ psi
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+    def test_builds_only_the_occupied_sector(self):
+        r = 1.5
+        dims = suggest_dims(r, 1e-11)
+        h = hamiltonian_matrix(1.0, r, dims)
+        evolve_exact(vacuum_state(dims), h, half_period(r))
+        # the vacuum's sector, not the 1.3 M-state product basis
+        assert 0 < h.nnz <= 4 * h.sector(0).states.size
 
     def test_dimension_mismatch(self):
         h = hamiltonian_matrix(1.0, 2.0, (4, 4, 4))
         with pytest.raises(StateError):
             evolve_exact(vacuum_state((5, 5, 5)), h, 0.1)
+
+
+class TestNumberStateMotion:
+    """A thermal motion is a mixture of |0, 0, m>, one state per sector n1 - n2 - nb = -m."""
+
+    R = 3.0
+    DIMS = (36, 36, 24)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_sector_run_matches_gaussian_engine(self, m):
+        couplings = Couplings.from_chis(1.0, self.R)
+        (pulse,) = protocol.simultaneous_stages(couplings)
+        (g_state,) = protocol.run_stages(
+            gaussian.vacuum(3, protocol.SIMULTANEOUS_LABELS), (pulse,))
+        psi = np.zeros(self.DIMS[0] * self.DIMS[1] * self.DIMS[2], dtype=complex)
+        psi[m] = 1.0        # |0, 0, m>
+        h = hamiltonian_matrix(couplings.chi1, couplings.chi2, self.DIMS)
+        cov = observables(evolve_exact(FockState(self.DIMS, psi), h, pulse.t)).covariance
+        assert np.max(np.abs(cov[:4, :4] - g_state.cov[:4, :4])) < 1e-8
+        assert np.max(np.abs(cov[:4, 4:])) < 1e-8
+        assert np.max(np.abs(cov[4:, 4:] - (2 * m + 1) * np.eye(2))) < 1e-8
+
+
+class TestMutants:
+    """Mutants of the number-basis Hamiltonian that the oracle's checks must catch."""
+
+    def test_scaled_chi2_fails_crosscheck(self, monkeypatch):
+        original = fock_oracle.hamiltonian_matrix
+        assert worst_row(fock_oracle.crosscheck(3.0)) < 1e-6
+        monkeypatch.setattr(fock_oracle, "hamiltonian_matrix",
+                            lambda chi1, chi2, dims: original(chi1, chi2 * 1.001, dims))
+        assert worst_row(fock_oracle.crosscheck(3.0)) > 1e-6
+
+    def test_conjugated_chi2_breaks_index_pin(self, monkeypatch):
+        # crosscheck's chis are real, so only the pin at complex chis sees this
+        original = fock_oracle.hamiltonian_matrix
+        monkeypatch.setattr(fock_oracle, "hamiltonian_matrix",
+                            lambda chi1, chi2, dims: original(chi1, np.conj(chi2), dims))
+        with pytest.raises(AssertionError):
+            assert_matches_index_build(0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7))
 
 
 class TestObservables:

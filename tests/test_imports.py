@@ -77,6 +77,15 @@ class TestImportGraph:
     def test_oracle_check_imports_scipy_when_it_runs(self):
         assert cli_run("oracle-check") == {"result": 0, "loaded": ["numpy", "scipy"]}
 
+    def test_oracle_check_loads_no_csgraph(self):
+        # the oracle's sectors come from index arithmetic, not a graph search
+        out = fresh_run("\n".join([
+            "import sys",
+            "from ionlight import cli",
+            "result = [cli.main(['oracle-check']), 'scipy.sparse.csgraph' in sys.modules]",
+        ]))
+        assert out["result"] == [0, False]
+
     def test_decay_loads_no_scipy(self):
         out = fresh_run("\n".join([
             "import math",
@@ -134,9 +143,9 @@ TRACED_SIGNATURES = {
         "theta2: 'float' = 0.0) -> 'list'"),
     "protocol.SignalTrace.to_csv": "(self) -> 'str'",
     "fock_oracle.suggest_dims": "(r: 'float', leak_target: 'float' = 1e-12, pad: 'int' = 2) -> 'tuple'",
-    "fock_oracle.hamiltonian_matrix": "(chi1: 'complex', chi2: 'complex', dims) -> 'sp.csr_matrix'",
+    "fock_oracle.hamiltonian_matrix": "(chi1: 'complex', chi2: 'complex', dims) -> 'SectorHamiltonian'",
     "fock_oracle.evolve_exact": (
-        "(state: 'FockState', hamiltonian: 'sp.spmatrix', t: 'float', "
+        "(state: 'FockState', hamiltonian: 'SectorHamiltonian', t: 'float', "
         "leak_tol: 'float' = 1e-09) -> 'FockState'"),
     "fock_oracle.observables": "(state: 'FockState') -> 'FockObservables'",
     "cli.main": "(argv=None) -> 'int'",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_couplings
-from ionlight import gaussian
+from ionlight import fock_oracle, gaussian
 from ionlight.errors import (ParameterError, StateError, UndefinedPeriodError,
                              UnphysicalStateError)
 from ionlight.params import Couplings, PhysicalParams, coupling_constants
@@ -544,3 +544,22 @@ def squeezed_thermal_log_negativity(area, nbar):
     nu = 2.0 * a * b / ((a + b) * math.cosh(2.0 * area)
                         + math.hypot(a - b, (a + b) * math.sinh(2.0 * area)))
     return max(0.0, -math.log(nu))
+
+
+@pytest.mark.parametrize("site", ["quadrature_moments", "bogoliubov_tpi", "simultaneous_stages",
+                                  "fig3_sweep", "suggest_dims", "crosscheck"])
+def test_every_site_refuses_r_below_one_alike(site):
+    couplings = Couplings.from_chis(1.0, 0.9)
+    call = {
+        "quadrature_moments": lambda: quadrature_moments(1.0, 0.9),
+        "bogoliubov_tpi": lambda: gaussian.bogoliubov_tpi(couplings),
+        "simultaneous_stages": lambda: simultaneous_stages(couplings),
+        "fig3_sweep": lambda: fig3_sweep([0.9]),
+        "suggest_dims": lambda: fock_oracle.suggest_dims(0.9),
+        "crosscheck": lambda: fock_oracle.crosscheck(0.9),
+    }[site]
+    with pytest.raises(UndefinedPeriodError) as err:
+        call()
+    assert type(err.value) is UndefinedPeriodError
+    assert str(err.value) == \
+        "r = |chi2/chi1| must exceed 1 for a half-period to exist, got r = 0.9"
