@@ -1,12 +1,12 @@
 """Brute-force number-basis propagator used to cross-check the Gaussian engine.
 
 Everything here is deliberately dumb: the sparse Hamiltonian of the driven
-three-mode system in a truncated number basis, a Krylov matrix exponential,
-and observables read off the amplitudes.  Mode ordering is (cav1, cav2,
-motion); the flat index of |n1, n2, nb> is (n1 * d2 + n2) * db + nb.  The
-Hamiltonian is built from number-state index arithmetic alone, never from
-the Gaussian engine's term list, so a sign error in either shows up as a
-disagreement in :func:`crosscheck`.
+three-mode system in a truncated number basis, a Chebyshev series for its
+exponential, and observables read off the amplitudes.  Mode ordering is
+(cav1, cav2, motion); the flat index of |n1, n2, nb> is
+(n1 * d2 + n2) * db + nb.  The Hamiltonian is built from number-state index
+arithmetic alone, never from the Gaussian engine's term list, so a sign
+error in either shows up as a disagreement in :func:`crosscheck`.
 
 H conserves L = n1 - n2 - nb, so it is block-diagonal over the sectors of
 fixed L, and a start state occupies few of them: the vacuum lives in L = 0,
@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from . import gaussian, protocol
 from .errors import StateError, TruncationError, require_half_period
@@ -185,12 +184,88 @@ def leakage(state: FockState) -> float:
     return float(max(pop[n == d - 1].sum() for n, d in zip(levels, state.dims)))
 
 
+def _spectral_bound(matrix: sp.csr_matrix) -> float:
+    """Gershgorin's bound on the spectral radius: the largest row sum of |H|.
+
+    ``reduceat`` sums each row's entries.  An empty row reads the first
+    entry of the next row instead, or the appended zero, which is at most
+    that row's own sum, so the maximum is unchanged.
+    """
+    rows = np.add.reduceat(np.append(np.abs(matrix.data), 0.0), matrix.indptr[:-1])
+    return float(rows.max())
+
+
+def _series_length(alpha: float) -> int:
+    """Index K of the last term kept of exp(-i alpha x) = sum_k c_k T_k(x), x in [-1, 1].
+
+    The terms are c_k T_k(x) with |c_k| = 2 |J_k(alpha)| (k >= 1) and
+    |T_k(x)| <= 1.  For k > |alpha|, Kapteyn's inequality (DLMF 10.14.5)
+    gives |J_k(alpha)| <= B_k = exp(-k (u_k - tanh u_k)) with
+    u_k = arccosh(k / |alpha|).  The derivative of k (u_k - tanh u_k) in k
+    is u_k, which grows with k, so B_{k+1} / B_k <= exp(-u_m) for k >= m,
+    and the terms dropped after K sum to at most 2 B_m / (1 - exp(-u_m)),
+    m = K + 1.  K is the smallest integer above |alpha| that brings this
+    below the unit roundoff 2^-53.
+    """
+    alpha = abs(alpha)
+    k = math.floor(alpha) + 1
+    while True:
+        u = math.acosh((k + 1) / alpha)
+        if 2.0 * math.exp(-(k + 1) * (u - math.tanh(u))) / -math.expm1(-u) <= 2.0 ** -53:
+            return k
+        k += 1
+
+
+def _chebyshev_coefficients(alpha: float) -> np.ndarray:
+    """c_0 = J_0(alpha) and c_k = 2 (-i)^k J_k(alpha), k = 1 .. K, of exp(-i alpha x).
+
+    By the Jacobi-Anger expansion exp(-i alpha cos theta) is
+    sum_n (-i)^n J_n(alpha) e^{i n theta}, so the discrete Fourier transform
+    of its samples at theta_j = 2 pi j / M, the Chebyshev nodes cos theta_j,
+    gives (-i)^n J_n(alpha) plus the aliased terms n +- M.  With
+    M = 2 (K + 1) every alias lies past K, inside the tail that
+    :func:`_series_length` bounds.  numpy's FFT runs on one thread, where a
+    dense BLAS product would leave OpenBLAS threads spinning.
+    """
+    count = _series_length(alpha) + 1
+    nodes = np.cos(np.arange(2 * count) * (math.pi / count))
+    coeffs = np.fft.fft(np.exp(-1j * alpha * nodes))[:count] / (2 * count)
+    coeffs[1:] *= 2.0
+    return coeffs
+
+
+def _propagate(matrix: sp.csr_matrix, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) psi for one Hermitian sector block H, by a Chebyshev series.
+
+    With rho from :func:`_spectral_bound`, H / rho has its spectrum in
+    [-1, 1], and exp(-i H t) = sum_k c_k T_k(H / rho) with the coefficients
+    of :func:`_chebyshev_coefficients` at alpha = rho t (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967, 1984).  The vectors T_k(H / rho) psi
+    follow from T_{k+1} = 2 (H / rho) T_k - T_{k-1}, one sparse product each.
+    """
+    rho = _spectral_bound(matrix)
+    if rho == 0.0:
+        return psi
+    coeffs = _chebyshev_coefficients(rho * t)
+    step = matrix * (2.0 / rho)
+    prev, cur = psi, 0.5 * (step @ psi)
+    out = coeffs[0] * prev + coeffs[1] * cur
+    for coeff in coeffs[2:]:
+        nxt = step @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        out += coeff * cur
+    return out
+
+
 def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
                  leak_tol: float = DEFAULT_LEAK_TOL) -> FockState:
-    """Apply exp(-i H t) to the state (Krylov evaluation, no approximation knobs).
+    """Apply exp(-i H t) to the state, with no approximation knobs.
 
     Only the sectors of H that the state's nonzero amplitudes occupy are
-    built and propagated; every other amplitude stays exactly zero.
+    built and propagated; every other amplitude stays exactly zero.  Each
+    occupied block is propagated by a Chebyshev series whose length is fixed
+    in advance, so that the terms it drops sum below the unit roundoff.
 
     Raises :class:`TruncationError` when the propagated state puts more than
     ``leak_tol`` population on the top level of any mode, since observables
@@ -200,13 +275,15 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
         raise StateError(
             f"Hamiltonian dims {hamiltonian.dims!r} do not match state dims {state.dims!r}"
         )
+    if not math.isfinite(t):
+        raise StateError(f"t must be finite, got {t!r}")
     if t == 0.0:
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)
     sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
     idx = np.concatenate([sector.states for sector in sectors])
     evolved = np.concatenate([
-        expm_multiply(-1j * t * sector.matrix, state.amplitudes[sector.states])
+        _propagate(sector.matrix, state.amplitudes[sector.states], t)
         for sector in sectors])
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:

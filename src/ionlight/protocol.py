@@ -34,6 +34,7 @@ inconsistent with the intended deep-squeezing signal.)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
@@ -176,10 +177,16 @@ def quadrature_moments(chi1: complex, chi2: complex,
 
     Returns (<q1^2>, <q1 q2>) for the field at the end of the half-period
     pulse; <q2^2> equals <q1^2>.  The autocorrelation is theta-independent,
-    the cross term carries exp(i (theta1 + theta2)).
+    the cross term carries exp(i (theta1 + theta2)).  Non-finite rates or
+    angles raise :class:`ParameterError`.
     """
     chi1 = complex(chi1)
     chi2 = complex(chi2)
+    if not (cmath.isfinite(chi1) and cmath.isfinite(chi2)
+            and math.isfinite(theta1) and math.isfinite(theta2)):
+        raise ParameterError(
+            f"quadrature_moments needs finite rates and angles, got chi1 = {chi1!r}, "
+            f"chi2 = {chi2!r}, theta1 = {theta1!r}, theta2 = {theta2!r}")
     require_half_period(abs(chi2) / abs(chi1) if chi1 else (math.inf if chi2 else None))
     theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
     m1, m2 = abs(chi1) ** 2, abs(chi2) ** 2

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.special import jv
 
 from ionlight import fock_oracle, gaussian, protocol
 from ionlight.errors import StateError, TruncationError, UndefinedPeriodError
@@ -84,6 +85,51 @@ def assert_matches_index_build(chi1, chi2, dims):
     assert np.array_equal(h.indptr, ref.indptr)
     assert np.array_equal(h.indices, ref.indices)
     assert np.array_equal(h.data, ref.data)
+
+
+# Complex chis and a time at which rho t is about 58 in the vacuum's sector
+# of (5, 5, 5), so the Chebyshev series runs to 105 terms.
+LONG_CHIS = (0.7 + 0.2j, 1.9 - 0.4j)
+LONG_T = 5.0
+
+
+def dense_expm_gap(case, chis, t):
+    """Largest |amplitude| difference between evolve_exact and dense expm on (5, 5, 5)."""
+    dims = (5, 5, 5)
+    n = 125
+    h = hamiltonian_matrix(*chis, dims)
+    psi = np.zeros(n, dtype=complex)
+    if case == "all_sectors":
+        # a seeded random amplitude on every product state
+        rng = np.random.default_rng(7)
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi /= np.linalg.norm(psi)
+    else:
+        psi[0] = 1.0
+        if case == "two_sectors":
+            psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
+            psi /= math.sqrt(2.0)
+    out = evolve_exact(FockState(dims, psi), h, t, leak_tol=1.0)
+    expected = scipy.linalg.expm(-1j * t * assembled(h).toarray()) @ psi
+    return np.max(np.abs(out.amplitudes - expected))
+
+
+def assert_matches_bessel(alpha):
+    """The FFT coefficients are 2 (-i)^k J_k(alpha), and the terms past them sum below 2^-53.
+
+    scipy's jv is the independent reference.  Each sample exp(-i alpha cos theta)
+    carries a phase error of order alpha * eps, hence the tolerance.
+    """
+    coeffs = fock_oracle._chebyshev_coefficients(alpha)
+    k = np.arange(coeffs.size)
+    expected = 2.0 * (-1j) ** k * jv(k, alpha)
+    expected[0] /= 2.0
+    assert np.max(np.abs(coeffs - expected)) <= 1e-15 * max(1.0, abs(alpha))
+    dropped = np.arange(coeffs.size, coeffs.size + 1000)
+    assert 2.0 * np.sum(np.abs(jv(dropped, alpha))) <= 2.0 ** -53
+
+
+complex_chis = st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
 
 
 def worst_row(check):
@@ -194,6 +240,16 @@ class TestHamiltonian:
     def test_matches_index_build_exactly(self, chi1, chi2, dims):
         assert_matches_index_build(chi1, chi2, dims)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(complex_chis, complex_chis, st.tuples(*[st.integers(2, 8)] * 3))
+    def test_gershgorin_bounds_every_sector_spectrum(self, chi1, chi2, dims):
+        h = hamiltonian_matrix(chi1, chi2, dims)
+        for ell in range(2 - dims[1] - dims[2], dims[0]):
+            block = h.sector(ell).matrix
+            radius = np.max(np.abs(scipy.linalg.eigvalsh(block.toarray())))
+            # the bound is attained by a two-state block; eigvalsh rounds to a few ulps
+            assert fock_oracle._spectral_bound(block) * (1 + 1e-12) >= radius
+
     def test_too_small_dims_rejected(self):
         with pytest.raises(StateError):
             hamiltonian_matrix(1.0, 2.0, (1, 4, 4))
@@ -256,27 +312,26 @@ class TestEvolveExact:
         assert err.value.leakage > 1e-9
         assert err.value.dims == dims
 
-    @pytest.mark.parametrize("case", ["vacuum", "two_sectors", "all_sectors"])
-    def test_matches_dense_expm(self, case):
-        dims = (5, 5, 5)
-        n = 125
-        t = 0.37
+    @pytest.mark.parametrize("case, chis, t", [
         # real chi1: the pair-term entries are purely imaginary
-        h = hamiltonian_matrix(1.0, 2.5, dims)
-        psi = np.zeros(n, dtype=complex)
-        if case == "all_sectors":
-            # a seeded random amplitude on every product state
-            rng = np.random.default_rng(7)
-            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            psi /= np.linalg.norm(psi)
-        else:
-            psi[0] = 1.0
-            if case == "two_sectors":
-                psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
-                psi /= math.sqrt(2.0)
-        out = evolve_exact(FockState(dims, psi), h, t, leak_tol=1.0)
-        expected = scipy.linalg.expm(-1j * t * assembled(h).toarray()) @ psi
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        pytest.param("vacuum", (1.0, 2.5), 0.37, id="vacuum"),
+        pytest.param("two_sectors", (1.0, 2.5), 0.37, id="two_sectors"),
+        pytest.param("all_sectors", (1.0, 2.5), 0.37, id="all_sectors"),
+        pytest.param("vacuum", LONG_CHIS, LONG_T, id="long_vacuum"),
+        pytest.param("all_sectors", LONG_CHIS, LONG_T, id="long_all_sectors"),
+    ])
+    def test_matches_dense_expm(self, case, chis, t):
+        assert dense_expm_gap(case, chis, t) < 1e-12
+
+    def test_non_finite_time_rejected(self):
+        h = hamiltonian_matrix(1.0, 2.0, (4, 4, 4))
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(StateError):
+                evolve_exact(vacuum_state((4, 4, 4)), h, t)
+
+    @pytest.mark.parametrize("alpha", [0.5, 30.0, 900.0, -30.0])
+    def test_series_coefficients_are_bessel_values(self, alpha):
+        assert_matches_bessel(alpha)
 
     def test_builds_only_the_occupied_sector(self):
         r = 1.5
@@ -314,7 +369,7 @@ class TestNumberStateMotion:
 
 
 class TestMutants:
-    """Mutants of the number-basis Hamiltonian that the oracle's checks must catch."""
+    """Mutants of the number-basis Hamiltonian and propagator that the oracle's checks must catch."""
 
     def test_scaled_chi2_fails_crosscheck(self, monkeypatch):
         original = fock_oracle.hamiltonian_matrix
@@ -322,6 +377,28 @@ class TestMutants:
         monkeypatch.setattr(fock_oracle, "hamiltonian_matrix",
                             lambda chi1, chi2, dims: original(chi1, chi2 * 1.001, dims))
         assert worst_row(fock_oracle.crosscheck(3.0)) > 1e-6
+
+    def test_time_reversed_propagator_fails_dense_expm(self, monkeypatch):
+        # exp(+iHt): crosscheck cannot see it, since (-1)^(n1 + n2) maps H to -H,
+        # fixes the vacuum and leaves every compared moment at the half period alone
+        original = fock_oracle._propagate
+        monkeypatch.setattr(fock_oracle, "_propagate",
+                            lambda matrix, psi, t: original(matrix, psi, -t))
+        assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
+
+    def test_series_cut_short_fails_bessel_tail(self, monkeypatch):
+        # five terms short, the long dense-expm case still agrees to about 1e-14
+        original = fock_oracle._series_length
+        monkeypatch.setattr(fock_oracle, "_series_length", lambda alpha: original(alpha) - 5)
+        with pytest.raises(AssertionError):
+            assert_matches_bessel(30.0)
+
+    def test_series_cut_at_rho_t_breaks_unitarity(self, monkeypatch):
+        # the Bessel tail past rho t, which the series length is chosen to hold
+        monkeypatch.setattr(fock_oracle, "_series_length",
+                            lambda alpha: math.floor(abs(alpha)) + 1)
+        with pytest.raises(StateError, match="unitarity"):
+            dense_expm_gap("all_sectors", LONG_CHIS, LONG_T)
 
     def test_conjugated_chi2_breaks_index_pin(self, monkeypatch):
         # crosscheck's chis are real, so only the pin at complex chis sees this

@@ -86,6 +86,16 @@ class TestImportGraph:
         ]))
         assert out["result"] == [0, False]
 
+    def test_oracle_check_loads_no_scipy_linalg(self):
+        # the oracle propagates by a Chebyshev series on its CSR blocks
+        out = fresh_run("\n".join([
+            "import sys",
+            "from ionlight import cli",
+            "result = [cli.main(['oracle-check']),",
+            "          [name for name in ('scipy.linalg', 'scipy.sparse.linalg') if name in sys.modules]]",
+        ]))
+        assert out["result"] == [0, []]
+
     def test_decay_loads_no_scipy(self):
         out = fresh_run("\n".join([
             "import math",

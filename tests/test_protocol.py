@@ -64,6 +64,15 @@ class TestQuadratureMoments:
         with pytest.raises(UndefinedPeriodError):
             quadrature_moments(2.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (1.0, math.nan), (math.nan, 2.0), (1.0, math.inf), (math.inf, 2.0),
+        (1.0, complex(2.0, math.nan)), (1.0, 2.0, math.nan), (1.0, 2.0, 0.0, math.inf),
+    ])
+    def test_rejects_non_finite_arguments(self, args):
+        # refused before the r > 1 check, which a NaN rate passes
+        with pytest.raises(ParameterError):
+            quadrature_moments(*args)
+
     def test_matches_evolved_state(self, rng):
         # formula route vs. moments of the actual half-period state
         for _ in range(20):
