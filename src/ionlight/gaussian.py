@@ -52,15 +52,18 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def _spectrum_bound(cov: np.ndarray) -> float:
+def _spectrum_bound(covs: np.ndarray) -> tuple:
     """Round-off bound eps * ||cov||_F^2 on the symplectic eigenvalues of cov.
 
-    Partial transposition flips signs only, so the bound holds for the
-    partially transposed covariance as well.  Raises :class:`StateError`
-    when the bound is not finite or exceeds ``SPECTRUM_LIMIT``, and
-    :class:`UnphysicalStateError` when the smallest symplectic eigenvalue of
-    cov is below 1 by more than the bound.
+    ``covs`` stacks cov first and any partial transposes of it after, shape
+    (k, 2N, 2N).  Partial transposition flips signs only, so the bound holds
+    for the partially transposed covariances as well.  Returns the bound
+    and the symplectic spectra of the whole stack, from one ``eigvals``
+    call.  Raises :class:`StateError` when the bound is not finite or
+    exceeds ``SPECTRUM_LIMIT``, and :class:`UnphysicalStateError` when the
+    smallest symplectic eigenvalue of cov is below 1 by more than the bound.
     """
+    cov = covs[0]
     bound = np.finfo(float).eps * float(np.vdot(cov, cov))
     if not bound <= SPECTRUM_LIMIT:
         raise StateError(
@@ -68,36 +71,43 @@ def _spectrum_bound(cov: np.ndarray) -> float:
             "double precision cannot resolve the symplectic spectrum "
             "(r too close to 1, or nbar or a pulse area too large)"
         )
-    nu_min = float(np.min(symplectic_eigenvalues(cov)))
+    spectra = symplectic_eigenvalues(covs)
+    nu_min = float(spectra[0, 0])
     if nu_min < 1.0 - bound:
         raise UnphysicalStateError(
             f"covariance violates the uncertainty relation: smallest symplectic "
             f"eigenvalue {nu_min!r} is below 1 by more than the round-off bound {bound:.3g}"
         )
-    return bound
+    return bound, spectra
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted ascending.
 
-    Computed as the moduli of the eigenvalues of i*Omega*cov, which come in
-    +/- pairs; one representative of each pair is returned.
+    ``cov`` is one 2N x 2N matrix or a stack of them, shape (..., 2N, 2N);
+    a stack gives one spectrum per matrix, shape (..., N).  Computed as the
+    moduli of the eigenvalues of i*Omega*cov, which come in +/- pairs; one
+    representative of each pair is returned.  i*Omega*cov is cov with the
+    rows of each mode swapped, times +i and -i: it is built entry by entry
+    equal to the product, without Omega or a matrix product.
     """
-    n = cov.shape[0] // 2
-    eig = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
-    moduli = np.sort(np.abs(eig))
-    return moduli[::2].copy()
+    i_omega_cov = np.zeros(cov.shape, dtype=complex)
+    i_omega_cov.imag[..., 0::2, :] = cov[..., 1::2, :]
+    i_omega_cov.imag[..., 1::2, :] = -cov[..., 0::2, :]
+    moduli = np.sort(np.abs(np.linalg.eigvals(i_omega_cov)), axis=-1)
+    return moduli[..., ::2].copy()
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """Gaussian state over labelled bosonic modes.
 
-    Construction validates symmetry of the covariance (to 1e-12) and, by
-    default, physicality: every symplectic eigenvalue must be >= 1 - b, with
-    b = eps * ||cov||_F^2 the round-off bound of the spectrum, and b must
-    not exceed ``SPECTRUM_LIMIT``.  Internal states (maps of states already
-    known to be physical) skip the check.
+    Construction copies the arrays, validates symmetry of the covariance (to
+    1e-12) and, by default, physicality: every symplectic eigenvalue must be
+    >= 1 - b, with b = eps * ||cov||_F^2 the round-off bound of the
+    spectrum, and b must not exceed ``SPECTRUM_LIMIT``.  The states this
+    module returns (maps of states already known to be physical) are built
+    by :meth:`_made`, which skips the copy and both checks.
     """
 
     mode_labels: tuple
@@ -125,9 +135,25 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if self.validate:
-            _spectrum_bound(cov)
+            _spectrum_bound(cov[np.newaxis])
         mean.setflags(write=False)
         cov.setflags(write=False)
+
+    @classmethod
+    def _made(cls, labels: tuple, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """A state from float arrays of the right shapes that nothing else holds.
+
+        Keeps the duplicate-label check and freezes the arrays, which it takes
+        as they are: no copy, no symmetry scan, no physicality check.  The
+        caller makes cov exactly symmetric.
+        """
+        if len(set(labels)) != len(labels):
+            raise StateError(f"duplicate mode labels: {labels!r}")
+        state = object.__new__(cls)
+        vars(state).update(mode_labels=labels, mean=mean, cov=cov, validate=False)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -147,8 +173,7 @@ class GaussianState:
     def reduced(self, labels: Sequence) -> "GaussianState":
         """Reduced state of a subset of modes (partial trace over the rest)."""
         idx = self.quad_indices(labels)
-        return GaussianState(tuple(labels), self.mean[idx],
-                             self.cov[np.ix_(idx, idx)], validate=False)
+        return GaussianState._made(tuple(labels), self.mean[idx], self.cov[np.ix_(idx, idx)])
 
 
 def _label_index(labels: tuple, label) -> int:
@@ -166,19 +191,18 @@ def vacuum(n_modes: int, labels: Optional[Sequence] = None) -> GaussianState:
         labels = tuple(f"mode{k}" for k in range(n_modes))
     elif len(labels) != n_modes:
         raise StateError("number of labels must match n_modes")
-    return GaussianState(tuple(labels), np.zeros(2 * n_modes),
-                         np.eye(2 * n_modes), validate=False)
+    return GaussianState._made(tuple(labels), np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def thermal(nbar: float, label="motion") -> GaussianState:
     """Single-mode thermal state with mean occupation ``nbar``.
 
-    cov = (2 nbar + 1) * identity; nbar = 0 gives the vacuum.
+    cov = (2 nbar + 1) * identity; nbar = 0 gives the vacuum.  A negative,
+    NaN or infinite ``nbar`` raises :class:`StateError`.
     """
-    if nbar < 0.0:
-        raise StateError(f"nbar must be >= 0, got {nbar!r}")
-    return GaussianState((label,), np.zeros(2),
-                         (2.0 * nbar + 1.0) * np.eye(2), validate=False)
+    if not 0.0 <= nbar < math.inf:
+        raise StateError(f"nbar must be finite and >= 0, got {nbar!r}")
+    return GaussianState._made((label,), np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
 
 
 def tensor(*states: GaussianState) -> GaussianState:
@@ -192,7 +216,7 @@ def tensor(*states: GaussianState) -> GaussianState:
         d = 2 * s.n_modes
         cov[offset:offset + d, offset:offset + d] = s.cov
         offset += d
-    return GaussianState(labels, mean, cov, validate=False)
+    return GaussianState._made(labels, mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +266,12 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     rest = [l for l in state.mode_labels if l not in part]
     if not rest:
         raise StateError("partition must be a strict subset of the modes")
-    bound = _spectrum_bound(state.cov)
     # Partial transposition flips the sign of P on the transposed modes.
     flip = np.ones(2 * state.n_modes)
     for label in part:
         flip[2 * state.mode_index(label) + 1] = -1.0
-    cov_pt = state.cov * np.outer(flip, flip)
-    nu = symplectic_eigenvalues(cov_pt)
+    bound, spectra = _spectrum_bound(np.stack((state.cov, state.cov * np.outer(flip, flip))))
+    nu = spectra[1]
     # Eigenvalues within the bound of 1 carry no negativity.  A state that
     # passed both checks has every nu >= 1/||cov||_F > 1e-6, so ln(nu) is finite.
     return float(np.sum([-math.log(v) for v in nu if v < 1.0 - bound]))
@@ -398,9 +421,17 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
 
 
 def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    """The state after the linear map S: mean S m, covariance S cov S^T."""
-    return GaussianState(state.mode_labels, s @ state.mean,
-                         s @ state.cov @ s.T, validate=False)
+    """The state after the linear map S: mean S m, covariance S cov S^T.
+
+    The covariance is symmetrised, 0.5 (C + C^T), since the two triangles
+    of the product round differently.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.shape != state.cov.shape:
+        raise StateError(f"shape mismatch: a map of {state.n_modes} modes must be "
+                         f"{state.cov.shape}, got {s.shape}")
+    cov = s @ state.cov @ s.T
+    return GaussianState._made(state.mode_labels, s @ state.mean, 0.5 * (cov + cov.T))
 
 
 # Numerator coefficients of the [13/13] Pade approximant to exp, and the
@@ -477,7 +508,7 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
     integral = 0.5 * (integral + integral.T)
     mean = propagator @ state.mean
     cov = propagator @ state.cov @ propagator.T + integral
-    return GaussianState(state.mode_labels, mean, cov, validate=False)
+    return GaussianState._made(state.mode_labels, mean, 0.5 * (cov + cov.T))
 
 
 # ---------------------------------------------------------------------------
@@ -550,4 +581,4 @@ def tmss(r: float, beta: float = 0.0,
     cross = sinh_2s * np.array([[cb, sb], [sb, -cb]])
     cov = np.block([[cosh_2s * np.eye(2), cross],
                     [cross.T, cosh_2s * np.eye(2)]])
-    return GaussianState(tuple(labels), np.zeros(4), cov, validate=False)
+    return GaussianState._made(tuple(labels), np.zeros(4), cov)

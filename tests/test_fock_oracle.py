@@ -137,6 +137,26 @@ def worst_row(check):
     return max(abs(g_val - f_val) for _, g_val, f_val in check.rows)
 
 
+def mid_pulse_gap(r=3.0):
+    """Largest |covariance difference| of both engines at t_pi / 2 from the vacuum.
+
+    Mid-pulse the motion is still correlated with the cavities, so the
+    cavity-motion cross-covariances, which vanish at the half period, are
+    compared too.  The Gaussian side evolves the pulse stage's terms.
+    """
+    couplings = Couplings.from_chis(1.0, r)
+    (pulse,) = protocol.simultaneous_stages(couplings)
+    labels = protocol.SIMULTANEOUS_LABELS
+    t = pulse.t / 2.0
+    g_state = gaussian.evolve(gaussian.vacuum(3, labels),
+                              gaussian.quadratic_dynamics(labels, pulse.terms), t)
+    assert gaussian.decorrelation_norm(g_state, ("motion",), ("cav1", "cav2")) > 0.1
+    dims = suggest_dims(r)
+    h = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
+    cov = observables(evolve_exact(vacuum_state(dims), h, t)).covariance
+    return float(np.max(np.abs(cov - g_state.cov)))
+
+
 def lowered(tensor, axis):
     """a|psi> along one mode axis of the amplitude tensor, by shifting the whole tensor."""
     d = tensor.shape[axis]
@@ -346,6 +366,9 @@ class TestEvolveExact:
         with pytest.raises(StateError):
             evolve_exact(vacuum_state((5, 5, 5)), h, 0.1)
 
+    def test_mid_pulse_matches_gaussian_engine(self):
+        assert mid_pulse_gap() < 1e-6
+
 
 class TestNumberStateMotion:
     """A thermal motion is a mixture of |0, 0, m>, one state per sector n1 - n2 - nb = -m."""
@@ -385,6 +408,13 @@ class TestMutants:
         monkeypatch.setattr(fock_oracle, "_propagate",
                             lambda matrix, psi, t: original(matrix, psi, -t))
         assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
+
+    def test_time_reversed_propagator_fails_mid_pulse_row(self, monkeypatch):
+        # the parity flips the cavity-motion cross-covariances, nonzero mid-pulse
+        original = fock_oracle._propagate
+        monkeypatch.setattr(fock_oracle, "_propagate",
+                            lambda matrix, psi, t: original(matrix, psi, -t))
+        assert mid_pulse_gap() > 1e-6
 
     def test_series_cut_short_fails_bessel_tail(self, monkeypatch):
         # five terms short, the long dense-expm case still agrees to about 1e-14

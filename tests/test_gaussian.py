@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_couplings
+from ionlight import gaussian
 from ionlight.errors import (InfiniteSqueezingError, StateError,
                              UndefinedPeriodError, UnphysicalStateError)
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
@@ -24,6 +25,43 @@ def half_period_state(chi1, chi2, nbar=0.0):
     state = tensor(vacuum(2, ("cav1", "cav2")), thermal(nbar, "motion"))
     dyn = dynamics_from_couplings(chi1, chi2, kappa=0.0)
     return evolve(state, dyn, c.t_pi), c
+
+
+def random_symplectic(rng, n_modes):
+    """exp(Omega H) for a random symmetric H, a random symplectic matrix."""
+    h = rng.normal(size=(2 * n_modes, 2 * n_modes))
+    return expm(0.3 * symplectic_form(n_modes) @ (h + h.T))
+
+
+def assert_maps_exactly_symmetric(rng):
+    """gaussian.apply_symplectic gives cov == cov.T bit for bit for random symplectic maps."""
+    state = tensor(tmss(1.7, 0.4), thermal(3.0, "motion"))
+    for _ in range(10):
+        s = random_symplectic(rng, 3)
+        assert np.max(np.abs(s @ symplectic_form(3) @ s.T - symplectic_form(3))) < 1e-12
+        out = gaussian.apply_symplectic(state, s)
+        assert np.array_equal(out.cov, out.cov.T)
+
+
+def assert_tmss_r3_negativity():
+    """Pure two-mode squeezed state: E_N = 2s with sinh s = 3/4."""
+    expected = 2 * math.asinh(0.75)
+    assert expected == pytest.approx(math.log(4.0), rel=1e-12)
+    assert log_negativity(tmss(3.0), ("cav1",)) == pytest.approx(expected, abs=1e-10)
+
+
+# Every way gaussian builds a state without the constructor's copy and scans.
+LIBRARY_STATES = {
+    "vacuum": lambda: vacuum(2, ("a", "b")),
+    "thermal": lambda: thermal(1.5, "a"),
+    "tensor": lambda: tensor(thermal(1.0, "a"), vacuum(1, ("b",))),
+    "reduced": lambda: tmss(2.0, 0.3).reduced(("cav2", "cav1")),
+    "tmss": lambda: tmss(2.0, 0.3),
+    "apply_symplectic": lambda: apply_symplectic(
+        tmss(2.0, 0.3), term_propagator(("cav1", "cav2"), (EXCHANGE, "cav1", "cav2", 0.4j), 1.0)),
+    "evolve": lambda: evolve(tensor(vacuum(2, ("cav1", "cav2")), thermal(1.0, "motion")),
+                             dynamics_from_couplings(0.5, 1.0 + 0.2j, kappa=0.3), 0.7),
+}
 
 
 class TestStateBasics:
@@ -49,6 +87,11 @@ class TestStateBasics:
         with pytest.raises(StateError):
             thermal(-0.5)
 
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
+    def test_thermal_non_finite_nbar(self, nbar):
+        with pytest.raises(StateError, match="finite"):
+            thermal(nbar)
+
     def test_asymmetric_cov_rejected(self):
         cov = np.eye(2)
         cov[0, 1] = 1e-6
@@ -66,6 +109,24 @@ class TestStateBasics:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(StateError):
             vacuum(2, ("a", "a"))
+
+    def test_tensor_refuses_clashing_labels(self):
+        with pytest.raises(StateError, match="duplicate"):
+            tensor(thermal(1.0, "a"), vacuum(2, ("b", "a")))
+
+    def test_reduced_refuses_duplicate_labels(self):
+        with pytest.raises(StateError, match="duplicate"):
+            vacuum(2, ("a", "b")).reduced(("a", "a"))
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_user_built_state_is_copied_and_scanned(self, validate):
+        mean, cov = np.zeros(2), 2.0 * np.eye(2)
+        state = GaussianState(("a",), mean, cov, validate=validate)
+        mean[0] = cov[0, 0] = 7.0
+        assert state.mean[0] == 0.0 and state.cov[0, 0] == 2.0
+        cov[0, 1] = 1e-6
+        with pytest.raises(StateError, match="not symmetric"):
+            GaussianState(("a",), mean, cov, validate=validate)
 
     def test_reduced_keeps_blocks(self):
         state = tensor(thermal(1.0, "a"), thermal(2.0, "b"))
@@ -442,10 +503,7 @@ class TestDiagnostics:
         assert log_negativity(GaussianState(("a", "b"), np.zeros(4), cov), ("a",)) == 0.0
 
     def test_log_negativity_of_tmss_r3(self):
-        # pure two-mode squeezed state: E_N = 2s with sinh s = 3/4
-        expected = 2 * math.asinh(0.75)
-        assert expected == pytest.approx(math.log(4.0), rel=1e-12)
-        assert log_negativity(tmss(3.0), ("cav1",)) == pytest.approx(expected, abs=1e-10)
+        assert_tmss_r3_negativity()
 
     def test_log_negativity_grows_as_r_approaches_one(self):
         values = [log_negativity(tmss(r), ("cav1",)) for r in (3.0, 2.0, 1.5, 1.1)]
@@ -512,3 +570,68 @@ class TestDiagnostics:
         assert log_negativity(cold.reduced(("cav1", "cav2")), ("cav1",)) == \
             pytest.approx(log_negativity(hot.reduced(("cav1", "cav2")), ("cav1",)),
                           abs=1e-9)
+
+
+class TestLibraryStates:
+    """States gaussian makes skip the constructor's scans; what they must keep."""
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_STATES))
+    def test_read_only_and_exactly_symmetric(self, name):
+        state = LIBRARY_STATES[name]()
+        assert np.array_equal(state.cov, state.cov.T)
+        for array in (state.mean, state.cov):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_apply_symplectic_is_exactly_symmetric(self, rng):
+        assert_maps_exactly_symmetric(rng)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (4,)])
+    def test_apply_symplectic_refuses_a_map_of_the_wrong_shape(self, shape):
+        with pytest.raises(StateError, match="shape mismatch"):
+            apply_symplectic(vacuum(2), np.ones(shape))
+
+    def test_spectra_match_the_product_form(self, rng):
+        # i Omega cov from swapped rows, and a stack in one eigvals call, give
+        # the spectra of i * symplectic_form(n) @ cov, one by one, bit for bit
+        def product_form(cov):
+            n = cov.shape[0] // 2
+            return np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ cov)))[::2]
+
+        for n in (1, 2, 3):
+            covs = [np.diag(rng.uniform(1.0, 5.0, 2 * n))]
+            for _ in range(4):
+                a = rng.normal(size=(2 * n, 2 * n))
+                covs.append(a @ a.T + np.eye(2 * n))
+            stacked = symplectic_eigenvalues(np.stack(covs))
+            assert stacked.shape == (len(covs), n)
+            for cov, nu in zip(covs, stacked):
+                assert np.array_equal(nu, product_form(cov))
+                assert np.array_equal(symplectic_eigenvalues(cov), nu)
+
+
+class TestMutants:
+    """Mutants of the state fast path that the checks above must catch."""
+
+    def test_negativity_of_unflipped_spectrum_fails_tmss_pin(self, monkeypatch):
+        # log_negativity reads cov's half of the stacked spectrum, not the
+        # partial transpose's: every nu >= 1, so E_N reads 0
+        original = gaussian._spectrum_bound
+
+        def swapped(covs):
+            bound, spectra = original(covs)
+            return bound, spectra[::-1]
+
+        monkeypatch.setattr(gaussian, "_spectrum_bound", swapped)
+        with pytest.raises(AssertionError):
+            assert_tmss_r3_negativity()
+
+    def test_unsymmetrised_map_fails_exact_symmetry(self, monkeypatch, rng):
+        def unsymmetrised(state, s):
+            return GaussianState._made(state.mode_labels, s @ state.mean,
+                                       s @ state.cov @ s.T)
+
+        monkeypatch.setattr(gaussian, "apply_symplectic", unsymmetrised)
+        with pytest.raises(AssertionError):
+            assert_maps_exactly_symmetric(rng)

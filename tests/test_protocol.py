@@ -529,6 +529,34 @@ class TestStages:
             simultaneous_stages(coupling_constants(blue))
 
 
+class TestOneSpectrumPerNegativity:
+    """Structural guard: each log-negativity costs one stacked eigvals call, and nothing else calls it."""
+
+    @pytest.fixture()
+    def eigvals_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        return calls
+
+    def test_log_negativity(self, eigvals_calls):
+        gaussian.log_negativity(gaussian.tmss(2.0), ("cav1",))
+        assert eigvals_calls == [(2, 4, 4)]
+
+    def test_run_simultaneous(self, eigvals_calls, indium_params):
+        run_simultaneous(indium_params, force=True)
+        assert len(eigvals_calls) == 1
+
+    def test_run_sequential(self, eigvals_calls, indium_params):
+        run_sequential(indium_params, t1=1.0 / abs_chi1(indium_params))
+        assert len(eigvals_calls) == 3
+
+
 def abs_chi1(params):
     return abs(coupling_constants(params).chi1)
 
