@@ -13,10 +13,10 @@ fixed L, and a start state occupies few of them: the vacuum lives in L = 0,
 about 1% of the product states.  :func:`hamiltonian_matrix` builds nothing
 up front; each sector's block is built on first use, straight from hops on
 the (n1, n2) lattice, and :func:`evolve_exact` builds and propagates only
-the sectors the state occupies.  The norm checks, :func:`leakage` and
-:func:`observables` read the nonzero amplitudes alone.  Memory therefore
-follows the occupied sectors, apart from the amplitude vector itself,
-which :class:`FockState` keeps over the whole product basis.
+the sectors the state occupies.  A :class:`FockState` holds its nonzero
+amplitudes alone, by ascending flat index, and the norm checks,
+:func:`leakage` and :func:`observables` read only those.  Nothing of
+product size is ever allocated, so memory follows the occupied sectors.
 
 Quadrature observables use the same X = a + a_dag, vacuum-variance-1
 convention as the gaussian module, so covariance matrices from both engines
@@ -42,44 +42,62 @@ DEFAULT_LEAK_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Truncated number-basis state vector over (cav1, cav2, motion).
+    """Truncated number-basis state over (cav1, cav2, motion), by its nonzero amplitudes.
 
-    ``support`` holds the flat indices of the nonzero amplitudes, in
-    ascending order; the norm check and the observables read only those.
+    ``support`` holds the flat indices of the nonzero amplitudes, strictly
+    ascending, and ``values`` the amplitudes at those indices; every other
+    amplitude of the product basis is zero.  Exact zeros in ``values`` are
+    dropped, so ``support`` lists the nonzero amplitudes only.
     """
 
     dims: tuple
-    amplitudes: np.ndarray
-    support: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise StateError(f"dims must be three integers >= 2, got {self.dims!r}")
-        vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if vec.shape != (dims[0] * dims[1] * dims[2],):
-            raise StateError(
-                f"amplitude vector has length {vec.shape[0]}, "
-                f"expected {dims[0] * dims[1] * dims[2]}"
-            )
-        support = np.flatnonzero(vec)
-        norm = float(np.linalg.norm(vec[support]))
+        support = np.asarray(self.support).reshape(-1)
+        values = np.asarray(self.values, dtype=complex).reshape(-1)
+        if support.shape != values.shape:
+            raise StateError(f"support has {support.size} indices but values has "
+                             f"{values.size} amplitudes")
+        if support.size and not np.issubdtype(support.dtype, np.integer):
+            raise StateError(f"support must hold integer indices, got dtype {support.dtype}")
+        support = support.astype(np.int64, copy=False)
+        if np.any(support[1:] <= support[:-1]):
+            raise StateError("support must ascend strictly")
+        size = dims[0] * dims[1] * dims[2]
+        if support.size and not (support[0] >= 0 and support[-1] < size):
+            raise StateError(f"support indices must lie in [0, {size}), got "
+                             f"{support[0]} to {support[-1]}")
+        nonzero = values != 0
+        if not nonzero.all():
+            support, values = support[nonzero], values[nonzero]
+        norm = float(np.linalg.norm(values))
         if not abs(norm - 1.0) <= NORM_TOL:
             raise StateError(f"state norm is {norm!r}, expected 1")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "support", support)
-        vec.setflags(write=False)
+        object.__setattr__(self, "values", values)
         support.setflags(write=False)
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims)
+        values.setflags(write=False)
 
 
 def vacuum_state(dims) -> FockState:
-    vec = np.zeros(int(np.prod(dims)), dtype=complex)
-    vec[0] = 1.0
-    return FockState(tuple(dims), vec)
+    return FockState(tuple(dims), np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
+
+
+def _gather(state: FockState, index: np.ndarray) -> np.ndarray:
+    """The state's amplitudes at the flat indices ``index`` (any shape), zero off its support.
+
+    A binary search finds where each index would sit in ``support``; the
+    index is a hit only where the entry there equals it.
+    """
+    support = state.support
+    pos = np.minimum(np.searchsorted(support, index), support.size - 1)
+    return np.where(support[pos] == index, state.values[pos], 0.0)
 
 
 class Sector(NamedTuple):
@@ -179,7 +197,7 @@ def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> SectorHamiltonian:
 
 def leakage(state: FockState) -> float:
     """Largest total population sitting on the top level of any mode."""
-    pop = np.abs(state.amplitudes[state.support]) ** 2
+    pop = np.abs(state.values) ** 2
     levels = np.unravel_index(state.support, state.dims)
     return float(max(pop[n == d - 1].sum() for n, d in zip(levels, state.dims)))
 
@@ -258,6 +276,15 @@ def _propagate(matrix: sp.csr_matrix, psi: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _sorted_state(dims: tuple, support: np.ndarray, values: np.ndarray) -> FockState:
+    """The state with amplitudes ``values`` at the flat indices ``support``, in any order.
+
+    The states of one sector ascend, but those of several sectors interleave.
+    """
+    order = np.argsort(support)
+    return FockState(dims, support[order], values[order])
+
+
 def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
                  leak_tol: float = DEFAULT_LEAK_TOL) -> FockState:
     """Apply exp(-i H t) to the state, with no approximation knobs.
@@ -266,6 +293,7 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
     built and propagated; every other amplitude stays exactly zero.  Each
     occupied block is propagated by a Chebyshev series whose length is fixed
     in advance, so that the terms it drops sum below the unit roundoff.
+    The result holds the states of the occupied sectors, in ascending order.
 
     Raises :class:`TruncationError` when the propagated state puts more than
     ``leak_tol`` population on the top level of any mode, since observables
@@ -281,16 +309,13 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)
     sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
-    idx = np.concatenate([sector.states for sector in sectors])
-    evolved = np.concatenate([
-        _propagate(sector.matrix, state.amplitudes[sector.states], t)
-        for sector in sectors])
+    evolved = np.concatenate([_propagate(sector.matrix, _gather(state, sector.states), t)
+                              for sector in sectors])
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
-    vec = np.zeros_like(state.amplitudes)
-    vec[idx] = evolved / norm
-    out = FockState(state.dims, vec)
+    out = _sorted_state(state.dims, np.concatenate([sector.states for sector in sectors]),
+                        evolved / norm)
     leak = leakage(out)
     if leak > leak_tol:
         raise TruncationError(
@@ -316,26 +341,39 @@ def observables(state: FockState) -> FockObservables:
     """Mean photon numbers, full quadrature covariance, and the joint cav1/cav2 distribution.
 
     Every moment is a sum over the nonzero amplitudes psi[n] of
-    conj(psi[n - shift]) c(n) psi[n], for an operator that lowers |n> to
-    |n - shift>; the amplitude at n - shift is gathered at flat index
-    minus the strides of the shift.
+    conj(psi[n - e]) c(n) psi[n], for an operator that lowers |n> to
+    |n - e>; the amplitude at n - e is looked up in the support at flat
+    index minus the strides of e.  |n - e> lies in the sector
+    L - (e1 - e2 - eb), so where that maps no occupied sector onto an
+    occupied one, every such amplitude is zero and none is looked up.
     """
     dims = state.dims
-    amps, support = state.amplitudes, state.support
-    psi = amps[support]
+    support, psi = state.support, state.values
     levels = np.unravel_index(support, dims)
-    strides = (dims[1] * dims[2], dims[2], 1)
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    occupied = set(np.unique(levels[0] - levels[1] - levels[2]).tolist())
+    unit = np.eye(3, dtype=int)
 
-    def moment(coeff, offset):
-        """<psi| O |psi> for O |n> = coeff(n) |n - e>, e at flat offset ``offset``."""
+    def moment(coeff, e):
+        """<psi| O |psi> for O |n> = coeff(n) |n - e>."""
         keep = np.flatnonzero(coeff)
-        return complex(np.vdot(amps[support[keep] - offset], coeff[keep] * psi[keep]))
+        ket = coeff[keep] * psi[keep]
+        change = int(e[0] - e[1] - e[2])
+        if not e.any():
+            bra = psi[keep]
+        elif not any(ell - change in occupied for ell in occupied):
+            bra = np.zeros(keep.size, dtype=complex)
+        else:
+            bra = _gather(state, support[keep] - int(e @ strides))
+        return complex(np.vdot(bra, ket))
 
     root = [np.sqrt(n) for n in levels]
-    disp = np.array([moment(root[i], strides[i]) for i in range(3)])     # <a_i>
+    disp = np.array([moment(root[i], unit[i]) for i in range(3)])     # <a_i>
     # n_ij = <a_i+ a_j>: a_j lowers |n> to |n - e_j>, and a_i+ takes that to
     # |n - e_j + e_i> unless it would leave the basis.  s_ij = <a_j a_i>.
-    # Both are centered on the displacements.
+    # Both are centered on the displacements.  s is symmetric, and s_ji
+    # would repeat s_ij's products term for term (sqrt(n_j) sqrt(n_i) is
+    # sqrt(n_i) sqrt(n_j)), so it is copied.
     n_mat = np.empty((3, 3), dtype=complex)
     s_mat = np.empty((3, 3), dtype=complex)
     for i in range(3):
@@ -343,9 +381,12 @@ def observables(state: FockState) -> FockObservables:
             m_i = levels[i] - (i == j)
             inside = m_i < dims[i] - 1
             n_mat[i, j] = moment(root[j] * np.sqrt(m_i + 1) * inside,
-                                 strides[j] - strides[i]) - np.conj(disp[i]) * disp[j]
-            s_mat[i, j] = moment(root[i] * np.sqrt(np.maximum(levels[j] - (i == j), 0)),
-                                 strides[i] + strides[j]) - disp[i] * disp[j]
+                                 unit[j] - unit[i]) - np.conj(disp[i]) * disp[j]
+            if j < i:
+                s_mat[i, j] = s_mat[j, i]
+            else:
+                s_mat[i, j] = moment(root[i] * np.sqrt(np.maximum(levels[j] - (i == j), 0)),
+                                     unit[i] + unit[j]) - disp[i] * disp[j]
     pop = np.abs(psi) ** 2
     means = np.array([float(np.dot(pop, n)) for n in levels])
 

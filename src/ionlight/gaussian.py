@@ -59,12 +59,18 @@ def _spectrum_bound(covs: np.ndarray) -> tuple:
     (k, 2N, 2N).  Partial transposition flips signs only, so the bound holds
     for the partially transposed covariances as well.  Returns the bound
     and the symplectic spectra of the whole stack, from one ``eigvals``
-    call.  Raises :class:`StateError` when the bound is not finite or
-    exceeds ``SPECTRUM_LIMIT``, and :class:`UnphysicalStateError` when the
-    smallest symplectic eigenvalue of cov is below 1 by more than the bound.
+    call.  Raises :class:`StateError` when the bound is not finite (a NaN or
+    infinite covariance entry, or one too large to square) or exceeds
+    ``SPECTRUM_LIMIT``, and :class:`UnphysicalStateError` when the smallest
+    symplectic eigenvalue of cov is below 1 by more than the bound.
     """
     cov = covs[0]
     bound = np.finfo(float).eps * float(np.vdot(cov, cov))
+    if not math.isfinite(bound):
+        raise StateError(
+            f"round-off bound eps*||cov||^2 = {bound!r} is not finite: the covariance "
+            "has a NaN or infinite entry, or one too large to square"
+        )
     if not bound <= SPECTRUM_LIMIT:
         raise StateError(
             f"round-off bound eps*||cov||^2 = {bound:.3g} is not within {SPECTRUM_LIMIT:g}: "
@@ -564,8 +570,13 @@ def tmss(r: float, beta: float = 0.0,
 
     r < 1 is accepted and mapped to 1/r: the state depends on r only through
     2r/(1 + r^2), which is invariant under that substitution.  r = 1 would be
-    infinitely squeezed and raises.
+    infinitely squeezed and raises.  A NaN or infinite r raises
+    :class:`StateError`: r = inf would be the vacuum, the limit of large r,
+    but no coupling ratio is infinite, so it is refused rather than read as
+    that limit.
     """
+    if not math.isfinite(r):
+        raise StateError(f"tmss needs a finite r, got {r!r}")
     if r <= 0.0:
         raise InfiniteSqueezingError(f"r must be positive, got {r!r}")
     if r == 1.0:

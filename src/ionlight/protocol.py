@@ -297,8 +297,11 @@ def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float =
     being characterized; having no closed form, it runs the pulse's terms
     through :func:`gaussian.evolve`.
 
-    The regime inequalities are checked first and a failing set raises unless
-    ``force`` is given.
+    The regime inequalities are checked first, each ">>" as a factor
+    ``ratio``, and a failing set raises unless ``force`` is given.  The
+    default factor 10 refuses the bundled indium point, where
+    ``theta >> kappa`` holds by a factor 6.5 and ``1 >> eta`` by 9.6; its
+    configuration, and so the CLI, checks that point at factor 5.
     """
     couplings = coupling_constants(params)
     (pulse,) = simultaneous_stages(couplings)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,21 @@ from ionlight.fock_oracle import (FockState, evolve_exact, hamiltonian_matrix,
                                   leakage, observables, suggest_dims,
                                   vacuum_state)
 from ionlight.params import Couplings
+
+
+def dense_state(dims, vec):
+    """The FockState of an amplitude vector over the whole product basis."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    assert vec.size == dims[0] * dims[1] * dims[2]
+    support = np.flatnonzero(vec)
+    return FockState(dims, support, vec[support])
+
+
+def dense_vector(state):
+    """The amplitudes of a FockState over the whole product basis."""
+    vec = np.zeros(state.dims[0] * state.dims[1] * state.dims[2], dtype=complex)
+    vec[state.support] = state.values
+    return vec
 
 
 def number_operator(dims, mode):
@@ -109,9 +125,9 @@ def dense_expm_gap(case, chis, t):
         if case == "two_sectors":
             psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
             psi /= math.sqrt(2.0)
-    out = evolve_exact(FockState(dims, psi), h, t, leak_tol=1.0)
+    out = evolve_exact(dense_state(dims, psi), h, t, leak_tol=1.0)
     expected = scipy.linalg.expm(-1j * t * assembled(h).toarray()) @ psi
-    return np.max(np.abs(out.amplitudes - expected))
+    return np.max(np.abs(dense_vector(out) - expected))
 
 
 def assert_matches_bessel(alpha):
@@ -170,7 +186,7 @@ def lowered(tensor, axis):
 
 def tensor_moments(state):
     """Photon numbers, <a_i>, <a_i+ a_j> and <a_j a_i> from the full amplitude tensor."""
-    psi = state.tensor()
+    psi = dense_vector(state).reshape(state.dims)
     pop = np.abs(psi) ** 2
     photons = np.array([(pop.sum(axis=tuple(k for k in range(3) if k != axis))
                          * np.arange(psi.shape[axis])).sum() for axis in range(3)])
@@ -179,6 +195,22 @@ def tensor_moments(state):
     n_raw = np.array([[np.vdot(low[i], low[j]) for j in range(3)] for i in range(3)])
     s_raw = np.array([[np.vdot(psi, lowered(low[i], j)) for j in range(3)] for i in range(3)])
     return photons, disp, n_raw, s_raw, pop.sum(axis=2)
+
+
+def assert_matches_tensor_moments(state):
+    """``observables`` agrees with the moments of the full amplitude tensor."""
+    photons, disp, n_raw, s_raw, joint = tensor_moments(state)
+    obs = observables(state)
+    scale = max(1.0, float(np.max(np.abs(obs.covariance))))
+    assert np.max(np.abs(obs.mean_photons - photons)) <= 1e-13 * scale
+    assert np.max(np.abs(obs.covariance - covariance_from_moments(disp, n_raw, s_raw))) \
+        <= 1e-13 * scale
+    assert np.max(np.abs(obs.mean_quadratures[0::2] - 2 * disp.real)) <= 1e-13 * scale
+    assert np.max(np.abs(obs.mean_quadratures[1::2] - 2 * disp.imag)) <= 1e-13 * scale
+    assert np.max(np.abs(obs.joint_photon_distribution - joint)) <= 1e-13
+    pop = np.abs(dense_vector(state).reshape(state.dims)) ** 2
+    top = max(pop[-1].sum(), pop[:, -1].sum(), pop[:, :, -1].sum())
+    assert abs(obs.leakage - top) <= 1e-13
 
 
 def covariance_from_moments(disp, n_raw, s_raw):
@@ -203,7 +235,7 @@ def fock_states(draw):
     density = draw(st.sampled_from([1.0, 0.3, 0.05]))
     vec[rng.random(size) >= density] = 0.0
     vec[draw(st.integers(0, size - 1))] += 1.0
-    return FockState(dims, vec / np.linalg.norm(vec))
+    return dense_state(dims, vec / np.linalg.norm(vec))
 
 
 class TestHamiltonian:
@@ -280,14 +312,14 @@ class TestEvolveExact:
         state = vacuum_state((4, 4, 4))
         h = hamiltonian_matrix(1.0, 2.0, (4, 4, 4))
         out = evolve_exact(state, h, 0.0)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        assert np.array_equal(dense_vector(out), dense_vector(state))
 
     def test_norm_preserved_over_half_period(self):
         r = 3.0
         dims = (24, 24, 24)
         h = hamiltonian_matrix(1.0, r, dims)
         out = evolve_exact(vacuum_state(dims), h, half_period(r))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(dense_vector(out)) - 1.0) < 1e-12
 
     def test_r3_reference_run(self):
         # the oracle run the Gaussian engine is checked against
@@ -321,7 +353,7 @@ class TestEvolveExact:
         out = evolve_exact(vacuum_state(dims), h, half_period(r))
         # population of nb = 0 is the overlap of the reduced motional state
         # with its initial (vacuum) state
-        assert np.sum(np.abs(out.tensor()[:, :, 0]) ** 2) > 1 - 1e-8
+        assert np.sum(np.abs(dense_vector(out).reshape(dims)[:, :, 0]) ** 2) > 1 - 1e-8
 
     def test_leakage_raises_for_tiny_basis(self):
         r = 2.0
@@ -385,7 +417,7 @@ class TestNumberStateMotion:
         psi = np.zeros(self.DIMS[0] * self.DIMS[1] * self.DIMS[2], dtype=complex)
         psi[m] = 1.0        # |0, 0, m>
         h = hamiltonian_matrix(couplings.chi1, couplings.chi2, self.DIMS)
-        cov = observables(evolve_exact(FockState(self.DIMS, psi), h, pulse.t)).covariance
+        cov = observables(evolve_exact(dense_state(self.DIMS, psi), h, pulse.t)).covariance
         assert np.max(np.abs(cov[:4, :4] - g_state.cov[:4, :4])) < 1e-8
         assert np.max(np.abs(cov[:4, 4:])) < 1e-8
         assert np.max(np.abs(cov[4:, 4:] - (2 * m + 1) * np.eye(2))) < 1e-8
@@ -430,6 +462,26 @@ class TestMutants:
         with pytest.raises(StateError, match="unitarity"):
             dense_expm_gap("all_sectors", LONG_CHIS, LONG_T)
 
+    def test_gather_without_hit_test_fails_tensor_moments(self, monkeypatch):
+        # a missed index reads the amplitude at its insertion point, the next one up
+        def gather(state, index):
+            pos = np.minimum(np.searchsorted(state.support, index), state.support.size - 1)
+            return state.values[pos]
+        rng = np.random.default_rng(5)
+        vec = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        vec[rng.random(60) >= 0.3] = 0.0
+        state = dense_state((4, 5, 3), vec / np.linalg.norm(vec))
+        assert_matches_tensor_moments(state)
+        monkeypatch.setattr(fock_oracle, "_gather", gather)
+        with pytest.raises(AssertionError):
+            assert_matches_tensor_moments(state)
+
+    def test_unsorted_two_sector_output_fails_dense_expm(self, monkeypatch):
+        # sector -2 comes first and holds |0, 0, 2>, above the vacuum's index 0
+        monkeypatch.setattr(fock_oracle, "_sorted_state", FockState)
+        with pytest.raises(StateError, match="ascend"):
+            dense_expm_gap("two_sectors", (1.0, 2.5), 0.37)
+
     def test_conjugated_chi2_breaks_index_pin(self, monkeypatch):
         # crosscheck's chis are real, so only the pin at complex chis sees this
         original = fock_oracle.hamiltonian_matrix
@@ -449,7 +501,7 @@ class TestObservables:
     def test_single_photon_occupation(self):
         vec = np.zeros(4 * 4 * 4, dtype=complex)
         vec[4 * 4] = 1.0   # |1, 0, 0>
-        obs = observables(FockState((4, 4, 4), vec))
+        obs = observables(dense_state((4, 4, 4), vec))
         assert obs.mean_photons[0] == pytest.approx(1.0)
         # a number state has <X^2> = <P^2> = 2n + 1
         assert obs.covariance[0, 0] == pytest.approx(3.0)
@@ -457,32 +509,58 @@ class TestObservables:
 
     def test_norm_validation(self):
         with pytest.raises(StateError):
-            FockState((4, 4, 4), np.ones(64, dtype=complex))
+            dense_state((4, 4, 4), np.ones(64, dtype=complex))
         vec = np.zeros(64, dtype=complex)
         vec[0] = math.nan
         with pytest.raises(StateError):
-            FockState((4, 4, 4), vec)
+            dense_state((4, 4, 4), vec)
 
     def test_support_lists_the_nonzero_amplitudes(self):
-        vec = np.zeros(4 * 4 * 4, dtype=complex)
-        vec[[3, 17, 40]] = [0.6, 0.0, 0.8j]
-        assert np.array_equal(FockState((4, 4, 4), vec).support, [3, 40])
+        state = FockState((4, 4, 4), [3, 17, 40], [0.6, 0.0, 0.8j])
+        assert np.array_equal(state.support, [3, 40])
+        assert np.array_equal(state.values, [0.6, 0.8j])
+
+    @pytest.mark.parametrize("support, values, match", [
+        ([0, 1], [1.0], "support has 2 indices"),
+        ([5, 3], [0.6, 0.8], "ascend"),
+        ([3, 3], [0.6, 0.8], "ascend"),
+        ([-1, 3], [0.6, 0.8], "lie in"),
+        ([3, 64], [0.6, 0.8], "lie in"),
+        ([0.0, 3.0], [0.6, 0.8], "integer"),
+        ([], [], "norm"),
+    ])
+    def test_malformed_support_rejected(self, support, values, match):
+        with pytest.raises(StateError, match=match):
+            FockState((4, 4, 4), support, values)
+
+    def test_no_product_size_allocation(self):
+        # 1.6e8 product states, 2.4 GiB as one dense complex vector; the
+        # vacuum's sector holds 20,100 of them
+        dims = (200, 200, 4000)
+        h = hamiltonian_matrix(1.0, 2.0, dims)
+        tracemalloc.start()
+        try:
+            obs = observables(evolve_exact(vacuum_state(dims), h, 0.01))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert obs.mean_photons[0] > 0.0
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(fock_states())
     def test_match_full_tensor_moments(self, state):
-        photons, disp, n_raw, s_raw, joint = tensor_moments(state)
-        obs = observables(state)
-        scale = max(1.0, float(np.max(np.abs(obs.covariance))))
-        assert np.max(np.abs(obs.mean_photons - photons)) <= 1e-13 * scale
-        assert np.max(np.abs(obs.covariance - covariance_from_moments(disp, n_raw, s_raw))) \
-            <= 1e-13 * scale
-        assert np.max(np.abs(obs.mean_quadratures[0::2] - 2 * disp.real)) <= 1e-13 * scale
-        assert np.max(np.abs(obs.mean_quadratures[1::2] - 2 * disp.imag)) <= 1e-13 * scale
-        assert np.max(np.abs(obs.joint_photon_distribution - joint)) <= 1e-13
-        pop = np.abs(state.tensor()) ** 2
-        top = max(pop[-1].sum(), pop[:, -1].sum(), pop[:, :, -1].sum())
-        assert abs(obs.leakage - top) <= 1e-13
+        assert_matches_tensor_moments(state)
+
+    def test_two_sector_evolved_state_matches_tensor_moments(self):
+        dims = (5, 5, 5)
+        psi = np.zeros(125, dtype=complex)
+        psi[[0, 2]] = 1.0 / math.sqrt(2.0)      # sectors n1 - n2 - nb = 0 and -2
+        out = evolve_exact(dense_state(dims, psi), hamiltonian_matrix(1.0, 2.5, dims), 0.37,
+                           leak_tol=1.0)
+        n1, n2, nb = np.unravel_index(out.support, dims)
+        assert np.unique(n1 - n2 - nb).size == 2
+        assert_matches_tensor_moments(out)
 
 
 class TestConvergence:

@@ -471,6 +471,11 @@ class TestTmss:
         with pytest.raises(InfiniteSqueezingError):
             tmss(-2.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(StateError, match="finite r"):
+            tmss(r)
+
 
 class TestDiagnostics:
     def test_epr_variance_of_independent_vacua(self):
@@ -526,6 +531,20 @@ class TestDiagnostics:
         state = GaussianState(("a", "b"), np.zeros(4), cov, validate=False)
         with pytest.raises(StateError, match="round-off bound"):
             log_negativity(state, ("a",))
+
+    # the constructor's symmetry scan meets inf - inf before the bound is taken
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 1e200])
+    def test_non_finite_bound_has_its_own_message(self, entry):
+        # not blamed on r close to 1 or a large nbar: those leave the bound finite
+        cov = np.eye(4)
+        cov[2, 2] = entry
+        state = GaussianState(("a", "b"), np.zeros(4), cov, validate=False)
+        for check in (lambda: log_negativity(state, ("a",)),
+                      lambda: GaussianState(("a", "b"), np.zeros(4), cov)):
+            with pytest.raises(StateError, match="not finite") as info:
+                check()
+            assert "r too close" not in str(info.value)
 
     def test_log_negativity_rejects_unphysical(self):
         state = GaussianState(("a", "b"), np.zeros(4), np.eye(4), validate=False)

@@ -341,6 +341,14 @@ class TestRunSimultaneous:
         result = run_simultaneous(indium_params, force=True)
         assert result.diagnostics["n_cav1"] == pytest.approx(109.75, abs=1e-2)
 
+    def test_default_ratio_refuses_the_bundled_point(self, indium_params, indium_config):
+        # the bundled config checks the regime at factor 5, the library default at 10
+        assert indium_config.ratio == 5.0
+        with pytest.raises(ParameterError, match=r"\(theta >> kappa, 1 >> eta\)"):
+            run_simultaneous(indium_params)
+        result = run_simultaneous(indium_params, ratio=indium_config.ratio)
+        assert result.diagnostics["n_cav1"] == pytest.approx(109.75, abs=1e-2)
+
     def test_rejects_r_below_one(self, indium_params):
         blue = PhysicalParams(
             nu=indium_params.nu, gamma=indium_params.gamma,
