@@ -14,9 +14,11 @@ about 1% of the product states.  :func:`hamiltonian_matrix` builds nothing
 up front; each sector's block is built on first use, straight from hops on
 the (n1, n2) lattice, and :func:`evolve_exact` builds and propagates only
 the sectors the state occupies.  A :class:`FockState` holds its nonzero
-amplitudes alone, by ascending flat index, and the norm checks,
-:func:`leakage` and :func:`observables` read only those.  Nothing of
-product size is ever allocated, so memory follows the occupied sectors.
+amplitudes alone, by ascending flat index, and the norm checks and
+:func:`leakage` read only those.  :func:`observables` reads each moment as
+an inner product of two such sparse vectors, the state shifted by a ladder
+operator, whatever H conserves.  Nothing of product size is ever
+allocated, so memory follows the occupied sectors.
 
 Quadrature observables use the same X = a + a_dag, vacuum-variance-1
 convention as the gaussian module, so covariance matrices from both engines
@@ -89,15 +91,16 @@ def vacuum_state(dims) -> FockState:
     return FockState(tuple(dims), np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex))
 
 
-def _gather(state: FockState, index: np.ndarray) -> np.ndarray:
-    """The state's amplitudes at the flat indices ``index`` (any shape), zero off its support.
+def _gather(support: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values``, held at the strictly ascending ``support``, read at ``index``; zero off it.
 
     A binary search finds where each index would sit in ``support``; the
     index is a hit only where the entry there equals it.
     """
-    support = state.support
+    if not support.size:
+        return np.zeros(np.shape(index), dtype=complex)
     pos = np.minimum(np.searchsorted(support, index), support.size - 1)
-    return np.where(support[pos] == index, state.values[pos], 0.0)
+    return np.where(support[pos] == index, values[pos], 0.0)
 
 
 class Sector(NamedTuple):
@@ -309,7 +312,8 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)
     sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
-    evolved = np.concatenate([_propagate(sector.matrix, _gather(state, sector.states), t)
+    evolved = np.concatenate([_propagate(sector.matrix,
+                                         _gather(state.support, state.values, sector.states), t)
                               for sector in sectors])
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:
@@ -337,56 +341,43 @@ class FockObservables:
     leakage: float
 
 
+def _lowered(support: np.ndarray, values: np.ndarray, n: np.ndarray, stride: int) -> tuple:
+    """a psi along the mode with levels ``n`` and flat-index ``stride``: sqrt(n) psi at n - 1."""
+    keep = n > 0
+    return support[keep] - stride, np.sqrt(n[keep]) * values[keep]
+
+
+def _raised(support: np.ndarray, values: np.ndarray, n: np.ndarray, stride: int,
+            d: int) -> tuple:
+    """a+ psi along that mode, of ``d`` levels: sqrt(n + 1) psi at n + 1, cut at n = d - 1."""
+    keep = n < d - 1
+    return support[keep] + stride, np.sqrt(n[keep] + 1) * values[keep]
+
+
+def _inner_products(bra: tuple, kets: list) -> np.ndarray:
+    """<bra|ket> for each ket, every vector held as (ascending support, values)."""
+    return np.array([np.vdot(_gather(*bra, support), values) for support, values in kets])
+
+
 def observables(state: FockState) -> FockObservables:
     """Mean photon numbers, full quadrature covariance, and the joint cav1/cav2 distribution.
 
-    Every moment is a sum over the nonzero amplitudes psi[n] of
-    conj(psi[n - e]) c(n) psi[n], for an operator that lowers |n> to
-    |n - e>; the amplitude at n - e is looked up in the support at flat
-    index minus the strides of e.  |n - e> lies in the sector
-    L - (e1 - e2 - eb), so where that maps no occupied sector onto an
-    occupied one, every such amplitude is zero and none is looked up.
+    Every moment is an inner product of two sparse vectors held like the
+    state: <a_i> = <psi|a_i psi>, <a_i+ a_j> = <a_i psi|a_j psi> and
+    <a_i a_j> = <a_i+ psi|a_j psi>, with a_i+ cut at the top level.  The
+    shifted supports still ascend, so each product is one lookup.
     """
     dims = state.dims
     support, psi = state.support, state.values
     levels = np.unravel_index(support, dims)
-    strides = np.array([dims[1] * dims[2], dims[2], 1])
-    occupied = set(np.unique(levels[0] - levels[1] - levels[2]).tolist())
-    unit = np.eye(3, dtype=int)
-
-    def moment(coeff, e):
-        """<psi| O |psi> for O |n> = coeff(n) |n - e>."""
-        keep = np.flatnonzero(coeff)
-        ket = coeff[keep] * psi[keep]
-        change = int(e[0] - e[1] - e[2])
-        if not e.any():
-            bra = psi[keep]
-        elif not any(ell - change in occupied for ell in occupied):
-            bra = np.zeros(keep.size, dtype=complex)
-        else:
-            bra = _gather(state, support[keep] - int(e @ strides))
-        return complex(np.vdot(bra, ket))
-
-    root = [np.sqrt(n) for n in levels]
-    disp = np.array([moment(root[i], unit[i]) for i in range(3)])     # <a_i>
-    # n_ij = <a_i+ a_j>: a_j lowers |n> to |n - e_j>, and a_i+ takes that to
-    # |n - e_j + e_i> unless it would leave the basis.  s_ij = <a_j a_i>.
-    # Both are centered on the displacements.  s is symmetric, and s_ji
-    # would repeat s_ij's products term for term (sqrt(n_j) sqrt(n_i) is
-    # sqrt(n_i) sqrt(n_j)), so it is copied.
-    n_mat = np.empty((3, 3), dtype=complex)
-    s_mat = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            m_i = levels[i] - (i == j)
-            inside = m_i < dims[i] - 1
-            n_mat[i, j] = moment(root[j] * np.sqrt(m_i + 1) * inside,
-                                 unit[j] - unit[i]) - np.conj(disp[i]) * disp[j]
-            if j < i:
-                s_mat[i, j] = s_mat[j, i]
-            else:
-                s_mat[i, j] = moment(root[i] * np.sqrt(np.maximum(levels[j] - (i == j), 0)),
-                                     unit[i] + unit[j]) - disp[i] * disp[j]
+    strides = (dims[1] * dims[2], dims[2], 1)
+    low = [_lowered(support, psi, levels[i], strides[i]) for i in range(3)]
+    disp = _inner_products((support, psi), low)                                   # <a_i>
+    # n_ij = <a_i+ a_j> and s_ij = <a_i a_j>, centered; one raised vector at a time
+    n_mat = np.array([_inner_products(bra, low) for bra in low]) - np.outer(disp.conj(), disp)
+    s_mat = np.array([_inner_products(_raised(support, psi, levels[i], strides[i], dims[i]), low)
+                      for i in range(3)]) - np.outer(disp, disp)
+    del low     # before the (d1, d2) joint distribution is allocated
     pop = np.abs(psi) ** 2
     means = np.array([float(np.dot(pop, n)) for n in levels])
 

@@ -487,7 +487,8 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
     Uses the matrix exponential of the drift; the diffusion integral
     int_0^t e^{As} D e^{A^T s} ds is evaluated in closed form through one
     augmented (block upper-triangular) exponential, so there is no step-size
-    parameter and no integration error beyond expm round-off.  The lossless
+    parameter and no integration error beyond expm round-off.  With D = 0
+    the integral block of that exponential is exactly 0.  The lossless
     protocols use the closed forms :func:`bogoliubov_tpi` and
     :func:`term_propagator` instead; this route is their cross-check and the
     only one with decay.
@@ -502,8 +503,6 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
         )
     a = dynamics.drift
     d = dynamics.diffusion
-    if not np.any(d):
-        return apply_symplectic(state, expm(a * t))
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -a
     block[:n, n:] = d
@@ -568,12 +567,13 @@ def tmss(r: float, beta: float = 0.0,
     phase of the cross-correlations (arg chi1 + arg chi2).  Mean photons per
     mode is sinh(s)^2 = 4 r^2/(1 - r^2)^2.
 
-    r < 1 is accepted and mapped to 1/r: the state depends on r only through
-    2r/(1 + r^2), which is invariant under that substitution.  r = 1 would be
-    infinitely squeezed and raises.  A NaN or infinite r raises
-    :class:`StateError`: r = inf would be the vacuum, the limit of large r,
-    but no coupling ratio is infinite, so it is refused rather than read as
-    that limit.
+    r < 1 is accepted: the state depends on r only through 2r/(1 + r^2),
+    which is invariant under r -> 1/r, so it is computed from
+    x = min(r, 1/r).  A finite r far from 1 either way gives the vacuum, as
+    x^2 underflows to 0.  r = 1 would be infinitely squeezed and raises.  A
+    NaN or infinite r raises :class:`StateError`: r = inf would be the
+    vacuum, the limit of large r, but no coupling ratio is infinite, so it
+    is refused rather than read as that limit.
     """
     if not math.isfinite(r):
         raise StateError(f"tmss needs a finite r, got {r!r}")
@@ -581,11 +581,10 @@ def tmss(r: float, beta: float = 0.0,
         raise InfiniteSqueezingError(f"r must be positive, got {r!r}")
     if r == 1.0:
         raise InfiniteSqueezingError("r = 1 corresponds to infinite squeezing")
-    if r < 1.0:
-        r = 1.0 / r
-    denom = r ** 2 - 1.0
-    cosh_s = (1.0 + r ** 2) / denom
-    sinh_s = 2.0 * r / denom
+    x = min(r, 1.0 / r)
+    denom = 1.0 - x * x
+    cosh_s = (1.0 + x * x) / denom
+    sinh_s = 2.0 * x / denom
     cosh_2s = cosh_s ** 2 + sinh_s ** 2
     sinh_2s = 2.0 * cosh_s * sinh_s
     cb, sb = math.cos(beta), math.sin(beta)

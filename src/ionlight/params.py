@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -101,6 +101,11 @@ class PhysicalParams:
 class Couplings:
     """Raman coupling rates and the quantities derived from them.
 
+    Only ``chi1``, ``chi2`` and ``eta`` are set; the rest is derived on
+    construction, also by ``dataclasses.replace``.  A non-finite rate raises
+    :class:`ParameterError`.  chi1 = 0 is the r -> infinity limit (the
+    exchange coupling alone): theta_rate = |chi2| and n_mean = 0.
+
     Fields that only exist for |chi2| > |chi1| (``theta_rate``, ``t_pi``,
     ``n_mean``) are ``None`` when undefined, never NaN.  ``r`` is ``None``
     only when chi1 = chi2 = 0 and ``math.inf`` when chi1 = 0 but chi2 != 0.
@@ -109,23 +114,15 @@ class Couplings:
     chi1: complex                      # pair-creation rate (mode 1 <-> motion), rad/s
     chi2: complex                      # exchange rate (mode 2 <-> motion), rad/s
     eta: Optional[float] = None        # Lamb-Dicke parameter used, if known
-    theta_rate: Optional[float] = None   # sqrt(|chi2|^2 - |chi1|^2), rad/s
-    r: Optional[float] = None          # |chi2 / chi1|
-    beta: Optional[float] = None       # arg(chi1) + arg(chi2), rad
-    t_pi: Optional[float] = None       # pi / theta_rate, s
-    n_mean: Optional[float] = None     # 4 r^2 / (1 - r^2)^2
+    theta_rate: Optional[float] = field(init=False)   # sqrt(|chi2|^2 - |chi1|^2), rad/s
+    r: Optional[float] = field(init=False)            # |chi2 / chi1|
+    beta: Optional[float] = field(init=False)         # arg(chi1) + arg(chi2), rad
+    t_pi: Optional[float] = field(init=False)         # pi / theta_rate, s
+    n_mean: Optional[float] = field(init=False)       # 4 r^2 / (1 - r^2)^2
 
-    @classmethod
-    def from_chis(cls, chi1: complex, chi2: complex,
-                  eta: Optional[float] = None) -> "Couplings":
-        """Build a record from the two rates, deriving what is derivable.
-
-        chi1 = 0 is accepted and treated as the r -> infinity limit (the
-        exchange coupling alone): theta_rate = |chi2| and n_mean = 0.  A
-        non-finite rate raises :class:`ParameterError`.
-        """
-        chi1 = complex(chi1)
-        chi2 = complex(chi2)
+    def __post_init__(self):
+        chi1 = complex(self.chi1)
+        chi2 = complex(self.chi2)
         if not (cmath.isfinite(chi1) and cmath.isfinite(chi2)):
             raise ParameterError(f"chi1 and chi2 must be finite, got {chi1!r}, {chi2!r}")
         theta = r = beta = t_pi = n_mean = None
@@ -143,8 +140,15 @@ class Couplings:
                 theta = math.sqrt(abs(chi2) ** 2 - abs(chi1) ** 2)
                 t_pi = math.pi / theta
                 n_mean = 4.0 * r ** 2 / (1.0 - r ** 2) ** 2
-        return cls(chi1=chi1, chi2=chi2, eta=eta, theta_rate=theta, r=r,
-                   beta=beta, t_pi=t_pi, n_mean=n_mean)
+        for name, value in (("chi1", chi1), ("chi2", chi2), ("theta_rate", theta), ("r", r),
+                            ("beta", beta), ("t_pi", t_pi), ("n_mean", n_mean)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_chis(cls, chi1: complex, chi2: complex,
+                  eta: Optional[float] = None) -> "Couplings":
+        """The record of the two rates; the same as ``Couplings(chi1, chi2, eta)``."""
+        return cls(chi1, chi2, eta)
 
 
 # ---------------------------------------------------------------------------

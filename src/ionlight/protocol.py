@@ -281,7 +281,6 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
 
 def simultaneous_stages(couplings: Couplings) -> tuple:
     """``("pulse",)``: one half-period of both couplings; needs |chi2| > |chi1|."""
-    require_half_period(couplings.r)
     return (Stage("pulse", gaussian.simultaneous_terms(couplings.chi1, couplings.chi2),
                   couplings.t_pi, gaussian.bogoliubov_tpi(couplings)),)
 
@@ -315,9 +314,8 @@ def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float =
     initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
                               gaussian.thermal(params.nbar_motion, "motion"))
     if include_decay:
-        decay = {"cav1": params.kappa, "cav2": params.kappa}
-        final = gaussian.evolve(initial, gaussian.quadratic_dynamics(
-            SIMULTANEOUS_LABELS, pulse.terms, decay), pulse.t)
+        final = gaussian.evolve(initial, gaussian.dynamics_from_couplings(
+            couplings.chi1, couplings.chi2, params.kappa), pulse.t)
     else:
         (final,) = run_stages(initial, (pulse,))
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from ionlight import fock_oracle, gaussian, protocol
+from ionlight.cli import ORACLE_TOL
 from ionlight.errors import StateError, TruncationError, UndefinedPeriodError
 from ionlight.fock_oracle import (FockState, evolve_exact, hamiltonian_matrix,
                                   leakage, observables, suggest_dims,
@@ -223,6 +224,14 @@ def covariance_from_moments(disp, n_raw, s_raw):
     cov[1::2, 0::2] = 2 * s.imag - 2 * n.imag
     cov[1::2, 1::2] = -2 * s.real + 2 * n.real + np.eye(3)
     return 0.5 * (cov + cov.T)
+
+
+def sparse_random_state():
+    """A seeded state on dims (4, 5, 3) with about 30% of its amplitudes nonzero."""
+    rng = np.random.default_rng(5)
+    vec = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    vec[rng.random(60) >= 0.3] = 0.0
+    return dense_state((4, 5, 3), vec / np.linalg.norm(vec))
 
 
 @st.composite
@@ -464,15 +473,23 @@ class TestMutants:
 
     def test_gather_without_hit_test_fails_tensor_moments(self, monkeypatch):
         # a missed index reads the amplitude at its insertion point, the next one up
-        def gather(state, index):
-            pos = np.minimum(np.searchsorted(state.support, index), state.support.size - 1)
-            return state.values[pos]
-        rng = np.random.default_rng(5)
-        vec = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-        vec[rng.random(60) >= 0.3] = 0.0
-        state = dense_state((4, 5, 3), vec / np.linalg.norm(vec))
+        def gather(support, values, index):
+            pos = np.minimum(np.searchsorted(support, index), support.size - 1)
+            return values[pos]
+        state = sparse_random_state()
         assert_matches_tensor_moments(state)
         monkeypatch.setattr(fock_oracle, "_gather", gather)
+        with pytest.raises(AssertionError):
+            assert_matches_tensor_moments(state)
+
+    def test_raise_past_the_top_level_fails_tensor_moments(self, monkeypatch):
+        # a+ kept on n = d - 1 lands on the next row's n = 0, or past the basis
+        def raised(support, values, n, stride, d):
+            keep = n < d
+            return support[keep] + stride, np.sqrt(n[keep] + 1) * values[keep]
+        state = sparse_random_state()
+        assert_matches_tensor_moments(state)
+        monkeypatch.setattr(fock_oracle, "_raised", raised)
         with pytest.raises(AssertionError):
             assert_matches_tensor_moments(state)
 
@@ -586,3 +603,13 @@ class TestConvergence:
     def test_suggest_dims_needs_r_above_one(self):
         with pytest.raises(UndefinedPeriodError):
             suggest_dims(1.0)
+
+    @pytest.mark.slow
+    def test_about_110_photons_per_mode_at_r_1_1(self):
+        # the paper's headline point: 401,718 states in the vacuum sector of
+        # suggest_dims(1.1) = (2531, 2531, 164); minutes and about 200 MiB
+        rows = {name: value for name, _, value in fock_oracle.crosscheck(1.1).rows}
+        closed = 4 * 1.1 ** 2 / (1.1 ** 2 - 1) ** 2
+        assert rows["photons cav1"] == pytest.approx(closed, rel=1e-8)
+        assert rows["photons cav2"] == pytest.approx(closed, rel=1e-8)
+        assert rows["max |cov| diff"] <= ORACLE_TOL

@@ -476,6 +476,14 @@ class TestTmss:
         with pytest.raises(StateError, match="finite r"):
             tmss(r)
 
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    def test_extreme_finite_r_gives_the_vacuum(self, r):
+        # x = min(r, 1/r) = 1e-200: x^2 underflows, so cosh 2s is 1 and sinh 2s is 4x
+        cov = tmss(r).cov
+        assert np.array_equal(np.diag(cov), np.ones(4))
+        assert cov[0, 2] == pytest.approx(4e-200, rel=1e-15)
+        assert np.max(np.abs(cov - np.eye(4))) <= 4e-200
+
 
 class TestDiagnostics:
     def test_epr_variance_of_independent_vacua(self):

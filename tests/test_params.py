@@ -186,8 +186,9 @@ class TestDerivedRates:
     @pytest.mark.parametrize("chis", [(1.0, math.nan), (math.nan, 1.0),
                                       (1.0, complex(math.inf, 0.0)), (-math.inf, 2.0)])
     def test_non_finite_rate_rejected(self, chis):
-        with pytest.raises(ParameterError):
-            Couplings.from_chis(*chis)
+        for build in (Couplings, Couplings.from_chis):
+            with pytest.raises(ParameterError):
+                build(*chis)
 
     def test_beta_is_sum_of_phases(self, rng):
         from conftest import random_couplings
@@ -195,6 +196,20 @@ class TestDerivedRates:
             chi1, chi2 = random_couplings(rng)
             beta = Couplings.from_chis(chi1, chi2).beta
             assert beta == pytest.approx(np.angle(chi1) + np.angle(chi2), abs=1e-12)
+
+    @pytest.mark.parametrize("chis", [(1.0, 2.0), (0.3 - 0.4j, 1.1j), (0.0, 2.0), (0.0, 0.0),
+                                      (1.0, 0.5)])
+    def test_direct_build_derives_every_field(self, chis):
+        # dataclass equality compares every field, the derived ones included
+        assert Couplings(*chis, 0.05) == Couplings.from_chis(*chis, eta=0.05)
+
+    def test_only_the_rates_and_eta_are_settable(self):
+        assert [f.name for f in dataclasses.fields(Couplings) if f.init] == ["chi1", "chi2", "eta"]
+
+    def test_replace_derives_again(self):
+        c = dataclasses.replace(Couplings(1.0, 2.0), chi2=3.0)
+        assert c.r == 3.0
+        assert c == Couplings.from_chis(1.0, 3.0)
 
     @given(st.floats(min_value=1.01, max_value=50.0))
     def test_photon_number_formula(self, r):

@@ -487,6 +487,12 @@ class TestStages:
                                    swap_area=math.pi / 2)
         assert tuple(s.name for s in stages) == ("pair", "extract", "swap")
 
+    def test_directly_built_couplings_run_the_pulse(self):
+        (pulse,) = simultaneous_stages(Couplings(1.0, 2.0))
+        assert pulse.t == math.pi / math.sqrt(3.0)
+        assert np.array_equal(pulse.symplectic,
+                              gaussian.bogoliubov_tpi(Couplings.from_chis(1.0, 2.0)))
+
     def test_one_state_per_stage(self, indium_params):
         c = coupling_constants(indium_params)
         for labels, stages in (
