@@ -6,9 +6,10 @@ modes end up in a two-mode squeezed state while the motion walks away
 uncorrelated, no matter how hot it started.
 """
 
+import dataclasses
+
 from ionlight import run_simultaneous, tmss
 from ionlight.cli import bundled_config_path, read_run_config
-from ionlight.params import PhysicalParams
 
 import numpy as np
 
@@ -26,11 +27,7 @@ print()
 
 # The same run with the ion starting 5 phonons hot: the cavity state is
 # bit-for-bit the same because the motion enters and leaves as a spectator.
-hot = PhysicalParams(
-    nu=cfg.params.nu, gamma=cfg.params.gamma, delta=cfg.params.delta,
-    omega_rabi=cfg.params.omega_rabi, kappa=cfg.params.kappa,
-    g1=cfg.params.g1, g2=cfg.params.g2, mass=cfg.params.mass,
-    wavenumber=cfg.params.wavenumber, nbar_motion=5.0)
+hot = dataclasses.replace(cfg.params, nbar_motion=5.0)
 hot_result = run_simultaneous(hot, ratio=cfg.ratio)
 cold_cav = result.state.reduced(("cav1", "cav2"))
 hot_cav = hot_result.state.reduced(("cav1", "cav2"))

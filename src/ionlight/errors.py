@@ -58,9 +58,10 @@ class ConfigError(IonlightError, ValueError):
 def require_half_period(r) -> None:
     """Refuse a coupling ratio r = |chi2/chi1| for which no half-period exists.
 
-    ``r`` is ``None`` when both rates vanish, as in ``params.Couplings``.  A
-    caller that refuses a non-finite r does so first, with its own type.
+    ``r`` is ``None`` when both rates vanish, as in ``params.Couplings``; a NaN
+    is refused too.  A caller that refuses a non-finite r with its own type
+    does so first.
     """
-    if r is None or r <= 1.0:
+    if r is None or not r > 1.0:
         raise UndefinedPeriodError(
             f"r = |chi2/chi1| must exceed 1 for a half-period to exist, got r = {r!r}")

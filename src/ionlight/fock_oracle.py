@@ -419,24 +419,26 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     """Truncation dimensions for a half-period run at coupling ratio r (vacuum start).
 
     Sizes each mode from the geometric tail of its worst-case occupation along
-    the evolution: the cavity modes end in a thermal-like distribution with
-    ratio (2r/(1+r^2))^2 per level, the motion transiently reaches mean
-    occupation r^2/(r^2-1).
+    the evolution, from n = ``Couplings.n_mean``: the cavity modes end with
+    mean occupation n, the motion transiently reaches (1 + sqrt(1 + n))/2 =
+    r^2/(r^2 - 1).  r - 1 below about 1e-8 rounds the cavity's tail ratio
+    n/(1 + n) to 1 and raises :class:`StateError`.
     """
     _require_finite_r(r, "suggest_dims")
 
-    def tail_dim(q: float) -> int:
-        # smallest d with (1-q) q^(d-1) <= leak_target
+    def tail_dim(nbar: float) -> int:
+        # smallest d with (1-q) q^(d-1) <= leak_target, for q = nbar/(1+nbar)
+        q = nbar / (1.0 + nbar)
         if q <= 0.0:
             return 2
+        if q >= 1.0:
+            raise StateError(f"suggest_dims: r = {r!r} is too close to 1 for a finite basis")
         d = 1 + math.ceil(math.log(leak_target / (1.0 - q)) / math.log(q))
         return max(4, d + pad)
 
-    q_cav = (2.0 * r / (1.0 + r ** 2)) ** 2
-    nb_max = r ** 2 / (r ** 2 - 1.0)
-    q_mot = nb_max / (1.0 + nb_max)
-    d_cav = tail_dim(q_cav)
-    return (d_cav, d_cav, tail_dim(q_mot))
+    n = Couplings.from_chis(1.0, r).n_mean
+    d_cav = tail_dim(n)
+    return (d_cav, d_cav, tail_dim(0.5 * (1.0 + math.sqrt(1.0 + n))))
 
 
 class Crosscheck(NamedTuple):

@@ -542,15 +542,15 @@ def bogoliubov_tpi(couplings: Couplings) -> np.ndarray:
 
         a1 -> u a1 - v a2_dag,   a2 -> v a1_dag - u a2,   b -> -b
 
-    with u = (|chi1|^2 + |chi2|^2)/theta^2 and v = 2 chi1 chi2 / theta^2
+    with u = cosh s = sqrt(1 + n) and v = sinh s e^{i beta} = sqrt(n) e^{i beta},
+    read from the couplings' photons per mode n = ``n_mean`` and phase beta
     (u^2 - |v|^2 = 1).  Requires |chi2| > |chi1|; chi1 = 0 is the trivial
     limit u = 1, v = 0.
     """
     require_half_period(couplings.r)
-    chi1, chi2 = couplings.chi1, couplings.chi2
-    theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
-    u = (abs(chi1) ** 2 + abs(chi2) ** 2) / theta_sq
-    v = 2.0 * chi1 * chi2 / theta_sq
+    n = couplings.n_mean
+    u = math.sqrt(1.0 + n)
+    v = math.sqrt(n) * np.exp(1j * (couplings.beta or 0.0))
     alpha = np.diag([u, -u, -1.0]).astype(complex)
     beta = np.zeros((3, 3), dtype=complex)
     beta[0, 1] = -v

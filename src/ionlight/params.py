@@ -104,7 +104,10 @@ class Couplings:
     Only ``chi1``, ``chi2`` and ``eta`` are set; the rest is derived on
     construction, also by ``dataclasses.replace``.  A non-finite rate raises
     :class:`ParameterError`.  chi1 = 0 is the r -> infinity limit (the
-    exchange coupling alone): theta_rate = |chi2| and n_mean = 0.
+    exchange coupling alone): theta_rate = |chi2| and n_mean = 0.  ``n_mean``
+    is the one copy of the half-period's squeezing, which the map, the signal
+    moments and the oracle's basis size read.  It and ``theta_rate`` come
+    from x = |chi1/chi2| <= 1, so no finite rate overflows.
 
     Fields that only exist for |chi2| > |chi1| (``theta_rate``, ``t_pi``,
     ``n_mean``) are ``None`` when undefined, never NaN.  ``r`` is ``None``
@@ -118,7 +121,7 @@ class Couplings:
     r: Optional[float] = field(init=False)            # |chi2 / chi1|
     beta: Optional[float] = field(init=False)         # arg(chi1) + arg(chi2), rad
     t_pi: Optional[float] = field(init=False)         # pi / theta_rate, s
-    n_mean: Optional[float] = field(init=False)       # 4 r^2 / (1 - r^2)^2
+    n_mean: Optional[float] = field(init=False)       # 4 r^2 / (1 - r^2)^2 = sinh^2 s
 
     def __post_init__(self):
         chi1 = complex(self.chi1)
@@ -126,20 +129,16 @@ class Couplings:
         if not (cmath.isfinite(chi1) and cmath.isfinite(chi2)):
             raise ParameterError(f"chi1 and chi2 must be finite, got {chi1!r}, {chi2!r}")
         theta = r = beta = t_pi = n_mean = None
-        if chi1 == 0 and chi2 == 0:
-            pass
-        elif chi1 == 0:
-            r = math.inf
-            theta = abs(chi2)
-            t_pi = math.pi / theta
-            n_mean = 0.0
-        else:
-            r = abs(chi2) / abs(chi1)
-            beta = cmath.phase(chi1) + cmath.phase(chi2)
+        if chi1 or chi2:
+            a1, a2 = abs(chi1), abs(chi2)
+            r = a2 / a1 if chi1 else math.inf
+            beta = cmath.phase(chi1) + cmath.phase(chi2) if chi1 else None
             if r > 1.0:
-                theta = math.sqrt(abs(chi2) ** 2 - abs(chi1) ** 2)
+                x = a1 / a2                 # 1 - x as (a2 - a1)/a2: no cancellation
+                one_minus_x_sq = (a2 - a1) / a2 * (1.0 + x)
+                theta = a2 * math.sqrt(one_minus_x_sq)
                 t_pi = math.pi / theta
-                n_mean = 4.0 * r ** 2 / (1.0 - r ** 2) ** 2
+                n_mean = (2.0 * x / one_minus_x_sq) ** 2     # sinh^2 s, sinh s = 2r/(r^2 - 1)
         for name, value in (("chi1", chi1), ("chi2", chi2), ("theta_rate", theta), ("r", r),
                             ("beta", beta), ("t_pi", t_pi), ("n_mean", n_mean)):
             object.__setattr__(self, name, value)
@@ -178,7 +177,7 @@ def lamb_dicke(mass: float, wavenumber: float, nu: float) -> float:
             f"lamb_dicke needs positive inputs, got mass={mass!r}, "
             f"wavenumber={wavenumber!r}, nu={nu!r}"
         )
-    return math.sqrt(HBAR * wavenumber ** 2 / (2.0 * mass * nu))
+    return math.sqrt(HBAR * (wavenumber * wavenumber) / (2.0 * mass * nu))
 
 
 def coupling_constants(params: PhysicalParams) -> Couplings:
@@ -290,9 +289,11 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
         rows.append(RegimeConstraint(name, left, right, ratio, ok))
 
     abs_delta = abs(params.delta)
-    scatter1 = params.gamma * abs(params.g1) ** 2 / params.delta ** 2
-    scatter2 = params.gamma * abs(params.g2) ** 2 / params.delta ** 2
-    recoil_heating = eta ** 2 * params.gamma * params.omega_rabi ** 2 / params.delta ** 2
+    # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row
+    delta_sq = params.delta * params.delta
+    scatter1 = params.gamma * (abs(params.g1) * abs(params.g1)) / delta_sq
+    scatter2 = params.gamma * (abs(params.g2) * abs(params.g2)) / delta_sq
+    recoil_heating = eta * eta * params.gamma * (params.omega_rabi * params.omega_rabi) / delta_sq
 
     hard("|delta| >> nu", abs_delta, params.nu)
     hard("|delta| >> gamma", abs_delta, params.gamma)

@@ -34,7 +34,6 @@ inconsistent with the intended deep-squeezing signal.)
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
@@ -176,24 +175,18 @@ def quadrature_moments(chi1: complex, chi2: complex,
     """Second moments of the source quadratures q_j = a_j e^{i theta_j} + h.c.
 
     Returns (<q1^2>, <q1 q2>) for the field at the end of the half-period
-    pulse; <q2^2> equals <q1^2>.  The autocorrelation is theta-independent,
-    the cross term carries exp(i (theta1 + theta2)).  Non-finite rates or
-    angles raise :class:`ParameterError`.
+    pulse; <q2^2> equals <q1^2>.  From n = ``Couplings.n_mean`` and beta they
+    are <q1^2> = 1 + 2n and <q1 q2> = 2 sqrt(n (1 + n)) cos(beta + theta1 + theta2).
+    Non-finite rates or angles raise :class:`ParameterError`.
     """
-    chi1 = complex(chi1)
-    chi2 = complex(chi2)
-    if not (cmath.isfinite(chi1) and cmath.isfinite(chi2)
-            and math.isfinite(theta1) and math.isfinite(theta2)):
-        raise ParameterError(
-            f"quadrature_moments needs finite rates and angles, got chi1 = {chi1!r}, "
-            f"chi2 = {chi2!r}, theta1 = {theta1!r}, theta2 = {theta2!r}")
-    require_half_period(abs(chi2) / abs(chi1) if chi1 else (math.inf if chi2 else None))
-    theta_sq = abs(chi2) ** 2 - abs(chi1) ** 2
-    m1, m2 = abs(chi1) ** 2, abs(chi2) ** 2
-    q1_sq = ((m1 + m2) ** 2 + 4.0 * m1 * m2) / theta_sq ** 2
-    q1q2 = (4.0 * chi1 * chi2 * (m1 + m2)
-            * np.exp(1j * (theta1 + theta2))).real / theta_sq ** 2
-    return float(q1_sq), float(q1q2)
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        raise ParameterError(f"quadrature_moments needs finite angles, got "
+                             f"theta1 = {theta1!r}, theta2 = {theta2!r}")
+    couplings = Couplings(chi1, chi2)
+    require_half_period(couplings.r)
+    n = couplings.n_mean
+    phase = (couplings.beta or 0.0) + theta1 + theta2
+    return 1.0 + 2.0 * n, 2.0 * math.sqrt(n) * math.sqrt(1.0 + n) * math.cos(phase)
 
 
 def output_signal(couplings: Couplings, kappa: float,
@@ -206,9 +199,8 @@ def output_signal(couplings: Couplings, kappa: float,
     total = 2.0 * q1_sq
     r_values = settings.kappa_dt * np.exp(-2.0 * settings.t_grid) * total
     c_values = 1.0 - (r_values / (1.0 + r_values)) * (2.0 * q1q2 / total)
-    ratio = couplings.r if couplings.r is not None else math.inf
     return SignalTrace(times=settings.t_grid.copy(), c_values=c_values,
-                       r=float(ratio), kappa_dt=settings.kappa_dt,
+                       r=float(couplings.r), kappa_dt=settings.kappa_dt,
                        theta_sum=settings.theta_sum,
                        q1_sq=q1_sq, q1q2=q1q2, r_values=r_values)
 

@@ -204,6 +204,44 @@ class TestNonFiniteValues:
         assert not (tmp_path / "x").exists()
 
 
+class TestExtremeFiniteValues:
+    """Finite values far from the operating point end in an exit code, never a traceback."""
+
+    EXTREMES = [("g1_hz", "1e-200"), ("g1_hz", "1e200"), ("omega_rabi_hz", "1e200"),
+                ("fig3_r_list", "1e200"), ("oracle_r", "1.000000000001"),
+                ("wavenumber", "1e200")]
+
+    @pytest.mark.parametrize("key,value", EXTREMES, ids=[f"{k}={v}" for k, v in EXTREMES])
+    def test_every_command_exits_cleanly(self, capsys, tmp_path, key, value):
+        cfg = rewrite_config(tmp_path, "extreme.cfg", drop={key}, extra=[f"{key} = {value}"])
+        for command in ("validate", "couplings", "simulate", "fig3", "sequential",
+                        "oracle-check"):
+            # an exception escaping main fails the test by itself
+            code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, err)
+
+    def test_overflowing_square_is_a_fail_row(self, capsys, tmp_path):
+        # |g1|^2 is inf, so its ">>" row fails rather than raising
+        cfg = rewrite_config(tmp_path, "huge.cfg", replacements={"g1_hz": "1e200"})
+        code, out, _ = run(capsys, "validate", "--config", cfg)
+        assert code == EXIT_PHYSICS
+        assert re.search(r"^kappa >> gamma\*\|g1\|\^2/delta\^2 .* inf .* FAIL$", out, re.MULTILINE)
+        assert "overall: FAIL" in out
+
+    def test_overflowing_square_blocks_simulate(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "huge.cfg", replacements={"omega_rabi_hz": "1e200"})
+        code, _, err = run(capsys, "simulate", "--config", cfg)
+        assert code == EXIT_PHYSICS
+        assert "theta >> eta^2*gamma*omega^2/delta^2" in err
+
+    def test_oracle_r_too_close_to_one(self, capsys, tmp_path):
+        path = tmp_path / "r.cfg"
+        path.write_text("oracle_r = 1.000000000001\n")
+        code, _, err = run(capsys, "oracle-check", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert "too close to 1" in err
+
+
 class TestRunConfig:
     def test_run_keys_parsed(self, tmp_path):
         cfg = rewrite_config(tmp_path, "run.cfg", extra=[

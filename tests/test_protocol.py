@@ -8,7 +8,7 @@ import pytest
 from conftest import random_couplings
 from ionlight import fock_oracle, gaussian
 from ionlight.errors import (ParameterError, StateError, UndefinedPeriodError,
-                             UnphysicalStateError)
+                             UnphysicalStateError, require_half_period)
 from ionlight.params import Couplings, PhysicalParams, coupling_constants
 from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, SEQUENTIAL_LABELS,
                                SIMULTANEOUS_LABELS, HomodyneSettings,
@@ -614,3 +614,8 @@ def test_every_site_refuses_r_below_one_alike(site):
     assert type(err.value) is UndefinedPeriodError
     assert str(err.value) == \
         "r = |chi2/chi1| must exceed 1 for a half-period to exist, got r = 0.9"
+
+
+def test_the_refusal_of_r_below_one_refuses_nan():
+    with pytest.raises(UndefinedPeriodError):
+        require_half_period(math.nan)
