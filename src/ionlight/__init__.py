@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # never load numpy or scipy.
 _EXPORTS = {
     "errors": ("ConfigError", "InfiniteSqueezingError", "IonlightError",
-               "ParameterError", "StateError", "TruncationError",
+               "ParameterError", "RegimeError", "StateError", "TruncationError",
                "UndefinedPeriodError", "UnphysicalStateError"),
     "params": ("HBAR", "Couplings", "PhysicalParams", "RegimeConstraint",
                "RegimeReport", "coupling_constants", "lamb_dicke", "load_config",

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for usage/parse/IO problems, 2 for physics-level
-failures (a failing regime check, an oracle mismatch, or a blocked protocol
-gate).  Data written to stdout and to output files is deterministic; the
-version line goes to stderr.
+Exit codes: 0 on success, 2 for a failed physics check (``validate``'s FAIL
+report, the regime gate of ``simulate`` without ``--force``, or an
+``oracle-check`` mismatch), 1 for every other refusal.  Only :func:`main`
+catches: it turns each error into one stderr line and its exit code.  Data
+written to stdout and to output files is deterministic; the version line goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import ConfigError, IonlightError, ParameterError
+from .errors import ConfigError, IonlightError, ParameterError, RegimeError
 from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, PhysicalParams,
                      coupling_constants, load_config, params_from_config,
                      validate_regime)
@@ -103,12 +105,7 @@ def cmd_couplings(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     from . import protocol
     ratio = args.ratio if args.ratio is not None else cfg.ratio
-    try:
-        result = protocol.run_simultaneous(cfg.params, force=args.force, ratio=ratio)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    d = result.diagnostics
+    d = protocol.run_simultaneous(cfg.params, force=args.force, ratio=ratio).diagnostics
     print(f"t_pi                 = {_fmt(d['t_pi'])} s")
     print(f"r                    = {_fmt(d['r'])}")
     print(f"beta                 = {_fmt(d['beta'])} rad")
@@ -127,9 +124,12 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
     traces = protocol.fig3_sweep(cfg.fig3_r_list, kappa_dt=cfg.kappa_dt,
                                  t_grid=protocol.default_time_grid(cfg.t_max, cfg.t_step),
                                  theta1=cfg.theta1, theta2=cfg.theta2)
+    paths = [out_dir / f"fig3_r{trace.r:g}.csv" for trace in traces]
+    if len(set(paths)) < len(paths):
+        raise ParameterError("fig3_r_list values must differ in their first 6 significant "
+                             f"digits, which name the files: {', '.join(p.name for p in paths)}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for trace in traces:
-        path = out_dir / f"fig3_r{trace.r:g}.csv"
+    for trace, path in zip(traces, paths):
         path.write_text(trace.to_csv(), encoding="utf-8")
         min_c, at = trace.min_c()
         print(f"r={trace.r:g}: wrote {path}  min C = {min_c!r} at kappa*t = {at!r}")
@@ -140,11 +140,11 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
     from . import protocol
     couplings = coupling_constants(cfg.params)
     t1 = cfg.seq_t1
-    if t1 is None:
-        if abs(couplings.chi1) == 0.0:
-            print("error: chi1 = 0 and no seq_t1 given", file=sys.stderr)
-            return EXIT_USAGE
-        t1 = 1.0 / abs(couplings.chi1)   # default pulse area |chi1| t1 = 1
+    if t1 is None:   # default pulse area |chi1| t1 = 1
+        t1 = 1.0 / abs(couplings.chi1) if couplings.chi1 else math.inf
+        if t1 == math.inf:
+            raise ParameterError("seq_t1 is not set and its default 1/|chi1| is infinite "
+                                 f"(|chi1| = {abs(couplings.chi1)!r})")
     result = protocol.run_sequential(cfg.params, t1=t1,
                                      delay_t12=cfg.seq_kappa_t12 / cfg.params.kappa,
                                      swap_area=cfg.seq_swap_area)
@@ -210,27 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    print(f"ionlight {__version__}", file=sys.stderr)
-    handler, needs_params = COMMANDS[args.command]
-    try:
+        print(f"ionlight {__version__}", file=sys.stderr)
+        handler, needs_params = COMMANDS[args.command]
         cfg = (RunConfig(params=None) if args.config is None
                else read_run_config(args.config))
         if needs_params and cfg.params is None:
-            print("error: this command needs --config with the physical parameters",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise IonlightError("this command needs --config with the physical parameters")
         return handler(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IonlightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:    # argparse has printed its own message, or the help
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except (IonlightError, OSError) as exc:
+        prefix = ("config error" if isinstance(exc, ConfigError)
+                  else "io error" if isinstance(exc, OSError) else "error")
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return EXIT_PHYSICS if isinstance(exc, RegimeError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

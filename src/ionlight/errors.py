@@ -9,6 +9,10 @@ class ParameterError(IonlightError, ValueError):
     """A physical parameter is out of its allowed range."""
 
 
+class RegimeError(ParameterError):
+    """The operating-regime check failed, so the protocol was not run."""
+
+
 class UndefinedPeriodError(IonlightError, ValueError):
     """|chi2| <= |chi1|: the dynamics are not periodic and no half-period exists."""
 

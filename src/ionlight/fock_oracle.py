@@ -40,6 +40,9 @@ from .params import Couplings
 
 NORM_TOL = 1e-9
 DEFAULT_LEAK_TOL = 1e-9
+# Largest sector SectorHamiltonian admits: suggest_dims(1.06) needs 1.6e6 states
+# there, r = 1.05 needs 2.6e6 and r = 1.01 2.3e8.
+MAX_SECTOR_STATES = 2 ** 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +131,10 @@ class SectorHamiltonian:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or min(dims) < 2:
             raise StateError(f"dims must be three integers >= 2, got {self.dims!r}")
+        largest = dims[0] * min(dims[1], dims[2])     # at most min(d2, db) states per n1
+        if largest > MAX_SECTOR_STATES:
+            raise StateError(f"dims {dims} allow a sector of {largest} states, more than "
+                             f"the {MAX_SECTOR_STATES} this oracle holds")
         object.__setattr__(self, "chi1", complex(self.chi1))
         object.__setattr__(self, "chi2", complex(self.chi2))
         object.__setattr__(self, "dims", dims)
@@ -421,17 +428,20 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
     Sizes each mode from the geometric tail of its worst-case occupation along
     the evolution, from n = ``Couplings.n_mean``: the cavity modes end with
     mean occupation n, the motion transiently reaches (1 + sqrt(1 + n))/2 =
-    r^2/(r^2 - 1).  r - 1 below about 1e-8 rounds the cavity's tail ratio
-    n/(1 + n) to 1 and raises :class:`StateError`.
+    r^2/(r^2 - 1).  A mode whose tail ratio q = n/(1 + n) has 1 - q at or
+    below ``leak_target`` meets the criterion at every size, so r - 1 below
+    about 1e-6 at the default target raises :class:`StateError`.
     """
     _require_finite_r(r, "suggest_dims")
+    if not 0.0 < leak_target < 1.0:
+        raise StateError(f"suggest_dims needs a leak_target in (0, 1), got {leak_target!r}")
 
     def tail_dim(nbar: float) -> int:
         # smallest d with (1-q) q^(d-1) <= leak_target, for q = nbar/(1+nbar)
         q = nbar / (1.0 + nbar)
         if q <= 0.0:
             return 2
-        if q >= 1.0:
+        if not 1.0 - q > leak_target:    # then every d meets the criterion
             raise StateError(f"suggest_dims: r = {r!r} is too close to 1 for a finite basis")
         d = 1 + math.ceil(math.log(leak_target / (1.0 - q)) / math.log(q))
         return max(4, d + pad)

@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import gaussian
-from .errors import ParameterError, require_half_period
+from .errors import ParameterError, RegimeError, require_half_period
 from .gaussian import GaussianState
 from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, Couplings, PhysicalParams,
                      coupling_constants, validate_regime)
@@ -289,10 +289,10 @@ def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float =
     through :func:`gaussian.evolve`.
 
     The regime inequalities are checked first, each ">>" as a factor
-    ``ratio``, and a failing set raises unless ``force`` is given.  The
-    default factor 10 refuses the bundled indium point, where
-    ``theta >> kappa`` holds by a factor 6.5 and ``1 >> eta`` by 9.6; its
-    configuration, and so the CLI, checks that point at factor 5.
+    ``ratio``, and a failing set raises :class:`RegimeError` unless
+    ``force`` is given.  The default factor 10 refuses the bundled indium
+    point, where ``theta >> kappa`` holds by a factor 6.5 and ``1 >> eta``
+    by 9.6; its configuration, and so the CLI, checks that point at factor 5.
     """
     couplings = coupling_constants(params)
     (pulse,) = simultaneous_stages(couplings)
@@ -300,8 +300,8 @@ def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float =
         report = validate_regime(params, couplings, much_greater_ratio=ratio)
         if not report.overall_pass:
             failed = [c.name for c in report.constraints if not c.passed]
-            raise ParameterError("operating-regime check failed "
-                                 f"({', '.join(failed)}); pass force=True to run anyway")
+            raise RegimeError("operating-regime check failed "
+                              f"({', '.join(failed)}); pass force=True to run anyway")
 
     initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
                               gaussian.thermal(params.nbar_motion, "motion"))

@@ -1,8 +1,10 @@
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
+from ionlight import cli
 from ionlight.cli import (EXIT_OK, EXIT_PHYSICS, EXIT_USAGE,
                           bundled_config_path, main, read_run_config)
 
@@ -134,6 +136,16 @@ class TestFig3:
         assert code == EXIT_USAGE
         assert "grid points" in err
 
+    def test_colliding_file_names_are_usage_error(self, capsys, tmp_path):
+        # both names keep six significant digits: fig3_r1.05.csv twice
+        cfg = rewrite_config(tmp_path, "twins.cfg", extra=["fig3_r_list = 1.05, 1.0500001"])
+        code, out, err = run(capsys, "fig3", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert re.search(r"^error: fig3_r_list .*fig3_r1\.05\.csv, fig3_r1\.05\.csv$", err,
+                         re.MULTILINE)
+        assert out == ""
+        assert not (tmp_path / "x").exists()
+
     def test_unwritable_output(self, capsys):
         code, _, err = run(capsys, "fig3", "--out", "/dev/null/nope")
         assert code == EXIT_USAGE
@@ -184,6 +196,65 @@ class TestOracleCheck:
         path.write_text("oracle_r = 0.5\n")
         code, _, err = run(capsys, "oracle-check", "--config", str(path))
         assert code == EXIT_USAGE
+
+    def test_basis_past_the_cap_is_usage_error(self, capsys, tmp_path):
+        from ionlight import fock_oracle
+        from ionlight.errors import StateError
+        # the cap must refuse this basis before the command runs into it
+        with pytest.raises(StateError):
+            fock_oracle.hamiltonian_matrix(1.0, 1.01, fock_oracle.suggest_dims(1.01))
+        path = tmp_path / "r.cfg"
+        path.write_text("oracle_r = 1.01\n")
+        code, out, err = run(capsys, "oracle-check", "--config", str(path))
+        assert code == EXIT_USAGE
+        assert re.search(r"^error: dims \(185956, 185956, 1217\) allow a sector", err,
+                         re.MULTILINE)
+        assert out == ""
+
+
+class TestOneFailurePath:
+    """main alone turns errors into exit codes: 2 for the regime gate, 1 for the rest."""
+
+    def assert_usage_error(self, capsys, argv, match):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, (argv, err)
+        assert re.search(rf"^error: .*{match}", err, re.MULTILINE), (argv, err)
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_non_finite_rates(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "huge.cfg", replacements={"wavenumber": "1e200"})
+        for command in ("validate", "couplings", "simulate", "sequential"):
+            self.assert_usage_error(capsys, [command, "--config", cfg],
+                                    "chi1 and chi2 must be finite")
+
+    def test_ratio_not_above_one(self, capsys):
+        for command in ("validate", "simulate"):
+            self.assert_usage_error(capsys, [command, "--config", INDIUM, "--ratio", "0.5"],
+                                    "much_greater_ratio must exceed 1")
+
+    @pytest.mark.parametrize("g1_hz", ["1e-320", "0"])
+    def test_sequential_default_t1_needs_a_rate(self, capsys, tmp_path, g1_hz):
+        cfg = rewrite_config(tmp_path, "dark.cfg", replacements={"g1_hz": g1_hz})
+        self.assert_usage_error(capsys, ["sequential", "--config", cfg],
+                                r"seq_t1 is not set .*1/\|chi1\| is infinite")
+
+    def test_regime_gate_is_a_physics_failure(self, capsys):
+        code, out, err = run(capsys, "simulate", "--config", INDIUM, "--ratio", "10")
+        assert code == EXIT_PHYSICS
+        assert re.search(r"^error: operating-regime check failed \(theta >> kappa, 1 >> eta\)",
+                         err, re.MULTILINE)
+        assert out == ""
+
+    def test_no_command_catches(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        commands = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+        assert len(commands) == len(cli.COMMANDS)
+        for node in commands:
+            assert not any(isinstance(inner, ast.Try) for inner in ast.walk(node)), node.name
+        tries = [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+        assert len(tries) == 1
 
 
 class TestNonFiniteValues:

@@ -604,6 +604,22 @@ class TestConvergence:
         with pytest.raises(UndefinedPeriodError):
             suggest_dims(1.0)
 
+    def test_suggest_dims_refuses_a_basis_it_cannot_size(self):
+        # 1 - q <= leak_target: every cavity size meets the tail criterion
+        for r in (1 + 1e-7, 1.000001):
+            with pytest.raises(StateError, match="too close to 1"):
+                suggest_dims(r)
+        for target in (0.0, 1.0, math.nan):
+            with pytest.raises(StateError, match="leak_target"):
+                suggest_dims(3.0, leak_target=target)
+
+    def test_basis_past_the_sector_cap_is_refused(self):
+        # largest sector d1 * min(d2, db): 1,591,620 states at r = 1.06, 2,604,812 at 1.05
+        hamiltonian_matrix(1.0, 1.06, suggest_dims(1.06))
+        for r in (1.05, 1.01):
+            with pytest.raises(StateError, match="allow a sector of"):
+                hamiltonian_matrix(1.0, r, suggest_dims(r))
+
     @pytest.mark.slow
     def test_about_110_photons_per_mode_at_r_1_1(self):
         # the paper's headline point: 401,718 states in the vacuum sector of

@@ -43,6 +43,16 @@ def assert_maps_exactly_symmetric(rng):
         assert np.array_equal(out.cov, out.cov.T)
 
 
+def assert_product_states_carry_no_negativity():
+    """E_N is exactly 0 for product states, the round-off of their spectra included."""
+    assert log_negativity(vacuum(2, ("a", "b")), ("a",)) == 0.0
+    assert log_negativity(tensor(thermal(1.0, "a"), thermal(2.0, "b")), ("b",)) == 0.0
+    # locally squeezed, then a bright thermal third mode
+    squeeze = np.diag([math.exp(2.0), math.exp(-2.0), math.exp(-1.0), math.exp(1.0)])
+    local = apply_symplectic(vacuum(2, ("a", "b")), squeeze)
+    assert log_negativity(tensor(local, thermal(300.0, "c")), ("a",)) == 0.0
+
+
 def assert_tmss_r3_negativity():
     """Pure two-mode squeezed state: E_N = 2s with sinh s = 3/4."""
     expected = 2 * math.asinh(0.75)
@@ -498,12 +508,7 @@ class TestDiagnostics:
             assert epr_variance(tmss(r), "cav1", "cav2") < 2.0
 
     def test_log_negativity_of_product_state(self):
-        assert log_negativity(vacuum(2, ("a", "b")), ("a",)) == 0.0
-        assert log_negativity(tensor(thermal(1.0, "a"), thermal(2.0, "b")), ("b",)) == 0.0
-        # locally squeezed, then a bright thermal third mode
-        squeeze = np.diag([math.exp(2.0), math.exp(-2.0), math.exp(-1.0), math.exp(1.0)])
-        local = apply_symplectic(vacuum(2, ("a", "b")), squeeze)
-        assert log_negativity(tensor(local, thermal(300.0, "c")), ("a",)) == 0.0
+        assert_product_states_carry_no_negativity()
 
     @pytest.mark.parametrize("c", [0.0, 2.0, 4.0, 4.0 - 1e-12])
     def test_log_negativity_of_classically_correlated_state(self, c):
@@ -653,6 +658,17 @@ class TestMutants:
         monkeypatch.setattr(gaussian, "_spectrum_bound", swapped)
         with pytest.raises(AssertionError):
             assert_tmss_r3_negativity()
+
+    def test_cutoff_at_one_fails_product_state_pin(self, monkeypatch):
+        # log_negativity counts every nu < 1.0, not only those below 1 - bound
+        original = gaussian._spectrum_bound
+
+        def no_margin(covs):
+            return 0.0, original(covs)[1]
+
+        monkeypatch.setattr(gaussian, "_spectrum_bound", no_margin)
+        with pytest.raises(AssertionError):
+            assert_product_states_carry_no_negativity()
 
     def test_unsymmetrised_map_fails_exact_symmetry(self, monkeypatch, rng):
         def unsymmetrised(state, s):

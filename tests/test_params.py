@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ class TestPhysicalParams:
             make_params(delta_mhz=3.0 + 100e-3 * 360e-3)  # 3 MHz + 0.1 gamma
 
 
+def assert_indium_magnitudes():
+    """|chi1| and |chi2| at the indium point against independent arithmetic, to 1e-12."""
+    p = make_params(delta_mhz=-60.0)
+    c = coupling_constants(p)
+    eta = p.lamb_dicke
+    # independent arithmetic: |chi| = eta g Omega / |delta -+ nu + i gamma/2|
+    chi1_mag = eta * abs(p.g1) * p.omega_rabi / abs(p.delta - p.nu + 0.5j * p.gamma)
+    chi2_mag = eta * abs(p.g2) * p.omega_rabi / abs(p.delta + p.nu + 0.5j * p.gamma)
+    assert abs(c.chi1) == pytest.approx(chi1_mag, rel=1e-12)
+    assert abs(c.chi2) == pytest.approx(chi2_mag, rel=1e-12)
+    # magnitude anchors: 2pi x 14.9 kHz and 2pi x 16.5 kHz
+    assert abs(c.chi1) / TWO_PI == pytest.approx(14.9e3, rel=2e-3)
+    assert abs(c.chi2) / TWO_PI == pytest.approx(16.47e3, rel=2e-3)
+    # the resulting drive: theta ~ 2pi x 7 kHz, half-period ~ 0.1 ms
+    assert c.theta_rate / TWO_PI == pytest.approx(7.01e3, rel=2e-3)
+    assert 1e-5 < c.t_pi < 1e-3
+    assert c.t_pi == pytest.approx(71.3e-6, rel=2e-3)
+
+
 class TestCouplingConstants:
     def test_lorentzian_ratio_default_geometry(self):
         # With the cavity orthogonal to the trap axis only the laser term
@@ -107,21 +127,7 @@ class TestCouplingConstants:
         assert c.r == pytest.approx(1.105, abs=5e-4)
 
     def test_indium_magnitudes(self):
-        p = make_params(delta_mhz=-60.0)
-        c = coupling_constants(p)
-        eta = p.lamb_dicke
-        # independent arithmetic: |chi| = eta g Omega / |delta -+ nu + i gamma/2|
-        chi1_mag = eta * abs(p.g1) * p.omega_rabi / abs(p.delta - p.nu + 0.5j * p.gamma)
-        chi2_mag = eta * abs(p.g2) * p.omega_rabi / abs(p.delta + p.nu + 0.5j * p.gamma)
-        assert abs(c.chi1) == pytest.approx(chi1_mag, rel=1e-12)
-        assert abs(c.chi2) == pytest.approx(chi2_mag, rel=1e-12)
-        # magnitude anchors: 2pi x 14.9 kHz and 2pi x 16.5 kHz
-        assert abs(c.chi1) / TWO_PI == pytest.approx(14.9e3, rel=2e-3)
-        assert abs(c.chi2) / TWO_PI == pytest.approx(16.47e3, rel=2e-3)
-        # the resulting drive: theta ~ 2pi x 7 kHz, half-period ~ 0.1 ms
-        assert c.theta_rate / TWO_PI == pytest.approx(7.01e3, rel=2e-3)
-        assert 1e-5 < c.t_pi < 1e-3
-        assert c.t_pi == pytest.approx(71.3e-6, rel=2e-3)
+        assert_indium_magnitudes()
 
     def test_couplings_linear_in_rabi_frequency(self):
         # chi1, chi2 are proportional to omega_rabi, so they vanish with it.
@@ -328,3 +334,16 @@ class TestConfig:
                 "nu_hz = fast\ngamma_hz = 1\ndelta_hz = 1\nomega_rabi_hz = 1\n"
                 "kappa_hz = 1\ng1_hz = 1\ng2_hz = 1\nmass = 1\nwavenumber = 1\n"))
         assert err.value.line == 1
+
+
+class TestMutants:
+    """Mutants of the coupling rates that the checks above must catch."""
+
+    def test_chi2_off_by_1e_7_fails_indium_magnitudes(self, monkeypatch):
+        # coupling_constants hands Couplings a chi2 of (1 + 1e-7) times its value
+        def scaled(chi1, chi2, eta):
+            return Couplings.from_chis(chi1, chi2 * (1 + 1e-7), eta=eta)
+
+        monkeypatch.setattr("ionlight.params.Couplings", SimpleNamespace(from_chis=scaled))
+        with pytest.raises(AssertionError):
+            assert_indium_magnitudes()

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_couplings
+import ionlight
 from ionlight import fock_oracle, gaussian
-from ionlight.errors import (ParameterError, StateError, UndefinedPeriodError,
+from ionlight.errors import (ParameterError, RegimeError, StateError, UndefinedPeriodError,
                              UnphysicalStateError, require_half_period)
 from ionlight.params import Couplings, PhysicalParams, coupling_constants
 from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, SEQUENTIAL_LABELS,
@@ -86,6 +87,21 @@ class TestQuadratureMoments:
             assert q1q2_f == pytest.approx(q1q2_s, abs=1e-9 * max(1, abs(q1q2_s)))
 
 
+def assert_closed_form_equals_beam_splitter_model(rng):
+    """The closed-form C(t) and the explicit detection model agree to 1e-9 at 10 random points."""
+    grid = default_time_grid(6.0, 0.1)
+    for _ in range(10):
+        chi1, chi2 = random_couplings(rng)
+        settings = HomodyneSettings(
+            theta1=rng.uniform(-math.pi, math.pi),
+            theta2=rng.uniform(-math.pi, math.pi),
+            kappa_dt=rng.uniform(0.02, 1.0), t_grid=grid)
+        couplings = Couplings.from_chis(chi1, chi2)
+        closed = output_signal(couplings, 1.0, settings).c_values
+        model = beam_splitter_signal(couplings, settings)
+        assert np.max(np.abs(closed - model)) < 1e-9
+
+
 class TestOutputSignal:
     def test_frozen_r11_point(self):
         settings = HomodyneSettings(kappa_dt=0.1, t_grid=default_time_grid())
@@ -96,17 +112,7 @@ class TestOutputSignal:
         assert below[-1] == pytest.approx(0.78, abs=1e-9)
 
     def test_closed_form_equals_beam_splitter_model(self, rng):
-        grid = default_time_grid(6.0, 0.1)
-        for _ in range(10):
-            chi1, chi2 = random_couplings(rng)
-            settings = HomodyneSettings(
-                theta1=rng.uniform(-math.pi, math.pi),
-                theta2=rng.uniform(-math.pi, math.pi),
-                kappa_dt=rng.uniform(0.02, 1.0), t_grid=grid)
-            couplings = Couplings.from_chis(chi1, chi2)
-            closed = output_signal(couplings, 1.0, settings).c_values
-            model = beam_splitter_signal(couplings, settings)
-            assert np.max(np.abs(closed - model)) < 1e-9
+        assert_closed_form_equals_beam_splitter_model(rng)
 
     def test_no_pair_coupling_means_shot_noise(self):
         settings = HomodyneSettings(t_grid=default_time_grid(4.0, 0.5))
@@ -340,6 +346,17 @@ class TestRunSimultaneous:
             run_simultaneous(indium_params)
         result = run_simultaneous(indium_params, force=True)
         assert result.diagnostics["n_cav1"] == pytest.approx(109.75, abs=1e-2)
+
+    def test_only_the_gate_raises_regime_error(self, indium_params):
+        assert issubclass(RegimeError, ParameterError)
+        assert ionlight.RegimeError is RegimeError
+        with pytest.raises(RegimeError, match="operating-regime check failed"):
+            run_simultaneous(indium_params)
+        huge = dataclasses.replace(indium_params, wavenumber=1e200)   # non-finite rates
+        for params, ratio in ((indium_params, 0.5), (huge, 10.0)):
+            with pytest.raises(ParameterError) as err:
+                run_simultaneous(params, ratio=ratio)
+            assert type(err.value) is ParameterError
 
     def test_default_ratio_refuses_the_bundled_point(self, indium_params, indium_config):
         # the bundled config checks the regime at factor 5, the library default at 10
@@ -619,3 +636,18 @@ def test_every_site_refuses_r_below_one_alike(site):
 def test_the_refusal_of_r_below_one_refuses_nan():
     with pytest.raises(UndefinedPeriodError):
         require_half_period(math.nan)
+
+
+class TestMutants:
+    """Mutants of the signal that the checks above must catch."""
+
+    def test_cross_term_off_by_a_quarter_percent_fails_beam_splitter_model(
+            self, monkeypatch, rng):
+        # output_signal's correlation term 2 <q1 q2> / (<q1^2> + <q2^2>), x 1.0025
+        def scaled(*args):
+            q1_sq, q1q2 = quadrature_moments(*args)
+            return q1_sq, q1q2 * 1.0025
+
+        monkeypatch.setattr("ionlight.protocol.quadrature_moments", scaled)
+        with pytest.raises(AssertionError):
+            assert_closed_form_equals_beam_splitter_model(rng)
