@@ -13,15 +13,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConfigError, IonlightError, ParameterError, RegimeError
-from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, PhysicalParams,
-                     coupling_constants, load_config, params_from_config,
+from .params import (CONFIG_KEYS, coupling_constants, load_config, params_from_config,
                      validate_regime)
 
 # Only the parameter layer is imported here: ``validate`` and ``couplings``
@@ -34,37 +32,25 @@ EXIT_PHYSICS = 2
 
 ORACLE_TOL = 1e-6
 
-@dataclass
-class RunConfig:
-    """Physical parameters plus run-level settings for one CLI invocation.
-
-    There is one field per run-level key of ``params.CONFIG_KEYS``.
-    """
-
-    params: Optional[PhysicalParams]
-    ratio: float = 10.0
-    soft_ratio: float = 2.0
-    kappa_dt: float = DEFAULT_KAPPA_DT
-    theta1: float = 0.0
-    theta2: float = 0.0
-    t_max: float = 8.0
-    t_step: float = 0.02
-    fig3_r_list: tuple = DEFAULT_R_LIST
-    oracle_r: float = 3.0
-    oracle_dims: Optional[tuple] = None
-    seq_t1: Optional[float] = None
-    seq_kappa_t12: float = 10.0
-    seq_swap_area: float = math.pi / 2
-
 
 def bundled_config_path(name: str = "indium") -> Path:
     """Path of a configuration file shipped with the package."""
     return Path(resources.files("ionlight").joinpath(f"data/{name}.cfg"))
 
 
-def read_run_config(path) -> RunConfig:
-    params, settings = params_from_config(load_config(path))
-    return RunConfig(params=params, **settings)
+def read_run_config(path=None) -> SimpleNamespace:
+    """The physical parameters and every run-level setting for one invocation.
+
+    ``params`` is None without a file or when the file names no physical key.
+    Each run-level key of ``params.CONFIG_KEYS`` is an attribute: the file's
+    value, or the table's default.
+    """
+    settings = {key: spec.default for key, spec in CONFIG_KEYS.items() if spec.field is None}
+    params = None
+    if path is not None:
+        params, found = params_from_config(load_config(path))
+        settings.update(found)
+    return SimpleNamespace(params=params, **settings)
 
 
 def _fmt(value) -> str:
@@ -79,17 +65,16 @@ def _fmt(value) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig, args) -> int:
-    ratio = args.ratio if args.ratio is not None else cfg.ratio
-    report = validate_regime(cfg.params, much_greater_ratio=ratio,
-                             soft_ratio=cfg.soft_ratio)
+def cmd_validate(cfg: SimpleNamespace, args) -> int:
     couplings = coupling_constants(cfg.params)
+    report = validate_regime(cfg.params, couplings, much_greater_ratio=cfg.ratio,
+                             soft_ratio=cfg.soft_ratio)
     print(report.as_text())
     print(f"t_pi = {_fmt(couplings.t_pi)} s")
     return EXIT_OK if report.overall_pass else EXIT_PHYSICS
 
 
-def cmd_couplings(cfg: RunConfig, args) -> int:
+def cmd_couplings(cfg: SimpleNamespace, args) -> int:
     c = coupling_constants(cfg.params)
     print(f"eta        = {_fmt(c.eta)}")
     print(f"chi1       = {_fmt(c.chi1)} rad/s  (|chi1|/2pi = {_fmt(abs(c.chi1) / (2 * math.pi))} Hz)")
@@ -102,10 +87,9 @@ def cmd_couplings(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: SimpleNamespace, args) -> int:
     from . import protocol
-    ratio = args.ratio if args.ratio is not None else cfg.ratio
-    d = protocol.run_simultaneous(cfg.params, force=args.force, ratio=ratio).diagnostics
+    d = protocol.run_simultaneous(cfg.params, force=args.force, ratio=cfg.ratio).diagnostics
     print(f"t_pi                 = {_fmt(d['t_pi'])} s")
     print(f"r                    = {_fmt(d['r'])}")
     print(f"beta                 = {_fmt(d['beta'])} rad")
@@ -118,7 +102,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_fig3(cfg: RunConfig, args) -> int:
+def cmd_fig3(cfg: SimpleNamespace, args) -> int:
     from . import protocol
     out_dir = Path(args.out) if args.out else Path(".")
     traces = protocol.fig3_sweep(cfg.fig3_r_list, kappa_dt=cfg.kappa_dt,
@@ -136,7 +120,7 @@ def cmd_fig3(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_sequential(cfg: RunConfig, args) -> int:
+def cmd_sequential(cfg: SimpleNamespace, args) -> int:
     from . import protocol
     couplings = coupling_constants(cfg.params)
     t1 = cfg.seq_t1
@@ -157,7 +141,7 @@ def cmd_sequential(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(cfg: RunConfig, args) -> int:
+def cmd_oracle_check(cfg: SimpleNamespace, args) -> int:
     from . import fock_oracle
     check = fock_oracle.crosscheck(cfg.oracle_r, cfg.oracle_dims)
     print(f"r = {cfg.oracle_r:g}, dims = {check.dims}, "
@@ -212,8 +196,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         print(f"ionlight {__version__}", file=sys.stderr)
         handler, needs_params = COMMANDS[args.command]
-        cfg = (RunConfig(params=None) if args.config is None
-               else read_run_config(args.config))
+        cfg = read_run_config(args.config)
+        if args.ratio is not None:
+            cfg.ratio = args.ratio
         if needs_params and cfg.params is None:
             raise IonlightError("this command needs --config with the physical parameters")
         return handler(cfg, args)

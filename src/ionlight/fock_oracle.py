@@ -307,7 +307,8 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
 
     Raises :class:`TruncationError` when the propagated state puts more than
     ``leak_tol`` population on the top level of any mode, since observables
-    are then contaminated by the basis cutoff.
+    are then contaminated by the basis cutoff.  A NaN or negative
+    ``leak_tol`` raises :class:`StateError`.
     """
     if hamiltonian.dims != state.dims:
         raise StateError(
@@ -315,6 +316,8 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
         )
     if not math.isfinite(t):
         raise StateError(f"t must be finite, got {t!r}")
+    if not leak_tol >= 0.0:
+        raise StateError(f"leak_tol must be >= 0, got {leak_tol!r}")
     if t == 0.0:
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)

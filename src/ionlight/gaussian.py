@@ -19,6 +19,7 @@ cov is >= 1, decided up to the round-off bound of :func:`_spectrum_bound`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -243,10 +244,13 @@ def epr_variance(state: GaussianState, mode_i, mode_j,
 
     With theta = (0, 0) this is Var(X_i - X_j); with (pi/2, -pi/2) it is
     Var(P_i + P_j).  Two independent vacua give 2 (the shot-noise reference),
-    so values below 2 witness EPR-type correlations.
+    so values below 2 witness EPR-type correlations.  A NaN or infinite angle
+    raises :class:`StateError`.
     """
     if mode_i == mode_j:
         raise StateError("epr_variance needs two distinct modes")
+    if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
+        raise StateError(f"epr_variance needs finite angles, got {theta_i!r}, {theta_j!r}")
     ki = state.mode_index(mode_i)
     kj = state.mode_index(mode_j)
     w = np.zeros(2 * state.n_modes)
@@ -344,6 +348,8 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
     transformation.  ``decay`` maps mode labels to amplitude decay rates
     kappa: each such mode gets -kappa on its drift diagonal and 2 kappa of
     vacuum noise per quadrature, so the vacuum is a fixed point of pure decay.
+    A chi that is not finite, or a rate that is negative or not finite,
+    raises :class:`StateError`.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -352,6 +358,8 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
     for kind, mode_a, mode_b, chi in terms:
         i, j = _label_index(labels, mode_a), _label_index(labels, mode_b)
         chi = complex(chi)
+        if not cmath.isfinite(chi):
+            raise StateError(f"a term's chi must be finite, got {chi!r}")
         if kind == PAIR:
             nn[i, j] += chi
             nn[j, i] += chi
@@ -362,6 +370,8 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
             raise StateError(f"unknown term kind {kind!r}")
     d = np.zeros((2 * n, 2 * n))
     for label, kappa in (decay or {}).items():
+        if not 0.0 <= kappa < math.inf:
+            raise StateError(f"decay rate of {label!r} must be finite and >= 0, got {kappa!r}")
         k = _label_index(labels, label)
         m[k, k] -= kappa
         d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 2.0 * kappa
@@ -573,10 +583,13 @@ def tmss(r: float, beta: float = 0.0,
     x^2 underflows to 0.  r = 1 would be infinitely squeezed and raises.  A
     NaN or infinite r raises :class:`StateError`: r = inf would be the
     vacuum, the limit of large r, but no coupling ratio is infinite, so it
-    is refused rather than read as that limit.
+    is refused rather than read as that limit.  So does a NaN or infinite
+    ``beta``.
     """
     if not math.isfinite(r):
         raise StateError(f"tmss needs a finite r, got {r!r}")
+    if not math.isfinite(beta):
+        raise StateError(f"tmss needs a finite beta, got {beta!r}")
     if r <= 0.0:
         raise InfiniteSqueezingError(f"r must be positive, got {r!r}")
     if r == 1.0:

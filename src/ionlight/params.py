@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import ConfigError, ParameterError
 
@@ -171,13 +171,20 @@ def lamb_dicke(mass: float, wavenumber: float, nu: float) -> float:
     float
         The dimensionless ratio of the zero-point motion to the optical
         wavelength scale.  Scales as k, 1/sqrt(M) and 1/sqrt(nu).
+
+    Raises :class:`ParameterError` for a non-positive input, or when the
+    product 2 M nu underflows to 0.
     """
     if not (mass > 0.0 and wavenumber > 0.0 and nu > 0.0):
         raise ParameterError(
             f"lamb_dicke needs positive inputs, got mass={mass!r}, "
             f"wavenumber={wavenumber!r}, nu={nu!r}"
         )
-    return math.sqrt(HBAR * (wavenumber * wavenumber) / (2.0 * mass * nu))
+    mass_nu = 2.0 * mass * nu
+    if mass_nu == 0.0:
+        raise ParameterError(f"lamb_dicke: 2 * mass * nu underflows to 0, got mass={mass!r}, "
+                             f"nu={nu!r}")
+    return math.sqrt(HBAR * (wavenumber * wavenumber) / mass_nu)
 
 
 def coupling_constants(params: PhysicalParams) -> Couplings:
@@ -216,7 +223,12 @@ class RegimeConstraint:
     left: Optional[float]
     right: Optional[float]
     required_ratio: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """left >= required_ratio * right; a row with an undefined side fails."""
+        return (self.left is not None and self.right is not None
+                and self.left >= self.required_ratio * self.right)
 
     @property
     def margin(self) -> Optional[float]:
@@ -271,22 +283,17 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
 
     Each hard constraint is evaluated as ``left >= much_greater_ratio * right``.
     Failures are report entries, never exceptions.  kappa * T_pi <= 1/soft_ratio
-    is reported separately as a soft check.
+    is reported separately as a soft check, by the same rule with left = 1.
     """
     if not much_greater_ratio > 1.0:
         raise ParameterError("much_greater_ratio must exceed 1")
+    if not soft_ratio > 0.0:
+        raise ParameterError(f"soft_ratio must be positive, got {soft_ratio!r}")
     if couplings is None:
         couplings = coupling_constants(params)
     eta = params.lamb_dicke
     theta = couplings.theta_rate
     t_pulse = params.pulse_length_t if params.pulse_length_t is not None else couplings.t_pi
-
-    ratio = much_greater_ratio
-    rows = []
-
-    def hard(name, left, right):
-        ok = (left is not None and right is not None and left >= ratio * right)
-        rows.append(RegimeConstraint(name, left, right, ratio, ok))
 
     abs_delta = abs(params.delta)
     # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row
@@ -295,28 +302,23 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
     scatter2 = params.gamma * (abs(params.g2) * abs(params.g2)) / delta_sq
     recoil_heating = eta * eta * params.gamma * (params.omega_rabi * params.omega_rabi) / delta_sq
 
-    hard("|delta| >> nu", abs_delta, params.nu)
-    hard("|delta| >> gamma", abs_delta, params.gamma)
-    hard("nu >> theta", params.nu, theta)
-    hard("theta >> kappa", theta, params.kappa)
-    hard("kappa >> gamma*|g1|^2/delta^2", params.kappa, scatter1)
-    hard("kappa >> gamma*|g2|^2/delta^2", params.kappa, scatter2)
-    hard("theta >> eta^2*gamma*omega^2/delta^2", theta, recoil_heating)
-    hard("nu*T >> 1",
-         None if t_pulse is None else params.nu * t_pulse, 1.0)
-    hard("1 >> eta", 1.0, eta)
-
-    if theta is None or couplings.t_pi is None:
-        kappa_tpi = None
-        soft_ok = False
-    else:
-        kappa_tpi = params.kappa * couplings.t_pi
-        soft_ok = kappa_tpi <= 1.0 / soft_ratio
-    soft_row = RegimeConstraint("kappa*t_pi <= 1/soft_ratio",
-                                1.0, kappa_tpi, soft_ratio, soft_ok)
-
-    return RegimeReport(constraints=tuple(rows), soft=(soft_row,),
-                        ratio=ratio, soft_ratio=soft_ratio)
+    hard = (
+        ("|delta| >> nu", abs_delta, params.nu),
+        ("|delta| >> gamma", abs_delta, params.gamma),
+        ("nu >> theta", params.nu, theta),
+        ("theta >> kappa", theta, params.kappa),
+        ("kappa >> gamma*|g1|^2/delta^2", params.kappa, scatter1),
+        ("kappa >> gamma*|g2|^2/delta^2", params.kappa, scatter2),
+        ("theta >> eta^2*gamma*omega^2/delta^2", theta, recoil_heating),
+        ("nu*T >> 1", None if t_pulse is None else params.nu * t_pulse, 1.0),
+        ("1 >> eta", 1.0, eta),
+    )
+    kappa_tpi = None if couplings.t_pi is None else params.kappa * couplings.t_pi
+    soft = RegimeConstraint("kappa*t_pi <= 1/soft_ratio", 1.0, kappa_tpi, soft_ratio)
+    return RegimeReport(
+        constraints=tuple(RegimeConstraint(name, left, right, much_greater_ratio)
+                          for name, left, right in hard),
+        soft=(soft,), ratio=much_greater_ratio, soft_ratio=soft_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +344,7 @@ class ConfigKey(NamedTuple):
     field: Optional[str] = None   # PhysicalParams field; None: a run-level setting
     scale: float = 1.0            # 2 pi for the *_hz keys, entered as linear Hz
     required: bool = False
+    default: Any = None           # a run-level setting's value when the file omits it
 
 
 # Defaults of the run-level keys ``kappa_dt`` and ``fig3_r_list``, shared by
@@ -350,8 +353,8 @@ class ConfigKey(NamedTuple):
 DEFAULT_KAPPA_DT = 0.1
 DEFAULT_R_LIST = (1.8, 1.5, 1.3, 1.1, 1.05)
 
-# The config schema.  Run-level settings keep their key as their name
-# (the CLI's RunConfig has one field per such key).
+# The config schema.  Run-level settings keep their key as their name, and
+# their default is here; a physical key's default is its PhysicalParams field's.
 CONFIG_KEYS = {
     "nu_hz": ConfigKey(_number, "nu", TWO_PI, True),
     "gamma_hz": ConfigKey(_number, "gamma", TWO_PI, True),
@@ -368,19 +371,19 @@ CONFIG_KEYS = {
     "theta_c": ConfigKey(_number, "theta_c"),
     "nbar_motion": ConfigKey(_number, "nbar_motion"),
     "pulse_length_t": ConfigKey(_number, "pulse_length_t"),
-    "ratio": ConfigKey(_number),
-    "soft_ratio": ConfigKey(_number),
-    "kappa_dt": ConfigKey(_number),
-    "theta1": ConfigKey(_number),
-    "theta2": ConfigKey(_number),
-    "t_max": ConfigKey(_number),
-    "t_step": ConfigKey(_number),
-    "fig3_r_list": ConfigKey(_numbers(float)),
-    "oracle_r": ConfigKey(_number),
+    "ratio": ConfigKey(_number, default=10.0),
+    "soft_ratio": ConfigKey(_number, default=2.0),
+    "kappa_dt": ConfigKey(_number, default=DEFAULT_KAPPA_DT),
+    "theta1": ConfigKey(_number, default=0.0),
+    "theta2": ConfigKey(_number, default=0.0),
+    "t_max": ConfigKey(_number, default=8.0),
+    "t_step": ConfigKey(_number, default=0.02),
+    "fig3_r_list": ConfigKey(_numbers(float), default=DEFAULT_R_LIST),
+    "oracle_r": ConfigKey(_number, default=3.0),
     "oracle_dims": ConfigKey(_numbers(int)),
     "seq_t1": ConfigKey(_number),
-    "seq_kappa_t12": ConfigKey(partial(_number, inf_ok=True)),
-    "seq_swap_area": ConfigKey(_number),
+    "seq_kappa_t12": ConfigKey(partial(_number, inf_ok=True), default=10.0),
+    "seq_swap_area": ConfigKey(_number, default=math.pi / 2),
 }
 
 

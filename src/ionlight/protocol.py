@@ -348,6 +348,8 @@ def sequential_stages(couplings: Couplings, kappa: float, t1: float, delay_t12: 
     motional state onto the cavity, which subsequently leaves as pulse 2.
     With chi2 = 0 stage C has no drive: it lasts 0 and is the identity.
     """
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     if not t1 > 0.0:
         raise ParameterError(f"t1 must be positive, got {t1!r}")
     if not delay_t12 >= 0.0:

@@ -7,6 +7,7 @@ import pytest
 from ionlight import cli
 from ionlight.cli import (EXIT_OK, EXIT_PHYSICS, EXIT_USAGE,
                           bundled_config_path, main, read_run_config)
+from ionlight.params import CONFIG_KEYS
 
 INDIUM = str(bundled_config_path())
 
@@ -239,6 +240,19 @@ class TestOneFailurePath:
         self.assert_usage_error(capsys, ["sequential", "--config", cfg],
                                 r"seq_t1 is not set .*1/\|chi1\| is infinite")
 
+    @pytest.mark.parametrize("soft_ratio", ["0", "-1"])
+    def test_soft_ratio_not_positive(self, capsys, tmp_path, soft_ratio):
+        cfg = rewrite_config(tmp_path, "soft.cfg", extra=[f"soft_ratio = {soft_ratio}"])
+        self.assert_usage_error(capsys, ["validate", "--config", cfg],
+                                "soft_ratio must be positive")
+
+    def test_underflowing_lamb_dicke_product(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "light.cfg",
+                             replacements={"mass": "1e-200", "nu_hz": "1e-200"})
+        for command in ("validate", "couplings", "simulate", "sequential"):
+            self.assert_usage_error(capsys, [command, "--config", cfg],
+                                    r"2 \* mass \* nu underflows to 0")
+
     def test_regime_gate_is_a_physics_failure(self, capsys):
         code, out, err = run(capsys, "simulate", "--config", INDIUM, "--ratio", "10")
         assert code == EXIT_PHYSICS
@@ -255,6 +269,28 @@ class TestOneFailurePath:
             assert not any(isinstance(inner, ast.Try) for inner in ast.walk(node)), node.name
         tries = [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
         assert len(tries) == 1
+
+
+RUN_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.field is None]
+
+
+class TestRunKeyTable:
+    """The CLI driven from the key table: every run-level key at extreme values."""
+
+    def test_defaults_come_from_the_table(self):
+        assert vars(read_run_config()) == {
+            "params": None, **{key: CONFIG_KEYS[key].default for key in RUN_KEYS}}
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1e-300", "1e300"])
+    @pytest.mark.parametrize("key", RUN_KEYS)
+    def test_every_command_ends_in_an_exit_code(self, capsys, tmp_path, key, value):
+        raw = ",".join([value] * 3) if key == "oracle_dims" else value
+        cfg = rewrite_config(tmp_path, "run.cfg", drop={key}, extra=[f"{key} = {raw}"])
+        for command in cli.COMMANDS:
+            code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path))
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, code)
+            if code == EXIT_USAGE:
+                assert "error:" in err, (command, err)
 
 
 class TestNonFiniteValues:

@@ -390,6 +390,13 @@ class TestEvolveExact:
             with pytest.raises(StateError):
                 evolve_exact(vacuum_state((4, 4, 4)), h, t)
 
+    @pytest.mark.parametrize("leak_tol", [math.nan, -1e-9])
+    def test_leak_tol_that_switches_the_check_off_rejected(self, leak_tol):
+        # a 4-level basis leaks at r = 2, so a NaN tolerance would hide it
+        h = hamiltonian_matrix(1.0, 2.0, (4, 4, 4))
+        with pytest.raises(StateError, match="leak_tol"):
+            evolve_exact(vacuum_state((4, 4, 4)), h, half_period(2.0), leak_tol=leak_tol)
+
     @pytest.mark.parametrize("alpha", [0.5, 30.0, 900.0, -30.0])
     def test_series_coefficients_are_bessel_values(self, alpha):
         assert_matches_bessel(alpha)

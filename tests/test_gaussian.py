@@ -643,6 +643,28 @@ class TestLibraryStates:
                 assert np.array_equal(symplectic_eigenvalues(cov), nu)
 
 
+NON_FINITE_CALLS = {
+    "tmss beta nan": lambda: tmss(2.0, math.nan),
+    "tmss beta inf": lambda: tmss(2.0, math.inf),
+    "pair chi nan": lambda: quadratic_dynamics(LABELS3, [(PAIR, "cav1", "motion", math.nan)]),
+    "exchange chi inf": lambda: quadratic_dynamics(
+        LABELS3, [(EXCHANGE, "cav2", "motion", complex(0.0, math.inf))]),
+    "decay nan": lambda: dynamics_from_couplings(1.0, 2.0, kappa=math.nan),
+    "decay inf": lambda: dynamics_from_couplings(1.0, 2.0, kappa=math.inf),
+    "decay negative": lambda: dynamics_from_couplings(1.0, 2.0, kappa=-1.0),
+    "propagator chi inf": lambda: term_propagator(
+        LABELS3, (PAIR, "cav1", "motion", math.inf), 1.0),
+    "epr angle nan": lambda: epr_variance(vacuum(2), "mode0", "mode1", math.nan),
+    "epr angle inf": lambda: epr_variance(vacuum(2), "mode0", "mode1", 0.0, -math.inf),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_input_refused(call):
+    with pytest.raises(StateError, match="finite"):
+        call()
+
+
 class TestMutants:
     """Mutants of the state fast path that the checks above must catch."""
 

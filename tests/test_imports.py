@@ -186,12 +186,11 @@ class TestLazyNamespace:
             assert namespace[name] is getattr(ionlight, name), name
 
     def test_defaults_have_one_home(self):
-        from ionlight import cli, params, protocol
+        from ionlight import params, protocol
         assert protocol.DEFAULT_R_LIST is params.DEFAULT_R_LIST
         assert protocol.DEFAULT_KAPPA_DT is params.DEFAULT_KAPPA_DT
-        config = cli.RunConfig(params=None)
-        assert config.fig3_r_list is params.DEFAULT_R_LIST
-        assert config.kappa_dt == params.DEFAULT_KAPPA_DT
+        assert params.CONFIG_KEYS["fig3_r_list"].default is params.DEFAULT_R_LIST
+        assert params.CONFIG_KEYS["kappa_dt"].default == params.DEFAULT_KAPPA_DT
 
     def test_traced_functions_keep_modules_and_signatures(self):
         traced = _load_perfbench_tracing().TRACED

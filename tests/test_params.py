@@ -258,6 +258,19 @@ class TestValidateRegime:
         with pytest.raises(ParameterError):
             validate_regime(indium_params, much_greater_ratio=1.0)
 
+    @pytest.mark.parametrize("soft_ratio", [0.0, -1.0, math.nan])
+    def test_soft_ratio_must_be_positive(self, indium_params, soft_ratio):
+        with pytest.raises(ParameterError, match="soft_ratio must be positive"):
+            validate_regime(indium_params, much_greater_ratio=5.0, soft_ratio=soft_ratio)
+
+    @pytest.mark.parametrize("soft_ratio, passed", [(2.0, True), (2.2, False)])
+    def test_soft_row_passes_by_the_one_rule(self, indium_params, soft_ratio, passed):
+        # kappa * t_pi ~ 0.48 lies between 1/2.2 and 1/2
+        (soft,) = validate_regime(indium_params, much_greater_ratio=5.0,
+                                  soft_ratio=soft_ratio).soft
+        assert (soft.left, soft.required_ratio) == (1.0, soft_ratio)
+        assert soft.passed is passed
+
     def test_undefined_theta_rows_fail(self):
         # r < 1 (blue detuning): the theta-dependent checks cannot pass.
         p = make_params(delta_mhz=60.0)

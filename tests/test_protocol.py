@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_couplings
 import ionlight
-from ionlight import fock_oracle, gaussian
+from ionlight import fock_oracle, gaussian, protocol
 from ionlight.errors import (ParameterError, RegimeError, StateError, UndefinedPeriodError,
                              UnphysicalStateError, require_half_period)
 from ionlight.params import Couplings, PhysicalParams, coupling_constants
@@ -391,6 +391,43 @@ class TestRunSimultaneous:
         assert np.allclose(motion.cov, (2 * 0.7 + 1) * np.eye(2), atol=1e-12)
 
 
+def assert_final_covariance_matches_evolved_terms(params, swap_area):
+    """run_sequential's covariance equals evolve() through each stage's term."""
+    # H = i chi1 a+ b+ + i chi2 a+ b + h.c., a the cavity and b the motion,
+    # one coupling at a time; in between, the beam splitter i c+ a + h.c.
+    # of area acos(exp(-kappa T12)) hands the emitted light to pulse 1 (c).
+    # Local phases leave E_N and photon numbers alone; the covariance
+    # carries the phase of every stage.
+    p = at_ratio(params, 1.3, 1.5, phases=(0.7, -2.1))
+    c = coupling_constants(p)
+    t1, delay = 0.8 / abs(c.chi1), 1.5 / p.kappa
+    labels = ("cav", "motion", "pulse1")
+    stages = (((gaussian.PAIR, "cav", "motion", c.chi1), t1),
+              ((gaussian.EXCHANGE, "pulse1", "cav", 1.0),
+               math.acos(math.exp(-p.kappa * delay))),
+              ((gaussian.EXCHANGE, "cav", "motion", c.chi2), swap_area / abs(c.chi2)))
+    state = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(1.5, "motion"),
+                            gaussian.vacuum(1, ("pulse1",)))
+    for term, t in stages:
+        state = gaussian.evolve(state, gaussian.quadratic_dynamics(labels, [term]), t)
+    final = run_sequential(p, t1=t1, delay_t12=delay, swap_area=swap_area).state
+    assert final.mode_labels == labels
+    assert np.max(np.abs(final.cov - state.cov)) <= 1e-9 * np.max(np.abs(state.cov))
+
+
+def assert_extraction_hands_over_the_emitted_fraction(params, kappa_t12):
+    # without the swap pulse, pulse 1 holds 1 - exp(-2 kappa T12) of the
+    # sinh^2(|chi1| t1) photons stage A put in the cavity; the rest stays
+    result = run_sequential(params, t1=1.0 / abs_chi1(params),
+                            delay_t12=kappa_t12 / params.kappa, swap_area=0.0)
+    made = math.sinh(1.0) ** 2
+    emitted = -math.expm1(-2.0 * kappa_t12)
+    assert gaussian.mean_photons(result.state, "pulse1") == pytest.approx(
+        emitted * made, rel=1e-12, abs=1e-15)
+    assert gaussian.mean_photons(result.state, "cav") == pytest.approx(
+        (1.0 - emitted) * made, rel=1e-12, abs=1e-15)
+
+
 class TestRunSequential:
     def test_ideal_memory_transfer(self, indium_params):
         t1 = 1.2 / abs_chi1(indium_params)
@@ -444,6 +481,12 @@ class TestRunSequential:
         with pytest.raises(ParameterError):
             run_sequential(indium_params, t1=1e-5, **bad)
 
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
+    def test_stages_refuse_a_bad_kappa(self, indium_params, kappa):
+        with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+            sequential_stages(coupling_constants(indium_params), kappa, t1=1e-5,
+                              delay_t12=1e-4, swap_area=math.pi / 2)
+
     @pytest.mark.parametrize("nbar", [0.0, 10.0])
     @pytest.mark.parametrize("area", [2.0, 4.0, 5.0])
     def test_entanglement_at_large_areas(self, indium_params, area, nbar):
@@ -461,39 +504,11 @@ class TestRunSequential:
 
     @pytest.mark.parametrize("swap_area", [1.2, math.pi / 2])
     def test_final_covariance_matches_evolved_terms(self, indium_params, swap_area):
-        # H = i chi1 a+ b+ + i chi2 a+ b + h.c., a the cavity and b the motion,
-        # one coupling at a time; in between, the beam splitter i c+ a + h.c.
-        # of area acos(exp(-kappa T12)) hands the emitted light to pulse 1 (c).
-        # Local phases leave E_N and photon numbers alone; the covariance
-        # carries the phase of every stage.
-        p = at_ratio(indium_params, 1.3, 1.5, phases=(0.7, -2.1))
-        c = coupling_constants(p)
-        t1, delay = 0.8 / abs(c.chi1), 1.5 / p.kappa
-        labels = ("cav", "motion", "pulse1")
-        stages = (((gaussian.PAIR, "cav", "motion", c.chi1), t1),
-                  ((gaussian.EXCHANGE, "pulse1", "cav", 1.0),
-                   math.acos(math.exp(-p.kappa * delay))),
-                  ((gaussian.EXCHANGE, "cav", "motion", c.chi2), swap_area / abs(c.chi2)))
-        state = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(1.5, "motion"),
-                                gaussian.vacuum(1, ("pulse1",)))
-        for term, t in stages:
-            state = gaussian.evolve(state, gaussian.quadratic_dynamics(labels, [term]), t)
-        final = run_sequential(p, t1=t1, delay_t12=delay, swap_area=swap_area).state
-        assert final.mode_labels == labels
-        assert np.max(np.abs(final.cov - state.cov)) <= 1e-9 * np.max(np.abs(state.cov))
+        assert_final_covariance_matches_evolved_terms(indium_params, swap_area)
 
     @pytest.mark.parametrize("kappa_t12", [0.0, 0.3, 2.0, math.inf])
     def test_extraction_hands_over_the_emitted_fraction(self, indium_params, kappa_t12):
-        # without the swap pulse, pulse 1 holds 1 - exp(-2 kappa T12) of the
-        # sinh^2(|chi1| t1) photons stage A put in the cavity; the rest stays
-        result = run_sequential(indium_params, t1=1.0 / abs_chi1(indium_params),
-                                delay_t12=kappa_t12 / indium_params.kappa, swap_area=0.0)
-        made = math.sinh(1.0) ** 2
-        emitted = -math.expm1(-2.0 * kappa_t12)
-        assert gaussian.mean_photons(result.state, "pulse1") == pytest.approx(
-            emitted * made, rel=1e-12, abs=1e-15)
-        assert gaussian.mean_photons(result.state, "cav") == pytest.approx(
-            (1.0 - emitted) * made, rel=1e-12, abs=1e-15)
+        assert_extraction_hands_over_the_emitted_fraction(indium_params, kappa_t12)
 
 
 class TestStages:
@@ -651,3 +666,40 @@ class TestMutants:
         monkeypatch.setattr("ionlight.protocol.quadrature_moments", scaled)
         with pytest.raises(AssertionError):
             assert_closed_form_equals_beam_splitter_model(rng)
+
+    @staticmethod
+    def mutate_swap_chi2(monkeypatch, mutate):
+        # sequential_stages builds its swap term from mutate(chi2)
+        original = protocol.sequential_stages
+
+        def mutated(*args):
+            *head, swap = original(*args)
+            ((kind, mode_a, mode_b, chi2),) = swap.terms
+            term = (kind, mode_a, mode_b, mutate(chi2))
+            return (*head, swap._replace(terms=(term,), symplectic=gaussian.term_propagator(
+                SEQUENTIAL_LABELS, term, swap.t)))
+
+        monkeypatch.setattr(protocol, "sequential_stages", mutated)
+
+    @pytest.mark.parametrize("swap_area", [1.2, math.pi / 2])
+    def test_conjugated_swap_chi2_fails_evolved_terms(self, monkeypatch, indium_params,
+                                                       swap_area):
+        self.mutate_swap_chi2(monkeypatch, complex.conjugate)
+        with pytest.raises(AssertionError):
+            assert_final_covariance_matches_evolved_terms(indium_params, swap_area)
+
+    @pytest.mark.parametrize("swap_area", [1.2, math.pi / 2])
+    def test_negated_swap_chi2_fails_evolved_terms(self, monkeypatch, indium_params,
+                                                    swap_area):
+        self.mutate_swap_chi2(monkeypatch, lambda chi2: -chi2)
+        with pytest.raises(AssertionError):
+            assert_final_covariance_matches_evolved_terms(indium_params, swap_area)
+
+    def test_doubled_extraction_exponent_fails_emitted_fraction(self, monkeypatch,
+                                                                 indium_params):
+        # area acos(exp(-2 kappa T12)): kappa enters sequential_stages only there
+        original = protocol.sequential_stages
+        monkeypatch.setattr(protocol, "sequential_stages",
+                            lambda couplings, kappa, *rest: original(couplings, 2 * kappa, *rest))
+        with pytest.raises(AssertionError):
+            assert_extraction_hands_over_the_emitted_fraction(indium_params, 0.3)
