@@ -1,6 +1,6 @@
 """Brute-force number-basis propagator used to cross-check the Gaussian engine.
 
-Everything here is deliberately dumb: the sparse Hamiltonian of the driven
+Everything here is deliberately dumb: the Hamiltonian of the driven
 three-mode system in a truncated number basis, a Chebyshev series for its
 exponential, and observables read off the amplitudes.  Mode ordering is
 (cav1, cav2, motion); the flat index of |n1, n2, nb> is
@@ -13,7 +13,14 @@ fixed L, and a start state occupies few of them: the vacuum lives in L = 0,
 about 1% of the product states.  :func:`hamiltonian_matrix` builds nothing
 up front; each sector's block is built on first use, straight from hops on
 the (n1, n2) lattice, and :func:`evolve_exact` builds and propagates only
-the sectors the state occupies.  A :class:`FockState` holds its nonzero
+the sectors the state occupies.  A phase gauge makes every block real:
+with chi_j = |chi_j| e^{i theta_j} and W = diag(e^{i (theta1 n1 + theta2 n2)}),
+W+ H W = i K with K real and antisymmetric, so exp(-i H t) = W exp(K t) W+.
+A block holds K as a stencil of four slots per state, numpy arrays alone,
+and one product is a gather, a scale and a sum over the slots.  exp(K t)
+is real, so the real and imaginary parts of W+ psi evolve apart by a real
+Chebyshev recurrence, and a part that is exactly zero, as from the vacuum,
+is not propagated.  A :class:`FockState` holds its nonzero
 amplitudes alone, by ascending flat index, and the norm checks and
 :func:`leakage` read only those.  :func:`observables` reads each moment as
 an inner product of two such sparse vectors, the state shifted by a ladder
@@ -27,12 +34,12 @@ are directly comparable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import gaussian, protocol
 from .errors import StateError, TruncationError, require_half_period
@@ -107,10 +114,19 @@ def _gather(support: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.nd
 
 
 class Sector(NamedTuple):
-    """H restricted to the states of one conserved sector."""
+    """H restricted to the states of one conserved sector, as H = W (i K) W+.
+
+    K is real and antisymmetric, held as a stencil of four slots per state:
+    (K x)[s] = sum_j vals[j, s] * x[cols[j, s]].  A slot whose hop leaves
+    the basis holds 0 and points at s itself.  W is diagonal,
+    e^{i (theta1 n1 + theta2 n2)} on each state, with theta_j the phase of
+    chi_j.
+    """
 
     states: np.ndarray          # flat product-basis indices, ascending
-    matrix: sp.csr_matrix       # H on those states, in the same order
+    cols: np.ndarray            # (4, size) sector indices of K's entries, by slot
+    vals: np.ndarray            # (4, size) K's entries there, real
+    phase: np.ndarray           # W on those states
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +134,12 @@ class SectorHamiltonian:
     """H/hbar = i chi1 a1+ b+ + i chi2 a2+ b + h.c. in the truncated basis, by sector.
 
     H conserves L = n1 - n2 - nb, so it is block-diagonal over the sectors
-    of fixed L.  :meth:`sector` builds the CSR block of one sector on first
-    use and keeps it; ``nnz`` counts the entries of the blocks built so far.
+    of fixed L.  With chi_j = |chi_j| e^{i theta_j} and
+    W = diag(e^{i (theta1 n1 + theta2 n2)}), W+ H W = i K, where
+    K = |chi1| (a1+ b+ - a1 b) + |chi2| (a2+ b - b+ a2) is real and
+    antisymmetric; so exp(-i H t) = W exp(K t) W+.  :meth:`sector` builds
+    the stencil of K and the gauge W of one sector on first use and keeps
+    them; ``nnz`` counts the nonzero entries of the blocks built so far.
     """
 
     chi1: complex
@@ -141,7 +161,7 @@ class SectorHamiltonian:
 
     @property
     def nnz(self) -> int:
-        return sum(sector.matrix.nnz for sector in self._sectors.values())
+        return sum(int(np.count_nonzero(sector.vals)) for sector in self._sectors.values())
 
     def sector(self, ell: int) -> Sector:
         """The block of the sector n1 - n2 - nb = ``ell``."""
@@ -158,9 +178,9 @@ class SectorHamiltonian:
         (n1 * d2 + n2) * db + nb.  a1+ b+ is the hop n1 -> n1 + 1, with
         amplitude sqrt(n1+1) sqrt(nb+1), into the next row; a2+ b is the hop
         n2 -> n2 + 1, with amplitude sqrt(n2+1) sqrt(nb), to the next state
-        of the row.  A hop that leaves the basis is not stored, nor is a
-        zero entry.  The h.c. entries are the conjugates of the same
-        values, so hermiticity is exact by construction.
+        of the row.  A hop that leaves the basis is not stored.  The
+        transposed entries are the negatives of the same values, so K is
+        antisymmetric, and H Hermitian, exactly by construction.
         """
         d1, d2, db = self.dims
         n1 = np.arange(d1)
@@ -174,26 +194,20 @@ class SectorHamiltonian:
         pair = np.flatnonzero((row < d1 - 1) & (nb < db - 1))    # a1+ b+ stays in the basis
         exch = np.flatnonzero((n2 < d2 - 1) & (nb > 0))          # a2+ b stays in the basis
         pair_to = first[row[pair] + 1] + n2[pair] - lo[row[pair] + 1]
-        # Row k holds the columns of its pair source, its exchange source (k - 1),
-        # its exchange target (k + 1) and its pair target, in ascending order.
-        # scipy stores 32-bit indices where they fit (the entry count reaches
-        # 4 * size); building in them spares a copy
-        index = np.int32 if 4 * size < 2**31 else np.int64
-        vals = np.zeros((size, 4), dtype=complex)
-        cols = np.zeros((size, 4), dtype=index)
-        vals[pair_to, 0] = (1j * self.chi1) * (np.sqrt(row[pair] + 1) * np.sqrt(nb[pair] + 1))
-        vals[exch + 1, 1] = (1j * self.chi2) * (np.sqrt(n2[exch] + 1) * np.sqrt(nb[exch]))
-        vals[exch, 2] = np.conjugate(vals[exch + 1, 1])
-        vals[pair, 3] = np.conjugate(vals[pair_to, 0])
-        cols[pair_to, 0] = pair
-        cols[exch + 1, 1] = exch
-        cols[exch, 2] = exch + 1
-        cols[pair, 3] = pair_to
-        keep = vals != 0
-        indptr = np.zeros(size + 1, dtype=index)
-        indptr[1:] = np.cumsum(np.count_nonzero(keep, axis=1), dtype=index)
-        matrix = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(size, size))
-        return Sector(states=(row * d2 + n2) * db + nb, matrix=matrix)
+        # State k's slots hold its pair source, its exchange source (k - 1), its
+        # exchange target (k + 1) and its pair target, in ascending order
+        cols = np.tile(np.arange(size), (4, 1))
+        vals = np.zeros((4, size))
+        vals[0, pair_to] = abs(self.chi1) * (np.sqrt(row[pair] + 1) * np.sqrt(nb[pair] + 1))
+        vals[1, exch + 1] = abs(self.chi2) * (np.sqrt(n2[exch] + 1) * np.sqrt(nb[exch]))
+        vals[2, exch] = -vals[1, exch + 1]
+        vals[3, pair] = -vals[0, pair_to]
+        cols[0, pair_to] = pair
+        cols[1, exch + 1] = exch
+        cols[2, exch] = exch + 1
+        cols[3, pair] = pair_to
+        phase = np.exp(1j * (cmath.phase(self.chi1) * row + cmath.phase(self.chi2) * n2))
+        return Sector(states=(row * d2 + n2) * db + nb, cols=cols, vals=vals, phase=phase)
 
 
 def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> SectorHamiltonian:
@@ -212,15 +226,12 @@ def leakage(state: FockState) -> float:
     return float(max(pop[n == d - 1].sum() for n, d in zip(levels, state.dims)))
 
 
-def _spectral_bound(matrix: sp.csr_matrix) -> float:
-    """Gershgorin's bound on the spectral radius: the largest row sum of |H|.
+def _spectral_bound(vals: np.ndarray) -> float:
+    """Gershgorin's bound on the spectral radius of K: the largest row sum of |K|.
 
-    ``reduceat`` sums each row's entries.  An empty row reads the first
-    entry of the next row instead, or the appended zero, which is at most
-    that row's own sum, so the maximum is unchanged.
+    ``vals`` is the stencil of :class:`Sector`, one column of slots per row.
     """
-    rows = np.add.reduceat(np.append(np.abs(matrix.data), 0.0), matrix.indptr[:-1])
-    return float(rows.max())
+    return float(np.abs(vals).sum(axis=0).max())
 
 
 def _series_length(alpha: float) -> int:
@@ -245,44 +256,75 @@ def _series_length(alpha: float) -> int:
 
 
 def _chebyshev_coefficients(alpha: float) -> np.ndarray:
-    """c_0 = J_0(alpha) and c_k = 2 (-i)^k J_k(alpha), k = 1 .. K, of exp(-i alpha x).
+    """J_0(alpha) and 2 J_k(alpha), k = 1 .. K: the real coefficients of :func:`_propagate`.
 
-    By the Jacobi-Anger expansion exp(-i alpha cos theta) is
-    sum_n (-i)^n J_n(alpha) e^{i n theta}, so the discrete Fourier transform
-    of its samples at theta_j = 2 pi j / M, the Chebyshev nodes cos theta_j,
-    gives (-i)^n J_n(alpha) plus the aliased terms n +- M.  With
-    M = 2 (K + 1) every alias lies past K, inside the tail that
-    :func:`_series_length` bounds.  numpy's FFT runs on one thread, where a
-    dense BLAS product would leave OpenBLAS threads spinning.
+    exp(-i alpha x) = sum_k c_k T_k(x) with c_0 = J_0(alpha) and
+    c_k = 2 (-i)^k J_k(alpha).  By the Jacobi-Anger expansion
+    exp(-i alpha cos theta) is sum_n (-i)^n J_n(alpha) e^{i n theta}, so the
+    discrete Fourier transform of its samples at theta_j = 2 pi j / M, the
+    Chebyshev nodes cos theta_j, gives (-i)^n J_n(alpha) plus the aliased
+    terms n +- M.  With M = 2 (K + 1) every alias lies past K, inside the
+    tail that :func:`_series_length` bounds.  The coefficients returned are
+    i^k c_k, with i^k taken exact from a table and the imaginary rounding
+    dropped.  numpy's FFT runs on one thread, where a dense BLAS product
+    would leave OpenBLAS threads spinning.
     """
     count = _series_length(alpha) + 1
     nodes = np.cos(np.arange(2 * count) * (math.pi / count))
     coeffs = np.fft.fft(np.exp(-1j * alpha * nodes))[:count] / (2 * count)
     coeffs[1:] *= 2.0
-    return coeffs
+    coeffs *= np.array([1, 1j, -1, -1j])[np.arange(count) % 4]
+    return coeffs.real
 
 
-def _propagate(matrix: sp.csr_matrix, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) psi for one Hermitian sector block H, by a Chebyshev series.
+def _propagate(cols: np.ndarray, vals: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(K t) x for one sector's stencil of K (see :class:`Sector`) and a real vector x.
 
-    With rho from :func:`_spectral_bound`, H / rho has its spectrum in
-    [-1, 1], and exp(-i H t) = sum_k c_k T_k(H / rho) with the coefficients
-    of :func:`_chebyshev_coefficients` at alpha = rho t (Tal-Ezer and
-    Kosloff, J. Chem. Phys. 81, 3967, 1984).  The vectors T_k(H / rho) psi
-    follow from T_{k+1} = 2 (H / rho) T_k - T_{k-1}, one sparse product each.
+    iK is Hermitian and exp(K t) = exp(-i (iK) t).  With rho from
+    :func:`_spectral_bound`, iK / rho has its spectrum in [-1, 1], and
+    exp(K t) = sum_k c_k T_k(iK / rho) with the c_k of exp(-i alpha x) at
+    alpha = rho t (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984).
+    The vectors v_k = (-i)^k T_k(iK / rho) x are real and follow from
+    v_{k+1} = 2 (K / rho) v_k + v_{k-1}; each enters with the real
+    coefficient i^k c_k of :func:`_chebyshev_coefficients`.  One product
+    gathers x at ``cols``, scales by ``vals`` and sums the four slots.
     """
-    rho = _spectral_bound(matrix)
+    rho = _spectral_bound(vals)
     if rho == 0.0:
-        return psi
+        return x
     coeffs = _chebyshev_coefficients(rho * t)
-    step = matrix * (2.0 / rho)
-    prev, cur = psi, 0.5 * (step @ psi)
+    step = vals * (2.0 / rho)
+
+    def apply(v):
+        """2 (K / rho) v."""
+        g = v[cols]
+        g *= step
+        return g.sum(0)
+
+    prev, cur = x, 0.5 * apply(x)
     out = coeffs[0] * prev + coeffs[1] * cur
     for coeff in coeffs[2:]:
-        nxt = step @ cur
-        nxt -= prev
+        nxt = apply(cur)
+        nxt += prev
         prev, cur = cur, nxt
         out += coeff * cur
+    return out
+
+
+def _evolve_sector(sector: Sector, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) psi on one sector, as W exp(K t) W+ psi.
+
+    exp(K t) is real, so the real and imaginary parts of W+ psi evolve apart.
+    A part that is exactly zero stays zero and is not propagated: from the
+    vacuum, on which W is 1, that is the imaginary part.
+    """
+    rotated = psi * sector.phase.conj()
+    out = np.zeros(psi.size, dtype=complex)
+    if rotated.real.any():
+        out.real = _propagate(sector.cols, sector.vals, rotated.real, t)
+    if rotated.imag.any():
+        out.imag = _propagate(sector.cols, sector.vals, rotated.imag, t)
+    out *= sector.phase
     return out
 
 
@@ -322,8 +364,9 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)
     sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
-    evolved = np.concatenate([_propagate(sector.matrix,
-                                         _gather(state.support, state.values, sector.states), t)
+    evolved = np.concatenate([_evolve_sector(sector,
+                                             _gather(state.support, state.values, sector.states),
+                                             t)
                               for sector in sectors])
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:

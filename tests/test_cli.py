@@ -240,6 +240,13 @@ class TestOneFailurePath:
         self.assert_usage_error(capsys, ["sequential", "--config", cfg],
                                 r"seq_t1 is not set .*1/\|chi1\| is infinite")
 
+    def test_negative_kappa_t12_named_by_its_key(self, capsys, tmp_path):
+        # not by the delay_t12 = seq_kappa_t12 / kappa derived from it
+        cfg = rewrite_config(tmp_path, "delay.cfg", drop={"seq_kappa_t12"},
+                             extra=["seq_kappa_t12 = -1"])
+        self.assert_usage_error(capsys, ["sequential", "--config", cfg],
+                                r"seq_kappa_t12 must be >= 0, got -1\.0$")
+
     @pytest.mark.parametrize("soft_ratio", ["0", "-1"])
     def test_soft_ratio_not_positive(self, capsys, tmp_path, soft_ratio):
         cfg = rewrite_config(tmp_path, "soft.cfg", extra=[f"soft_ratio = {soft_ratio}"])

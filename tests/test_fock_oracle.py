@@ -79,29 +79,45 @@ def index_hamiltonian(chi1, chi2, dims):
 
 
 def assembled(h):
-    """Every sector's block of ``h`` scattered into the product basis, as one CSR matrix."""
+    """Every sector's real block K scattered into the product basis, as one CSR matrix.
+
+    A stencil slot holding 0, a padded one or a hop at chi = 0, is no entry.
+    """
     d1, d2, db = h.dims
     size = d1 * d2 * db
     rows, cols, vals = [], [], []
     for ell in range(2 - d2 - db, d1):      # every value of n1 - n2 - nb
         sector = h.sector(ell)
-        block = sector.matrix.tocoo()
-        rows.append(sector.states[block.row])
-        cols.append(sector.states[block.col])
-        vals.append(block.data)
+        keep = sector.vals != 0
+        rows.append(np.broadcast_to(sector.states, keep.shape)[keep])
+        cols.append(sector.states[sector.cols[keep]])
+        vals.append(sector.vals[keep])
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(size, size))
 
 
+def dense_block(sector):
+    """K on one sector as a dense real matrix, from its stencil."""
+    size = sector.states.size
+    k = np.zeros((size, size))
+    np.add.at(k, (np.broadcast_to(np.arange(size), sector.cols.shape), sector.cols), sector.vals)
+    return k
+
+
 def assert_matches_index_build(chi1, chi2, dims):
-    """The assembled oracle Hamiltonian equals :func:`index_hamiltonian` bit for bit."""
-    h = assembled(fock_oracle.hamiltonian_matrix(chi1, chi2, dims))
-    ref = index_hamiltonian(chi1, chi2, dims)
-    assert h.has_sorted_indices
-    assert h.nnz == ref.nnz
-    assert np.array_equal(h.indptr, ref.indptr)
-    assert np.array_equal(h.indices, ref.indices)
-    assert np.array_equal(h.data, ref.data)
+    """The assembled K equals -i :func:`index_hamiltonian` at |chi1|, |chi2| bit for bit.
+
+    At real positive chis H = i K, and multiplying by -i is exact.
+    """
+    k = assembled(fock_oracle.hamiltonian_matrix(chi1, chi2, dims))
+    ref = -1j * index_hamiltonian(abs(chi1), abs(chi2), dims)
+    assert k.dtype == np.float64
+    assert k.has_sorted_indices
+    assert k.nnz == ref.nnz
+    assert np.array_equal(k.indptr, ref.indptr)
+    assert np.array_equal(k.indices, ref.indices)
+    assert not ref.data.imag.any()
+    assert np.array_equal(k.data, ref.data.real)
 
 
 # Complex chis and a time at which rho t is about 58 in the vacuum's sector
@@ -111,10 +127,14 @@ LONG_T = 5.0
 
 
 def dense_expm_gap(case, chis, t):
-    """Largest |amplitude| difference between evolve_exact and dense expm on (5, 5, 5)."""
+    """Largest |amplitude| difference between evolve_exact and dense expm on (5, 5, 5).
+
+    The reference exponentiates :func:`index_hamiltonian` at the chis
+    themselves, so the oracle's gauge and its real blocks are both checked.
+    """
     dims = (5, 5, 5)
     n = 125
-    h = hamiltonian_matrix(*chis, dims)
+    h = fock_oracle.hamiltonian_matrix(*chis, dims)
     psi = np.zeros(n, dtype=complex)
     if case == "all_sectors":
         # a seeded random amplitude on every product state
@@ -127,19 +147,20 @@ def dense_expm_gap(case, chis, t):
             psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
             psi /= math.sqrt(2.0)
     out = evolve_exact(dense_state(dims, psi), h, t, leak_tol=1.0)
-    expected = scipy.linalg.expm(-1j * t * assembled(h).toarray()) @ psi
+    expected = scipy.linalg.expm(-1j * t * index_hamiltonian(*chis, dims).toarray()) @ psi
     return np.max(np.abs(dense_vector(out) - expected))
 
 
 def assert_matches_bessel(alpha):
-    """The FFT coefficients are 2 (-i)^k J_k(alpha), and the terms past them sum below 2^-53.
+    """The real coefficients are J_0 and 2 J_k(alpha), and the terms past them sum below 2^-53.
 
     scipy's jv is the independent reference.  Each sample exp(-i alpha cos theta)
     carries a phase error of order alpha * eps, hence the tolerance.
     """
     coeffs = fock_oracle._chebyshev_coefficients(alpha)
+    assert coeffs.dtype == np.float64
     k = np.arange(coeffs.size)
-    expected = 2.0 * (-1j) ** k * jv(k, alpha)
+    expected = 2.0 * jv(k, alpha)
     expected[0] /= 2.0
     assert np.max(np.abs(coeffs - expected)) <= 1e-15 * max(1.0, abs(alpha))
     dropped = np.arange(coeffs.size, coeffs.size + 1000)
@@ -249,8 +270,9 @@ def fock_states(draw):
 
 class TestHamiltonian:
     def test_hermitian_exactly(self):
-        h = assembled(hamiltonian_matrix(0.7 + 0.2j, 1.9 - 0.4j, (5, 5, 5)))
-        assert (h - h.conj().T).nnz == 0
+        # H = W (i K) W+ is Hermitian exactly when K is antisymmetric exactly
+        k = assembled(hamiltonian_matrix(0.7 + 0.2j, 1.9 - 0.4j, (5, 5, 5)))
+        assert (k + k.T).nnz == 0
 
     def test_pair_term_conserves_mode2(self):
         dims = (6, 6, 6)
@@ -280,14 +302,16 @@ class TestHamiltonian:
         (0.0, 2.0 - 1.0j, (3, 5, 4)),
     ])
     def test_matches_kron_build(self, chi1, chi2, dims):
-        h = assembled(hamiltonian_matrix(chi1, chi2, dims))
-        ref = kron_hamiltonian(chi1, chi2, dims)
-        h.sort_indices()
+        # K is -i H at |chi1|, |chi2|
+        k = assembled(hamiltonian_matrix(chi1, chi2, dims))
+        ref = -1j * kron_hamiltonian(abs(chi1), abs(chi2), dims)
+        k.sort_indices()
         ref.sort_indices()
-        assert h.nnz == ref.nnz
-        assert np.array_equal(h.indptr, ref.indptr)
-        assert np.array_equal(h.indices, ref.indices)
-        np.testing.assert_array_max_ulp(h.data.view(float), ref.data.view(float), maxulp=1)
+        assert k.nnz == ref.nnz
+        assert np.array_equal(k.indptr, ref.indptr)
+        assert np.array_equal(k.indices, ref.indices)
+        assert not ref.data.imag.any()
+        np.testing.assert_array_max_ulp(k.data, ref.data.real, maxulp=1)
 
     @pytest.mark.parametrize("chi1, chi2, dims", [
         (0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7)),
@@ -306,10 +330,11 @@ class TestHamiltonian:
     def test_gershgorin_bounds_every_sector_spectrum(self, chi1, chi2, dims):
         h = hamiltonian_matrix(chi1, chi2, dims)
         for ell in range(2 - dims[1] - dims[2], dims[0]):
-            block = h.sector(ell).matrix
-            radius = np.max(np.abs(scipy.linalg.eigvalsh(block.toarray())))
+            sector = h.sector(ell)
+            # i K is Hermitian with the spectrum of H
+            radius = np.max(np.abs(scipy.linalg.eigvalsh(1j * dense_block(sector))))
             # the bound is attained by a two-state block; eigvalsh rounds to a few ulps
-            assert fock_oracle._spectral_bound(block) * (1 + 1e-12) >= radius
+            assert fock_oracle._spectral_bound(sector.vals) * (1 + 1e-12) >= radius
 
     def test_too_small_dims_rejected(self):
         with pytest.raises(StateError):
@@ -380,6 +405,8 @@ class TestEvolveExact:
         pytest.param("all_sectors", (1.0, 2.5), 0.37, id="all_sectors"),
         pytest.param("vacuum", LONG_CHIS, LONG_T, id="long_vacuum"),
         pytest.param("all_sectors", LONG_CHIS, LONG_T, id="long_all_sectors"),
+        # negative chis: the gauge phase is pi
+        pytest.param("all_sectors", (-0.6, -1.3 + 0.8j), 0.9, id="negative_chis"),
     ])
     def test_matches_dense_expm(self, case, chis, t):
         assert dense_expm_gap(case, chis, t) < 1e-12
@@ -454,14 +481,14 @@ class TestMutants:
         # fixes the vacuum and leaves every compared moment at the half period alone
         original = fock_oracle._propagate
         monkeypatch.setattr(fock_oracle, "_propagate",
-                            lambda matrix, psi, t: original(matrix, psi, -t))
+                            lambda cols, vals, x, t: original(cols, vals, x, -t))
         assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
 
     def test_time_reversed_propagator_fails_mid_pulse_row(self, monkeypatch):
         # the parity flips the cavity-motion cross-covariances, nonzero mid-pulse
         original = fock_oracle._propagate
         monkeypatch.setattr(fock_oracle, "_propagate",
-                            lambda matrix, psi, t: original(matrix, psi, -t))
+                            lambda cols, vals, x, t: original(cols, vals, x, -t))
         assert mid_pulse_gap() > 1e-6
 
     def test_series_cut_short_fails_bessel_tail(self, monkeypatch):
@@ -506,13 +533,25 @@ class TestMutants:
         with pytest.raises(StateError, match="ascend"):
             dense_expm_gap("two_sectors", (1.0, 2.5), 0.37)
 
-    def test_conjugated_chi2_breaks_index_pin(self, monkeypatch):
-        # crosscheck's chis are real, so only the pin at complex chis sees this
+    def test_conjugated_chi2_fails_dense_expm(self, monkeypatch):
+        # crosscheck's chis are real and K reads |chi2| alone, so only the
+        # dense-expm check at complex chis sees this
         original = fock_oracle.hamiltonian_matrix
         monkeypatch.setattr(fock_oracle, "hamiltonian_matrix",
                             lambda chi1, chi2, dims: original(chi1, np.conj(chi2), dims))
-        with pytest.raises(AssertionError):
-            assert_matches_index_build(0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7))
+        assert_matches_index_build(0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7))
+        assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
+
+    def test_flipped_gauge_phase_fails_dense_expm(self, monkeypatch):
+        # W = e^{-i (theta1 n1 + theta2 n2)}: H at conjugated chis, the same K
+        original = fock_oracle.SectorHamiltonian._build
+
+        def build(self, ell):
+            sector = original(self, ell)
+            return sector._replace(phase=sector.phase.conj())
+        monkeypatch.setattr(fock_oracle.SectorHamiltonian, "_build", build)
+        assert_matches_index_build(0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7))
+        assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
 
 
 class TestObservables:
@@ -552,6 +591,8 @@ class TestObservables:
         ([3, 64], [0.6, 0.8], "lie in"),
         ([0.0, 3.0], [0.6, 0.8], "integer"),
         ([], [], "norm"),
+        # a descent past the first pair; 0.0 is dropped, so the norm is 1
+        ([0, 5, 3], [0.6, 0.0, 0.8], "ascend"),
     ])
     def test_malformed_support_rejected(self, support, values, match):
         with pytest.raises(StateError, match=match):

@@ -2,8 +2,8 @@
 
 ``import ionlight`` resolves its public names on first use, and each CLI
 subcommand imports only the layers it runs: ``validate`` and ``couplings``
-need no numpy, and the protocol commands and ``gaussian.evolve`` need no
-scipy.  Module loading is checked in fresh interpreters, never by timing.
+need no numpy, and no entry point loads scipy, which the tests alone use,
+as a reference.  Module loading is checked in fresh interpreters, never by timing.
 """
 
 import importlib
@@ -74,8 +74,12 @@ class TestImportGraph:
         out = cli_run(command, "--config", INDIUM, "--out", str(tmp_path))
         assert out == {"result": 0, "loaded": ["numpy"]}
 
-    def test_oracle_check_imports_scipy_when_it_runs(self):
-        assert cli_run("oracle-check") == {"result": 0, "loaded": ["numpy", "scipy"]}
+    def test_oracle_check_loads_numpy_only(self):
+        # the sector blocks are numpy stencils, not scipy.sparse matrices
+        assert cli_run("oracle-check") == {"result": 0, "loaded": ["numpy"]}
+
+    def test_fock_oracle_import_loads_numpy_only(self):
+        assert fresh_run("import ionlight.fock_oracle") == {"result": None, "loaded": ["numpy"]}
 
     def test_oracle_check_loads_no_csgraph(self):
         # the oracle's sectors come from index arithmetic, not a graph search
@@ -87,7 +91,7 @@ class TestImportGraph:
         assert out["result"] == [0, False]
 
     def test_oracle_check_loads_no_scipy_linalg(self):
-        # the oracle propagates by a Chebyshev series on its CSR blocks
+        # the oracle propagates by a Chebyshev series on its stencil blocks
         out = fresh_run("\n".join([
             "import sys",
             "from ionlight import cli",
