@@ -17,7 +17,7 @@ cfg = read_run_config(bundled_config_path())
 
 result = run_simultaneous(cfg.params, ratio=cfg.ratio)
 d = result.diagnostics
-print("pulse length t_pi        =", d["t_pi"] * 1e6, "us")
+print("pulse length t_pi        =", result.couplings.t_pi * 1e6, "us")
 print("photons per cavity mode  =", d["n_cav1"])
 print("log negativity           =", d["log_negativity"])
 print("EPR variance (X1 - X2)   =", d["epr_x"], " (2 would be shot noise)")

@@ -23,17 +23,17 @@ __version__ = "0.1.0"
 # used (PEP 562), so ``import ionlight`` and the parameter-only commands
 # never load numpy or scipy.
 _EXPORTS = {
-    "errors": ("ConfigError", "InfiniteSqueezingError", "IonlightError",
-               "ParameterError", "RegimeError", "StateError", "TruncationError",
-               "UndefinedPeriodError", "UnphysicalStateError"),
+    "errors": ("ConfigError", "IonlightError", "ParameterError", "RegimeError",
+               "StateError", "TruncationError", "UndefinedPeriodError",
+               "UnphysicalStateError"),
     "params": ("HBAR", "Couplings", "PhysicalParams", "RegimeConstraint",
                "RegimeReport", "coupling_constants", "lamb_dicke", "load_config",
                "params_from_config", "parse_config_text", "validate_regime"),
     "gaussian": ("GaussianState", "LinearDynamics", "apply_symplectic",
                  "bogoliubov_tpi", "decorrelation_norm", "dynamics_from_couplings",
                  "epr_variance", "evolve", "log_negativity", "mean_photons",
-                 "quadratic_dynamics", "symplectic_eigenvalues", "symplectic_form",
-                 "tensor", "term_propagator", "thermal", "tmss", "vacuum"),
+                 "quadratic_dynamics", "symplectic_eigenvalues", "tensor",
+                 "term_propagator", "thermal", "tmss", "vacuum"),
     "fock_oracle": ("Crosscheck", "FockObservables", "FockState", "crosscheck",
                     "evolve_exact", "hamiltonian_matrix", "leakage", "observables",
                     "suggest_dims", "vacuum_state"),

@@ -89,11 +89,12 @@ def cmd_couplings(cfg: SimpleNamespace, args) -> int:
 
 def cmd_simulate(cfg: SimpleNamespace, args) -> int:
     from . import protocol
-    d = protocol.run_simultaneous(cfg.params, force=args.force, ratio=cfg.ratio).diagnostics
-    print(f"t_pi                 = {_fmt(d['t_pi'])} s")
-    print(f"r                    = {_fmt(d['r'])}")
-    print(f"beta                 = {_fmt(d['beta'])} rad")
-    print(f"n_mean (formula)     = {_fmt(d['n_mean'])}")
+    result = protocol.run_simultaneous(cfg.params, force=args.force, ratio=cfg.ratio)
+    c, d = result.couplings, result.diagnostics
+    print(f"t_pi                 = {_fmt(c.t_pi)} s")
+    print(f"r                    = {_fmt(c.r)}")
+    print(f"beta                 = {_fmt(c.beta)} rad")
+    print(f"n_mean (formula)     = {_fmt(c.n_mean)}")
     print(f"photons per mode     = {_fmt(d['n_cav1'])} (cav1), {_fmt(d['n_cav2'])} (cav2)")
     print(f"log negativity       = {_fmt(d['log_negativity'])}")
     print(f"EPR var (X1-X2)      = {_fmt(d['epr_x'])}")
@@ -135,7 +136,7 @@ def cmd_sequential(cfg: SimpleNamespace, args) -> int:
                                      delay_t12=cfg.seq_kappa_t12 / cfg.params.kappa,
                                      swap_area=cfg.seq_swap_area)
     print(f"pulse area |chi1|*t1      = {_fmt(abs(couplings.chi1) * t1)}")
-    print(f"swap area                 = {_fmt(result.swap_area)}")
+    print(f"swap area                 = {_fmt(cfg.seq_swap_area)}")
     print(f"E_N cavity|motion (A)     = {_fmt(result.stage_a_entanglement)}")
     print(f"E_N pulse1|pulse2         = {_fmt(result.final_entanglement)}")
     print(f"E_N pulse1|motion         = {_fmt(result.pulse1_motion_entanglement)}")

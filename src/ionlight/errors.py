@@ -17,10 +17,6 @@ class UndefinedPeriodError(IonlightError, ValueError):
     """|chi2| <= |chi1|: the dynamics are not periodic and no half-period exists."""
 
 
-class InfiniteSqueezingError(IonlightError, ValueError):
-    """r = 1 corresponds to infinite squeezing; the target state does not exist."""
-
-
 class StateError(IonlightError, ValueError):
     """A Gaussian state is malformed (dimensions, labels, or symmetry)."""
 

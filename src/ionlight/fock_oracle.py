@@ -468,15 +468,16 @@ def _require_finite_r(r: float, caller: str) -> None:
     require_half_period(r)
 
 
-def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
+def suggest_dims(r: float, leak_target: float = 1e-12) -> tuple:
     """Truncation dimensions for a half-period run at coupling ratio r (vacuum start).
 
     Sizes each mode from the geometric tail of its worst-case occupation along
     the evolution, from n = ``Couplings.n_mean``: the cavity modes end with
     mean occupation n, the motion transiently reaches (1 + sqrt(1 + n))/2 =
-    r^2/(r^2 - 1).  A mode whose tail ratio q = n/(1 + n) has 1 - q at or
-    below ``leak_target`` meets the criterion at every size, so r - 1 below
-    about 1e-6 at the default target raises :class:`StateError`.
+    r^2/(r^2 - 1).  Each size is the tail's plus 2, and at least 4.  A mode
+    whose tail ratio q = n/(1 + n) has 1 - q at or below ``leak_target``
+    meets the criterion at every size, so r - 1 below about 1e-6 at the
+    default target raises :class:`StateError`.
     """
     _require_finite_r(r, "suggest_dims")
     if not 0.0 < leak_target < 1.0:
@@ -490,7 +491,7 @@ def suggest_dims(r: float, leak_target: float = 1e-12, pad: int = 2) -> tuple:
         if not 1.0 - q > leak_target:    # then every d meets the criterion
             raise StateError(f"suggest_dims: r = {r!r} is too close to 1 for a finite basis")
         d = 1 + math.ceil(math.log(leak_target / (1.0 - q)) / math.log(q))
-        return max(4, d + pad)
+        return max(4, d + 2)
 
     n = Couplings.from_chis(1.0, r).n_mean
     d_cav = tail_dim(n)

@@ -26,8 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (InfiniteSqueezingError, StateError, UnphysicalStateError,
-                     require_half_period)
+from .errors import StateError, UnphysicalStateError, require_half_period
 from .params import Couplings
 
 SYMMETRY_TOL = 1e-12
@@ -42,15 +41,6 @@ SYMMETRY_TOL = 1e-12
 # The one limit thus bounds how close r may come to 1 and how large nbar and
 # the pulse areas may grow.
 SPECTRUM_LIMIT = 1e-4
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """The 2N x 2N symplectic form Omega with blocks [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
 
 
 def _spectrum_bound(covs: np.ndarray) -> tuple:
@@ -568,33 +558,27 @@ def bogoliubov_tpi(couplings: Couplings) -> np.ndarray:
     return bogoliubov_to_symplectic(alpha, beta)
 
 
-def tmss(r: float, beta: float = 0.0,
-         labels: Sequence = ("cav1", "cav2")) -> GaussianState:
-    """Two-mode squeezed vacuum produced by the half-period map, as a Gaussian state.
+def tmss(r: float, beta: float = 0.0) -> GaussianState:
+    """Two-mode squeezed vacuum produced by the half-period map, over (cav1, cav2).
 
-    The squeezing parameter s follows from the coupling ratio r through
-    cosh(s) = (1 + r^2)/|1 - r^2| and sinh(s) = 2r/|1 - r^2|; ``beta`` is the
+    The squeezing parameter s follows from the coupling ratio r > 1 through
+    cosh(s) = (1 + r^2)/(r^2 - 1) and sinh(s) = 2r/(r^2 - 1); ``beta`` is the
     phase of the cross-correlations (arg chi1 + arg chi2).  Mean photons per
-    mode is sinh(s)^2 = 4 r^2/(1 - r^2)^2.
+    mode is sinh(s)^2 = 4 r^2/(1 - r^2)^2.  It is computed from x = 1/r, so a
+    finite r large enough that x^2 underflows gives the vacuum.
 
-    r < 1 is accepted: the state depends on r only through 2r/(1 + r^2),
-    which is invariant under r -> 1/r, so it is computed from
-    x = min(r, 1/r).  A finite r far from 1 either way gives the vacuum, as
-    x^2 underflows to 0.  r = 1 would be infinitely squeezed and raises.  A
-    NaN or infinite r raises :class:`StateError`: r = inf would be the
+    A NaN or infinite r raises :class:`StateError`: r = inf would be the
     vacuum, the limit of large r, but no coupling ratio is infinite, so it
     is refused rather than read as that limit.  So does a NaN or infinite
-    ``beta``.
+    ``beta``.  r <= 1 has no half-period and raises
+    :class:`UndefinedPeriodError`.
     """
     if not math.isfinite(r):
         raise StateError(f"tmss needs a finite r, got {r!r}")
     if not math.isfinite(beta):
         raise StateError(f"tmss needs a finite beta, got {beta!r}")
-    if r <= 0.0:
-        raise InfiniteSqueezingError(f"r must be positive, got {r!r}")
-    if r == 1.0:
-        raise InfiniteSqueezingError("r = 1 corresponds to infinite squeezing")
-    x = min(r, 1.0 / r)
+    require_half_period(r)
+    x = 1.0 / r
     denom = 1.0 - x * x
     cosh_s = (1.0 + x * x) / denom
     sinh_s = 2.0 * x / denom
@@ -604,4 +588,4 @@ def tmss(r: float, beta: float = 0.0,
     cross = sinh_2s * np.array([[cb, sb], [sb, -cb]])
     cov = np.block([[cosh_2s * np.eye(2), cross],
                     [cross.T, cosh_2s * np.eye(2)]])
-    return GaussianState._made(tuple(labels), np.zeros(4), cov)
+    return GaussianState._made(("cav1", "cav2"), np.zeros(4), cov)

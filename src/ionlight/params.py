@@ -66,12 +66,11 @@ class PhysicalParams:
     mass: float = 0.0            # atomic mass, kg
     wavenumber: float = 0.0      # optical wavenumber k, 1/m
     nbar_motion: float = 0.0     # initial mean thermal phonon number
-    pulse_length_t: Optional[float] = None  # laser pulse duration, s (None -> T_pi)
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not cmath.isfinite(value):
+            if not cmath.isfinite(value):
                 raise ParameterError(f"{f.name} must be finite, got {value!r}")
         for name in ("nu", "gamma", "kappa", "mass", "wavenumber", "omega_rabi"):
             value = getattr(self, name)
@@ -79,8 +78,6 @@ class PhysicalParams:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
         if self.nbar_motion < 0.0:
             raise ParameterError(f"nbar_motion must be >= 0, got {self.nbar_motion!r}")
-        if self.pulse_length_t is not None and not self.pulse_length_t > 0.0:
-            raise ParameterError("pulse_length_t must be positive when given")
         # Pole guard: the Raman denominators delta -+ nu would be resonant.
         # Within one linewidth of either pole the adiabatic elimination behind
         # chi1/chi2 is meaningless, so such parameter sets are rejected here.
@@ -293,7 +290,7 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
         couplings = coupling_constants(params)
     eta = params.lamb_dicke
     theta = couplings.theta_rate
-    t_pulse = params.pulse_length_t if params.pulse_length_t is not None else couplings.t_pi
+    t_pi = couplings.t_pi
 
     abs_delta = abs(params.delta)
     # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row
@@ -310,10 +307,10 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
         ("kappa >> gamma*|g1|^2/delta^2", params.kappa, scatter1),
         ("kappa >> gamma*|g2|^2/delta^2", params.kappa, scatter2),
         ("theta >> eta^2*gamma*omega^2/delta^2", theta, recoil_heating),
-        ("nu*T >> 1", None if t_pulse is None else params.nu * t_pulse, 1.0),
+        ("nu*T >> 1", None if t_pi is None else params.nu * t_pi, 1.0),
         ("1 >> eta", 1.0, eta),
     )
-    kappa_tpi = None if couplings.t_pi is None else params.kappa * couplings.t_pi
+    kappa_tpi = None if t_pi is None else params.kappa * t_pi
     soft = RegimeConstraint("kappa*t_pi <= 1/soft_ratio", 1.0, kappa_tpi, soft_ratio)
     return RegimeReport(
         constraints=tuple(RegimeConstraint(name, left, right, much_greater_ratio)
@@ -370,7 +367,6 @@ CONFIG_KEYS = {
     "theta_l": ConfigKey(_number, "theta_l"),
     "theta_c": ConfigKey(_number, "theta_c"),
     "nbar_motion": ConfigKey(_number, "nbar_motion"),
-    "pulse_length_t": ConfigKey(_number, "pulse_length_t"),
     "ratio": ConfigKey(_number, default=10.0),
     "soft_ratio": ConfigKey(_number, default=2.0),
     "kappa_dt": ConfigKey(_number, default=DEFAULT_KAPPA_DT),

@@ -13,8 +13,9 @@ Two protocols are implemented:
 
 Each is a tuple of named :class:`Stage` records.  Both are lossless during
 the drive, so every stage is one symplectic map in closed form, applied by
-:func:`run_stages`; the matrix exponential of :func:`gaussian.evolve` runs
-only the lossy variant of the simultaneous pulse and the cross-checks.
+:func:`run_stages`.  The matrix exponential of :func:`gaussian.evolve` runs
+only the cross-checks, and the drive with cavity decay, which is one call:
+``evolve(initial, dynamics_from_couplings(chi1, chi2, kappa), t_pi)``.
 
 The measured quantity downstream of the cavity is the normalized variance of
 the balanced-homodyne difference current, binned at kappa*dt:
@@ -43,7 +44,7 @@ import numpy as np
 from . import gaussian
 from .errors import ParameterError, RegimeError, require_half_period
 from .gaussian import GaussianState
-from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, Couplings, PhysicalParams,
+from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, TWO_PI, Couplings, PhysicalParams,
                      coupling_constants, validate_regime)
 
 SIMULTANEOUS_LABELS = ("cav1", "cav2", "motion")
@@ -69,9 +70,11 @@ def default_time_grid(t_max: float = 8.0, step: float = 0.02) -> np.ndarray:
 class HomodyneSettings:
     """Local-oscillator phases and the detection time binning.
 
-    ``kappa_dt`` is the dimensionless bin length kappa * dt and must lie in
-    (0, 1]: the fluctuations have to be recorded on a time scale no slower
-    than the cavity decay.  ``t_grid`` is in units of 1/kappa.
+    ``theta1`` and ``theta2`` must lie in [-2 pi, 2 pi]: a larger angle adds
+    nothing, and far past it the cos and sin are round-off.  ``kappa_dt`` is
+    the dimensionless bin length kappa * dt and must lie in (0, 1]: the
+    fluctuations have to be recorded on a time scale no slower than the
+    cavity decay.  ``t_grid`` is in units of 1/kappa.
     """
 
     theta1: float = 0.0
@@ -82,8 +85,10 @@ class HomodyneSettings:
     def __post_init__(self):
         if not 0.0 < self.kappa_dt <= 1.0:
             raise ParameterError(f"kappa_dt must be in (0, 1], got {self.kappa_dt!r}")
-        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
-            raise ParameterError("theta1 and theta2 must be finite")
+        for name in ("theta1", "theta2"):
+            theta = getattr(self, name)
+            if not abs(theta) <= TWO_PI:
+                raise ParameterError(f"{name} must lie in [-2 pi, 2 pi], got {theta!r}")
         grid = np.array(self.t_grid, dtype=float).reshape(-1)
         if grid.size == 0 or not np.all((grid >= 0.0) & (grid < math.inf)):
             raise ParameterError("t_grid must be non-empty with finite times >= 0")
@@ -144,7 +149,6 @@ class SequentialResult:
     stage_a_entanglement: float     # E_N(cavity | motion) after the first pulse
     final_entanglement: float       # E_N(pulse1 | cavity) after the swap pulse
     motion_residual_norm: float     # cross-covariance norm motion vs. both fields
-    swap_area: float
     pulse1_motion_entanglement: float
     state: GaussianState
 
@@ -277,16 +281,14 @@ def simultaneous_stages(couplings: Couplings) -> tuple:
                   couplings.t_pi, gaussian.bogoliubov_tpi(couplings)),)
 
 
-def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float = 10.0,
-                     include_decay: bool = False) -> SimultaneousResult:
+def run_simultaneous(params: PhysicalParams, force: bool = False,
+                     ratio: float = 10.0) -> SimultaneousResult:
     """Drive both couplings for one half-period from vacuum x vacuum x thermal.
 
-    The normative run is lossless during the drive (the pulse is much shorter
-    than the cavity lifetime) and applies the exact half-period map
-    :func:`gaussian.bogoliubov_tpi`.  ``include_decay=True`` switches cavity
-    decay on during the drive for sensitivity studies and is not the protocol
-    being characterized; having no closed form, it runs the pulse's terms
-    through :func:`gaussian.evolve`.
+    The run is lossless during the drive (the pulse is much shorter than the
+    cavity lifetime) and applies the exact half-period map
+    :func:`gaussian.bogoliubov_tpi`.  ``diagnostics`` holds what is measured
+    on the final state; ``couplings`` holds t_pi, r, beta and n_mean.
 
     The regime inequalities are checked first, each ">>" as a factor
     ``ratio``, and a failing set raises :class:`RegimeError` unless
@@ -295,7 +297,7 @@ def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float =
     by 9.6; its configuration, and so the CLI, checks that point at factor 5.
     """
     couplings = coupling_constants(params)
-    (pulse,) = simultaneous_stages(couplings)
+    stages = simultaneous_stages(couplings)
     if not force:
         report = validate_regime(params, couplings, much_greater_ratio=ratio)
         if not report.overall_pass:
@@ -305,17 +307,9 @@ def run_simultaneous(params: PhysicalParams, force: bool = False, ratio: float =
 
     initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
                               gaussian.thermal(params.nbar_motion, "motion"))
-    if include_decay:
-        final = gaussian.evolve(initial, gaussian.dynamics_from_couplings(
-            couplings.chi1, couplings.chi2, params.kappa), pulse.t)
-    else:
-        (final,) = run_stages(initial, (pulse,))
+    (final,) = run_stages(initial, stages)
 
     diagnostics = {
-        "t_pi": couplings.t_pi,
-        "r": couplings.r,
-        "beta": couplings.beta,
-        "n_mean": couplings.n_mean,
         "n_cav1": gaussian.mean_photons(final, "cav1"),
         "n_cav2": gaussian.mean_photons(final, "cav2"),
         "log_negativity": gaussian.log_negativity(final, ("cav1",)),
@@ -346,6 +340,7 @@ def sequential_stages(couplings: Couplings, kappa: float, t1: float, delay_t12: 
     (``math.inf`` gives ideal extraction, area pi/2).  Stage C drives the
     exchange coupling for t2 = swap_area / |chi2|; area pi/2 swaps the stored
     motional state onto the cavity, which subsequently leaves as pulse 2.
+    ``swap_area`` lies in [0, 2 pi], one full period of the exchange.
     With chi2 = 0 stage C has no drive: it lasts 0 and is the identity.
     """
     if not 0.0 < kappa < math.inf:
@@ -354,8 +349,8 @@ def sequential_stages(couplings: Couplings, kappa: float, t1: float, delay_t12: 
         raise ParameterError(f"t1 must be positive, got {t1!r}")
     if not delay_t12 >= 0.0:
         raise ParameterError(f"delay_t12 must be >= 0, got {delay_t12!r}")
-    if not swap_area >= 0.0:
-        raise ParameterError(f"swap_area must be >= 0, got {swap_area!r}")
+    if not 0.0 <= swap_area <= TWO_PI:
+        raise ParameterError(f"swap_area must lie in [0, 2 pi], got {swap_area!r}")
     cav, motion, pulse1 = SEQUENTIAL_LABELS
     stages = (("pair", (gaussian.PAIR, cav, motion, couplings.chi1), t1),
               ("extract", (gaussian.EXCHANGE, pulse1, cav, 1.0),
@@ -390,7 +385,6 @@ def run_sequential(params: PhysicalParams, t1: float, delay_t12: float = math.in
             state.reduced(("cav", "pulse1")), ("pulse1",)),
         motion_residual_norm=gaussian.decorrelation_norm(
             state, ("motion",), ("cav", "pulse1")),
-        swap_area=swap_area,
         pulse1_motion_entanglement=gaussian.log_negativity(
             state.reduced(("motion", "pulse1")), ("pulse1",)),
         state=state,

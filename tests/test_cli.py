@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from ionlight import cli
 from ionlight.cli import (EXIT_OK, EXIT_PHYSICS, EXIT_USAGE,
                           bundled_config_path, main, read_run_config)
-from ionlight.params import CONFIG_KEYS
+from ionlight.params import CONFIG_KEYS, coupling_constants
 
 INDIUM = str(bundled_config_path())
 
@@ -121,6 +122,13 @@ class TestFig3:
         run(capsys, "fig3", "--out", str(dir_b))
         for name in ("fig3_r1.1.csv", "fig3_r1.8.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_header_names_the_angle_sum(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "angles.cfg", extra=["theta1 = 0.25", "theta2 = 0.5"])
+        code, _, _ = run(capsys, "fig3", "--config", cfg, "--out", str(tmp_path))
+        assert code == EXIT_OK
+        header = (tmp_path / "fig3_r1.8.csv").read_text().splitlines()[0]
+        assert header == "# r=1.8, kappa_dt=0.1, theta_sum=0.75"
 
     def test_r_below_one_is_usage_error(self, capsys, tmp_path):
         cfg = rewrite_config(tmp_path, "bad_r.cfg",
@@ -334,6 +342,25 @@ class TestExtremeFiniteValues:
             code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, err)
 
+    @pytest.mark.parametrize("command,key,name", [("fig3", "theta1", "theta1"),
+                                                  ("sequential", "seq_swap_area", "swap_area")])
+    def test_angles_past_two_pi_refused(self, capsys, tmp_path, command, key, name):
+        # the cos and sin of 1e300 are round-off: refused, by the argument's name
+        cfg = rewrite_config(tmp_path, "angle.cfg", drop={key}, extra=[f"{key} = 1e300"])
+        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert re.search(rf"^error: {name} must lie in \[", err, re.MULTILINE)
+        assert out == ""
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,extra", [
+        ("fig3", [f"theta1 = {2 * math.pi!r}", f"theta2 = {-2 * math.pi!r}"]),
+        ("sequential", [f"seq_swap_area = {2 * math.pi!r}"])])
+    def test_angles_of_two_pi_accepted(self, capsys, tmp_path, command, extra):
+        cfg = rewrite_config(tmp_path, "angle.cfg", extra=extra)
+        code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path))
+        assert code == EXIT_OK, err
+
     def test_overflowing_square_is_a_fail_row(self, capsys, tmp_path):
         # |g1|^2 is inf, so its ">>" row fails rather than raising
         cfg = rewrite_config(tmp_path, "huge.cfg", replacements={"g1_hz": "1e200"})
@@ -377,7 +404,7 @@ class TestNoMatrixExponential:
         from ionlight import fock_oracle, gaussian, protocol
 
         def refuse(*args, **kwargs):
-            raise AssertionError("scipy.linalg.expm reached")
+            raise AssertionError("gaussian.expm reached")
 
         monkeypatch.setattr(gaussian, "expm", refuse)
         for argv in (["simulate", "--config", INDIUM],
@@ -386,5 +413,8 @@ class TestNoMatrixExponential:
             code, _, err = run(capsys, *argv)
             assert code == EXIT_OK, (argv, err)
         fock_oracle.crosscheck(3.0)
+        c = coupling_constants(indium_params)
         with pytest.raises(AssertionError, match="expm reached"):
-            protocol.run_simultaneous(indium_params, force=True, include_decay=True)
+            gaussian.evolve(gaussian.vacuum(3, protocol.SIMULTANEOUS_LABELS),
+                            gaussian.dynamics_from_couplings(c.chi1, c.chi2,
+                                                             indium_params.kappa), c.t_pi)

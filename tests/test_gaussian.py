@@ -5,18 +5,26 @@ import pytest
 
 from conftest import random_couplings
 from ionlight import gaussian
-from ionlight.errors import (InfiniteSqueezingError, StateError,
-                             UndefinedPeriodError, UnphysicalStateError)
+from ionlight.errors import StateError, UndefinedPeriodError, UnphysicalStateError
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
                                apply_symplectic, bogoliubov_tpi,
                                decorrelation_norm, dynamics_from_couplings,
                                epr_variance, evolve, expm, log_negativity,
                                mean_photons, quadratic_dynamics,
-                               symplectic_eigenvalues, symplectic_form, tensor,
-                               term_propagator, thermal, tmss, vacuum)
+                               symplectic_eigenvalues, tensor, term_propagator,
+                               thermal, tmss, vacuum)
 from ionlight.params import Couplings
 
 LABELS3 = ("cav1", "cav2", "motion")
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """The 2N x 2N symplectic form Omega with blocks [[0, 1], [-1, 0]]."""
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        omega[2 * k, 2 * k + 1] = 1.0
+        omega[2 * k + 1, 2 * k] = -1.0
+    return omega
 
 
 def half_period_state(chi1, chi2, nbar=0.0):
@@ -470,15 +478,10 @@ class TestTmss:
         assert state.cov[0, 3] == pytest.approx(sinh_2s * math.sin(math.pi / 3), rel=1e-12)
         assert state.cov[1, 3] == pytest.approx(-sinh_2s * math.cos(math.pi / 3), rel=1e-12)
 
-    def test_r_below_one_maps_to_inverse(self):
-        a = tmss(0.5)
-        b = tmss(2.0)
-        assert np.allclose(a.cov, b.cov, atol=1e-12)
-
     def test_r_one_rejected(self):
-        with pytest.raises(InfiniteSqueezingError):
+        with pytest.raises(UndefinedPeriodError):
             tmss(1.0)
-        with pytest.raises(InfiniteSqueezingError):
+        with pytest.raises(UndefinedPeriodError):
             tmss(-2.0)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
@@ -486,9 +489,9 @@ class TestTmss:
         with pytest.raises(StateError, match="finite r"):
             tmss(r)
 
-    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    @pytest.mark.parametrize("r", [1e200])
     def test_extreme_finite_r_gives_the_vacuum(self, r):
-        # x = min(r, 1/r) = 1e-200: x^2 underflows, so cosh 2s is 1 and sinh 2s is 4x
+        # x = 1/r = 1e-200: x^2 underflows, so cosh 2s is 1 and sinh 2s is 4x
         cov = tmss(r).cov
         assert np.array_equal(np.diag(cov), np.ones(4))
         assert cov[0, 2] == pytest.approx(4e-200, rel=1e-15)

@@ -100,16 +100,6 @@ class TestImportGraph:
         ]))
         assert out["result"] == [0, []]
 
-    def test_decay_loads_no_scipy(self):
-        out = fresh_run("\n".join([
-            "import math",
-            "from ionlight import cli, protocol",
-            "params = cli.read_run_config(cli.bundled_config_path()).params",
-            "res = protocol.run_simultaneous(params, force=True, include_decay=True)",
-            "result = math.isfinite(res.diagnostics['log_negativity'])",
-        ]))
-        assert out == {"result": True, "loaded": ["numpy"]}
-
     def test_gaussian_evolve_loads_no_scipy(self):
         out = fresh_run("\n".join([
             "import ionlight.gaussian as g",
@@ -142,8 +132,8 @@ TRACED_SIGNATURES = {
     "gaussian.symplectic_eigenvalues": "(cov: 'np.ndarray') -> 'np.ndarray'",
     "gaussian.bogoliubov_tpi": "(couplings: 'Couplings') -> 'np.ndarray'",
     "protocol.run_simultaneous": (
-        "(params: 'PhysicalParams', force: 'bool' = False, ratio: 'float' = 10.0, "
-        "include_decay: 'bool' = False) -> 'SimultaneousResult'"),
+        "(params: 'PhysicalParams', force: 'bool' = False, ratio: 'float' = 10.0) "
+        "-> 'SimultaneousResult'"),
     "protocol.run_sequential": (
         "(params: 'PhysicalParams', t1: 'float', delay_t12: 'float' = inf, "
         "swap_area: 'float' = 1.5707963267948966) -> 'SequentialResult'"),
@@ -156,13 +146,30 @@ TRACED_SIGNATURES = {
         "t_grid: 'Optional[np.ndarray]' = None, theta1: 'float' = 0.0, "
         "theta2: 'float' = 0.0) -> 'list'"),
     "protocol.SignalTrace.to_csv": "(self) -> 'str'",
-    "fock_oracle.suggest_dims": "(r: 'float', leak_target: 'float' = 1e-12, pad: 'int' = 2) -> 'tuple'",
+    "fock_oracle.suggest_dims": "(r: 'float', leak_target: 'float' = 1e-12) -> 'tuple'",
     "fock_oracle.hamiltonian_matrix": "(chi1: 'complex', chi2: 'complex', dims) -> 'SectorHamiltonian'",
     "fock_oracle.evolve_exact": (
         "(state: 'FockState', hamiltonian: 'SectorHamiltonian', t: 'float', "
         "leak_tol: 'float' = 1e-09) -> 'FockState'"),
     "fock_oracle.observables": "(state: 'FockState') -> 'FockObservables'",
     "cli.main": "(argv=None) -> 'int'",
+}
+
+# What a user can set: the config keys, the physical parameters and the error
+# types a caller may catch.  A new knob shows up here as a test edit.
+SETTABLE_SURFACE = {
+    "config_keys": {
+        "nu_hz", "gamma_hz", "delta_hz", "omega_rabi_hz", "kappa_hz", "g1_hz", "g2_hz",
+        "mass", "wavenumber", "alpha1", "alpha2", "theta_l", "theta_c", "nbar_motion",
+        "ratio", "soft_ratio", "kappa_dt", "theta1", "theta2", "t_max", "t_step",
+        "fig3_r_list", "oracle_r", "oracle_dims", "seq_t1", "seq_kappa_t12",
+        "seq_swap_area"},
+    "physical_params": {
+        "nu", "gamma", "delta", "omega_rabi", "kappa", "g1", "g2", "alpha1", "alpha2",
+        "theta_l", "theta_c", "mass", "wavenumber", "nbar_motion"},
+    "errors": {
+        "ConfigError", "IonlightError", "ParameterError", "RegimeError", "StateError",
+        "TruncationError", "UndefinedPeriodError", "UnphysicalStateError"},
 }
 
 
@@ -195,6 +202,16 @@ class TestLazyNamespace:
         assert protocol.DEFAULT_KAPPA_DT is params.DEFAULT_KAPPA_DT
         assert params.CONFIG_KEYS["fig3_r_list"].default is params.DEFAULT_R_LIST
         assert params.CONFIG_KEYS["kappa_dt"].default == params.DEFAULT_KAPPA_DT
+
+    def test_settable_surface_is_pinned(self):
+        from dataclasses import fields
+
+        from ionlight import params
+        assert {
+            "config_keys": set(params.CONFIG_KEYS),
+            "physical_params": {f.name for f in fields(params.PhysicalParams)},
+            "errors": set(ionlight._EXPORTS["errors"]),
+        } == SETTABLE_SURFACE
 
     def test_traced_functions_keep_modules_and_signatures(self):
         traced = _load_perfbench_tracing().TRACED

@@ -77,7 +77,7 @@ class TestPhysicalParams:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", [
         "nu", "kappa", "delta", "g1", "g2", "alpha1", "alpha2", "theta_l",
-        "theta_c", "nbar_motion", "pulse_length_t",
+        "theta_c", "nbar_motion",
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ParameterError, match="finite"):
@@ -94,6 +94,9 @@ class TestPhysicalParams:
         # within one linewidth of the pole is rejected too
         with pytest.raises(ParameterError):
             make_params(delta_mhz=3.0 + 100e-3 * 360e-3)  # 3 MHz + 0.1 gamma
+        # and so is the pole at delta = -nu, on the red side of the indium point
+        with pytest.raises(ParameterError, match="Raman resonance"):
+            make_params(delta_mhz=-3.0 - 100e-3 * 360e-3)  # -3 MHz - 0.1 gamma
 
 
 def assert_indium_magnitudes():
@@ -147,6 +150,20 @@ class TestCouplingConstants:
             chi1, chi2 = random_couplings(rng)
             c = Couplings.from_chis(chi1, chi2)
             assert c.theta_rate**2 + abs(chi1)**2 == pytest.approx(abs(chi2)**2, rel=1e-12)
+
+    def test_field_gradient_term(self):
+        # the module docstring's formula, evaluated here on its own, with the
+        # field-gradient term on: alpha1, alpha2 != 0 and cos(theta_c) != 0
+        p = make_params(alpha1=0.3, alpha2=-0.7, theta_l=0.2, theta_c=0.4,
+                        g1=TWO_PI * (500e3 + 200e3j))
+        c = coupling_constants(p)
+        eta = math.sqrt(1.054571817e-34 * K_IN**2 / (2 * MASS_IN * NU_IN))
+        d0 = p.delta + 0.5j * p.gamma
+        laser, cav = math.cos(0.2), math.cos(0.4)
+        chi1 = eta * p.g1.conjugate() * p.omega_rabi * (laser / (d0 - p.nu) - 0.3 * cav / d0)
+        chi2 = eta * p.g2.conjugate() * p.omega_rabi * (laser / (d0 + p.nu) + 0.7 * cav / d0)
+        assert c.chi1 == pytest.approx(chi1, rel=1e-12)
+        assert c.chi2 == pytest.approx(chi2, rel=1e-12)
 
     def test_denominator_guard(self):
         # PhysicalParams cannot reach the exact pole, but the guard in
@@ -235,6 +252,27 @@ class TestValidateRegime:
         # the tightest hard margin is theta/kappa at about 6.5
         assert by_name["theta >> kappa"].margin == pytest.approx(6.52, abs=0.1)
         assert report.soft[0].passed     # kappa * t_pi ~ 0.48 <= 1/2
+
+    def test_hard_margins_at_the_indium_point(self, indium_params):
+        # each hard row's left / right, from the parameters and the couplings
+        p, c = indium_params, coupling_constants(indium_params)
+        eta = p.lamb_dicke
+        delta_sq = p.delta ** 2
+        expected = {
+            "|delta| >> nu": abs(p.delta) / p.nu,
+            "|delta| >> gamma": abs(p.delta) / p.gamma,
+            "nu >> theta": p.nu / c.theta_rate,
+            "theta >> kappa": c.theta_rate / p.kappa,
+            "kappa >> gamma*|g1|^2/delta^2": p.kappa * delta_sq / (p.gamma * abs(p.g1) ** 2),
+            "kappa >> gamma*|g2|^2/delta^2": p.kappa * delta_sq / (p.gamma * abs(p.g2) ** 2),
+            "theta >> eta^2*gamma*omega^2/delta^2":
+                c.theta_rate * delta_sq / (eta ** 2 * p.gamma * p.omega_rabi ** 2),
+            "nu*T >> 1": p.nu * c.t_pi,
+            "1 >> eta": 1.0 / eta,
+        }
+        report = validate_regime(p, much_greater_ratio=5.0)
+        assert {row.name: row.margin for row in report.constraints} == pytest.approx(
+            expected, rel=1e-12)
 
     def test_kappa_equal_theta_fails(self, indium_params):
         c = coupling_constants(indium_params)
