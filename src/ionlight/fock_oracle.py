@@ -17,11 +17,15 @@ the sectors the state occupies.  A phase gauge makes every block real:
 with chi_j = |chi_j| e^{i theta_j} and W = diag(e^{i (theta1 n1 + theta2 n2)}),
 W+ H W = i K with K real and antisymmetric, so exp(-i H t) = W exp(K t) W+.
 A block holds K as a stencil of four slots per state, numpy arrays alone,
-and one product is a gather, a scale and a sum over the slots.  exp(K t)
-is real, so the real and imaginary parts of W+ psi evolve apart by a real
-Chebyshev recurrence, and a part that is exactly zero, as from the vacuum,
-is not propagated.  A :class:`FockState` holds its nonzero
-amplitudes alone, by ascending flat index, and the norm checks and
+and one product is a gather, a scale and a sum over the slots.  Every hop
+moves the motion by one quantum, so K maps the states of even nb to those
+of odd nb and back; a sector lists its even-nb states first, then its
+odd-nb ones, each by ascending flat index, and each Chebyshev term works
+on one half alone.  exp(K t) is real, so the real and imaginary parts of
+W+ psi, each split into its even and odd halves, evolve apart by a real
+Chebyshev recurrence, and a part that is exactly zero is not propagated:
+from the vacuum, all but the real even part.  A :class:`FockState` holds
+its nonzero amplitudes alone, by ascending flat index, and the norm checks and
 :func:`leakage` read only those.  :func:`observables` reads each moment as
 an inner product of two such sparse vectors, the state shifted by a ladder
 operator, whatever H conserves.  Nothing of product size is ever
@@ -116,17 +120,20 @@ def _gather(support: np.ndarray, values: np.ndarray, index: np.ndarray) -> np.nd
 class Sector(NamedTuple):
     """H restricted to the states of one conserved sector, as H = W (i K) W+.
 
-    K is real and antisymmetric, held as a stencil of four slots per state:
-    (K x)[s] = sum_j vals[j, s] * x[cols[j, s]].  A slot whose hop leaves
-    the basis holds 0 and points at s itself.  W is diagonal,
-    e^{i (theta1 n1 + theta2 n2)} on each state, with theta_j the phase of
-    chi_j.
+    The states with even nb come first and those with odd nb last, each
+    half by ascending flat index.  K is real and antisymmetric, held as a
+    stencil of four slots per state, one contiguous (4, n) array per half:
+    with s the j-th state of half h, (K x)[s] = sum_i vals[h][i, j] * x[cols[h][i, j]].
+    Every hop changes nb by one, so a nonzero slot points into the other
+    half; a slot whose hop leaves the basis holds 0 and points at s itself.
+    W is diagonal, e^{i (theta1 n1 + theta2 n2)} on each state, with theta_j
+    the phase of chi_j.
     """
 
-    states: np.ndarray          # flat product-basis indices, ascending
-    cols: np.ndarray            # (4, size) sector indices of K's entries, by slot
-    vals: np.ndarray            # (4, size) K's entries there, real
-    phase: np.ndarray           # W on those states
+    states: np.ndarray          # flat product-basis indices: even nb, then odd nb
+    cols: tuple                 # per half, (4, n) sector indices of K's entries, by slot
+    vals: tuple                 # per half, (4, n) K's entries there, real
+    phase: np.ndarray           # W on the states
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +168,8 @@ class SectorHamiltonian:
 
     @property
     def nnz(self) -> int:
-        return sum(int(np.count_nonzero(sector.vals)) for sector in self._sectors.values())
+        return sum(int(np.count_nonzero(half)) for sector in self._sectors.values()
+                   for half in sector.vals)
 
     def sector(self, ell: int) -> Sector:
         """The block of the sector n1 - n2 - nb = ``ell``."""
@@ -173,14 +181,16 @@ class SectorHamiltonian:
         """The block of one sector, from index arithmetic on the (n1, n2) lattice.
 
         A state of the sector is a lattice point (n1, n2) with
-        nb = n1 - n2 - ell in [0, db).  Its states are numbered row by row
-        in n1, so the numbering ascends with the flat product index
+        nb = n1 - n2 - ell in [0, db).  Its states are first numbered row by
+        row in n1, so the numbering ascends with the flat product index
         (n1 * d2 + n2) * db + nb.  a1+ b+ is the hop n1 -> n1 + 1, with
         amplitude sqrt(n1+1) sqrt(nb+1), into the next row; a2+ b is the hop
         n2 -> n2 + 1, with amplitude sqrt(n2+1) sqrt(nb), to the next state
         of the row.  A hop that leaves the basis is not stored.  The
         transposed entries are the negatives of the same values, so K is
-        antisymmetric, and H Hermitian, exactly by construction.
+        antisymmetric, and H Hermitian, exactly by construction.  Last, the
+        states are renumbered, even nb first, and the stencil is split into
+        its two halves, each slot keeping its entry.
         """
         d1, d2, db = self.dims
         n1 = np.arange(d1)
@@ -195,7 +205,7 @@ class SectorHamiltonian:
         exch = np.flatnonzero((n2 < d2 - 1) & (nb > 0))          # a2+ b stays in the basis
         pair_to = first[row[pair] + 1] + n2[pair] - lo[row[pair] + 1]
         # State k's slots hold its pair source, its exchange source (k - 1), its
-        # exchange target (k + 1) and its pair target, in ascending order
+        # exchange target (k + 1) and its pair target, by ascending flat index
         cols = np.tile(np.arange(size), (4, 1))
         vals = np.zeros((4, size))
         vals[0, pair_to] = abs(self.chi1) * (np.sqrt(row[pair] + 1) * np.sqrt(nb[pair] + 1))
@@ -207,7 +217,16 @@ class SectorHamiltonian:
         cols[2, exch] = exch + 1
         cols[3, pair] = pair_to
         phase = np.exp(1j * (cmath.phase(self.chi1) * row + cmath.phase(self.chi2) * n2))
-        return Sector(states=(row * d2 + n2) * db + nb, cols=cols, vals=vals, phase=phase)
+        odd = nb % 2 == 1
+        halves = (np.flatnonzero(~odd), np.flatnonzero(odd))
+        order = np.concatenate(halves)
+        renumber = np.empty(size, dtype=np.intp)
+        renumber[order] = np.arange(size)
+        # np.take, not vals[:, half], gives contiguous halves
+        vals = tuple(np.take(vals, half, axis=1) for half in halves)
+        cols = tuple(renumber[np.take(cols, half, axis=1)] for half in halves)
+        return Sector(states=((row * d2 + n2) * db + nb)[order], cols=cols, vals=vals,
+                      phase=phase[order])
 
 
 def hamiltonian_matrix(chi1: complex, chi2: complex, dims) -> SectorHamiltonian:
@@ -226,12 +245,19 @@ def leakage(state: FockState) -> float:
     return float(max(pop[n == d - 1].sum() for n, d in zip(levels, state.dims)))
 
 
-def _spectral_bound(vals: np.ndarray) -> float:
+def _spectral_bound(vals: tuple) -> float:
     """Gershgorin's bound on the spectral radius of K: the largest row sum of |K|.
 
-    ``vals`` is the stencil of :class:`Sector`, one column of slots per row.
+    ``vals`` is the stencil of :class:`Sector`, one column of slots per row,
+    in its two halves.
     """
-    return float(np.abs(vals).sum(axis=0).max())
+    return max(float(np.abs(half).sum(axis=0).max(initial=0.0)) for half in vals)
+
+
+def _halves(sector: Sector) -> tuple:
+    """The slices of the sector's states with even nb and with odd nb."""
+    even = sector.cols[0].shape[1]
+    return slice(0, even), slice(even, sector.states.size)
 
 
 def _series_length(alpha: float) -> int:
@@ -277,53 +303,67 @@ def _chebyshev_coefficients(alpha: float) -> np.ndarray:
     return coeffs.real
 
 
-def _propagate(cols: np.ndarray, vals: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+def _propagate(sector: Sector, first: int, x: np.ndarray, t: float) -> np.ndarray:
     """exp(K t) x for one sector's stencil of K (see :class:`Sector`) and a real vector x.
 
-    iK is Hermitian and exp(K t) = exp(-i (iK) t).  With rho from
+    x is zero off the sector's parity half ``first``, 0 for even nb and 1
+    for odd.  iK is Hermitian and exp(K t) = exp(-i (iK) t).  With rho from
     :func:`_spectral_bound`, iK / rho has its spectrum in [-1, 1], and
     exp(K t) = sum_k c_k T_k(iK / rho) with the c_k of exp(-i alpha x) at
     alpha = rho t (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984).
     The vectors v_k = (-i)^k T_k(iK / rho) x are real and follow from
     v_{k+1} = 2 (K / rho) v_k + v_{k-1}; each enters with the real
-    coefficient i^k c_k of :func:`_chebyshev_coefficients`.  One product
-    gathers x at ``cols``, scales by ``vals`` and sums the four slots.
+    coefficient i^k c_k of :func:`_chebyshev_coefficients`.  K maps each
+    half to the other, so v_k lives on half ``first`` for even k and on the
+    other half for odd k.  One vector u holds the latest v_k of each half,
+    and a term overwrites v_{k-1} with v_{k+1} in place: it gathers u at
+    that half's ``cols``, which read v_k on the other half, scales by
+    ``vals``, sums the four slots, in the order a product over the whole
+    sector would, and adds v_{k-1}.  When rho t is 0, from no hop or an
+    underflow, exp(K t) x is x to double precision.
     """
-    rho = _spectral_bound(vals)
-    if rho == 0.0:
+    rho = _spectral_bound(sector.vals)
+    if rho * t == 0.0:
         return x
     coeffs = _chebyshev_coefficients(rho * t)
-    step = vals * (2.0 / rho)
-
-    def apply(v):
-        """2 (K / rho) v."""
-        g = v[cols]
-        g *= step
-        return g.sum(0)
-
-    prev, cur = x, 0.5 * apply(x)
-    out = coeffs[0] * prev + coeffs[1] * cur
-    for coeff in coeffs[2:]:
-        nxt = apply(cur)
-        nxt += prev
-        prev, cur = cur, nxt
-        out += coeff * cur
+    scale = 2.0 / rho
+    u = x.copy()
+    out = np.empty_like(x)
+    bounds = _halves(sector)
+    terms = [(sector.cols[h], sector.vals[h] * scale, u[bounds[h]], out[bounds[h]])
+             for h in (first, 1 - first)]
+    (_, _, u0, out0), (cols1, step1, u1, out1) = terms
+    g = x[cols1]
+    g *= step1
+    u1[:] = 0.5 * g.sum(0)          # v_1 = (K / rho) x
+    out0[:] = coeffs[0] * u0
+    out1[:] = coeffs[1] * u1
+    for k, coeff in enumerate(coeffs[2:]):
+        cols_h, step_h, u_h, out_h = terms[k % 2]
+        g = u[cols_h]
+        g *= step_h
+        u_h += g.sum(0)
+        out_h += coeff * u_h
     return out
 
 
 def _evolve_sector(sector: Sector, psi: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) psi on one sector, as W exp(K t) W+ psi.
 
-    exp(K t) is real, so the real and imaginary parts of W+ psi evolve apart.
-    A part that is exactly zero stays zero and is not propagated: from the
-    vacuum, on which W is 1, that is the imaginary part.
+    exp(K t) is real, so the real and imaginary parts of W+ psi evolve apart,
+    and each of them splits into its even-nb and odd-nb halves, which
+    :func:`_propagate` runs at half the cost of the whole.  A part that is
+    exactly zero stays zero and is not propagated: from the vacuum, on which
+    W is 1, that leaves the real even half alone.
     """
     rotated = psi * sector.phase.conj()
     out = np.zeros(psi.size, dtype=complex)
-    if rotated.real.any():
-        out.real = _propagate(sector.cols, sector.vals, rotated.real, t)
-    if rotated.imag.any():
-        out.imag = _propagate(sector.cols, sector.vals, rotated.imag, t)
+    for part, dest in ((rotated.real, out.real), (rotated.imag, out.imag)):
+        for first, half in enumerate(_halves(sector)):
+            if part[half].any():
+                x = np.zeros(psi.size)
+                x[half] = part[half]
+                dest += _propagate(sector, first, x, t)
     out *= sector.phase
     return out
 
@@ -363,16 +403,19 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
     if t == 0.0:
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)
-    sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
-    evolved = np.concatenate([_evolve_sector(sector,
-                                             _gather(state.support, state.values, sector.states),
-                                             t)
-                              for sector in sectors])
+    support, evolved = [], []
+    for ell in np.unique(n1 - n2 - nb):
+        sector = hamiltonian.sector(int(ell))
+        # by ascending flat index again, so that the norm below sums in that order
+        ascending = np.argsort(sector.states)
+        values = _evolve_sector(sector, _gather(state.support, state.values, sector.states), t)
+        support.append(sector.states[ascending])
+        evolved.append(values[ascending])
+    evolved = np.concatenate(evolved)
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
-    out = _sorted_state(state.dims, np.concatenate([sector.states for sector in sectors]),
-                        evolved / norm)
+    out = _sorted_state(state.dims, np.concatenate(support), evolved / norm)
     leak = leakage(out)
     if leak > leak_tol:
         raise TruncationError(

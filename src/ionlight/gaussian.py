@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import StateError, UnphysicalStateError, require_half_period
-from .params import Couplings
+from .params import TWO_PI, Couplings
 
 SYMMETRY_TOL = 1e-12
 
@@ -569,14 +569,14 @@ def tmss(r: float, beta: float = 0.0) -> GaussianState:
 
     A NaN or infinite r raises :class:`StateError`: r = inf would be the
     vacuum, the limit of large r, but no coupling ratio is infinite, so it
-    is refused rather than read as that limit.  So does a NaN or infinite
-    ``beta``.  r <= 1 has no half-period and raises
-    :class:`UndefinedPeriodError`.
+    is refused rather than read as that limit.  So does a ``beta`` outside
+    [-2 pi, 2 pi], NaN and infinities included.  r <= 1 has no half-period
+    and raises :class:`UndefinedPeriodError`.
     """
     if not math.isfinite(r):
         raise StateError(f"tmss needs a finite r, got {r!r}")
-    if not math.isfinite(beta):
-        raise StateError(f"tmss needs a finite beta, got {beta!r}")
+    if not abs(beta) <= TWO_PI:
+        raise StateError(f"tmss needs a finite beta in [-2 pi, 2 pi], got {beta!r}")
     require_half_period(r)
     x = 1.0 / r
     denom = 1.0 - x * x

@@ -181,10 +181,11 @@ def quadrature_moments(chi1: complex, chi2: complex,
     Returns (<q1^2>, <q1 q2>) for the field at the end of the half-period
     pulse; <q2^2> equals <q1^2>.  From n = ``Couplings.n_mean`` and beta they
     are <q1^2> = 1 + 2n and <q1 q2> = 2 sqrt(n (1 + n)) cos(beta + theta1 + theta2).
-    Non-finite rates or angles raise :class:`ParameterError`.
+    Non-finite rates, and angles outside [-2 pi, 2 pi] as for
+    :class:`HomodyneSettings`, raise :class:`ParameterError`.
     """
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise ParameterError(f"quadrature_moments needs finite angles, got "
+    if not (abs(theta1) <= TWO_PI and abs(theta2) <= TWO_PI):
+        raise ParameterError(f"quadrature_moments needs finite angles in [-2 pi, 2 pi], got "
                              f"theta1 = {theta1!r}, theta2 = {theta2!r}")
     couplings = Couplings(chi1, chi2)
     require_half_period(couplings.r)

@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -88,10 +90,11 @@ def assembled(h):
     rows, cols, vals = [], [], []
     for ell in range(2 - d2 - db, d1):      # every value of n1 - n2 - nb
         sector = h.sector(ell)
-        keep = sector.vals != 0
+        sector_cols, sector_vals = np.hstack(sector.cols), np.hstack(sector.vals)
+        keep = sector_vals != 0
         rows.append(np.broadcast_to(sector.states, keep.shape)[keep])
-        cols.append(sector.states[sector.cols[keep]])
-        vals.append(sector.vals[keep])
+        cols.append(sector.states[sector_cols[keep]])
+        vals.append(sector_vals[keep])
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(size, size))
 
@@ -99,8 +102,9 @@ def assembled(h):
 def dense_block(sector):
     """K on one sector as a dense real matrix, from its stencil."""
     size = sector.states.size
+    cols = np.hstack(sector.cols)
     k = np.zeros((size, size))
-    np.add.at(k, (np.broadcast_to(np.arange(size), sector.cols.shape), sector.cols), sector.vals)
+    np.add.at(k, (np.broadcast_to(np.arange(size), cols.shape), cols), np.hstack(sector.vals))
     return k
 
 
@@ -141,6 +145,14 @@ def dense_expm_gap(case, chis, t):
         rng = np.random.default_rng(7)
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         psi /= np.linalg.norm(psi)
+    elif case == "both_parities":
+        # a seeded random amplitude on every state of the vacuum's sector, so
+        # both of its nb parities, and both parts of W+ psi, are occupied
+        n1, n2, nb = np.indices(dims).reshape(3, -1)
+        sector = np.flatnonzero(n1 - n2 - nb == 0)
+        rng = np.random.default_rng(11)
+        psi[sector] = rng.standard_normal(sector.size) + 1j * rng.standard_normal(sector.size)
+        psi /= np.linalg.norm(psi)
     else:
         psi[0] = 1.0
         if case == "two_sectors":
@@ -168,6 +180,27 @@ def assert_matches_bessel(alpha):
 
 
 complex_chis = st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+
+
+def mutated(name, old, new):
+    """fock_oracle's function ``name`` with the source text ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(fock_oracle, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(fock_oracle))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+# crosscheck(3.0) at suggest_dims(3.0) = (30, 30, 46) bit for bit: (rows, leakage)
+R3_CROSSCHECK = (
+    (("photons cav1", 0.5625, 0.5624999999999042),
+     ("photons cav2", 0.5625, 0.5624999999998651),
+     ("photons motion", 0.0, 3.9126787627150684e-14),
+     ("EPR var X1-X2", 0.5, 0.5000000000056217),
+     ("EPR var P1+P2", 0.5, 0.5000000000056217),
+     ("max |cov| diff", 0.0, 3.041789042868004e-12)),
+    1.2933523906108738e-13,
+)
 
 
 def worst_row(check):
@@ -327,6 +360,25 @@ class TestHamiltonian:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(complex_chis, complex_chis, st.tuples(*[st.integers(2, 8)] * 3))
+    def test_every_hop_joins_the_two_motional_parities(self, chi1, chi2, dims):
+        h = hamiltonian_matrix(chi1, chi2, dims)
+        for ell in range(2 - dims[1] - dims[2], dims[0]):
+            sector = h.sector(ell)
+            nb = sector.states % dims[2]
+            even = sector.cols[0].shape[1]
+            # even nb first, then odd nb, each half by ascending flat index
+            assert not (nb[:even] % 2).any()
+            assert (nb[even:] % 2).all()
+            assert np.all(np.diff(sector.states[:even]) > 0)
+            assert np.all(np.diff(sector.states[even:]) > 0)
+            assert all(half.flags.c_contiguous for half in sector.cols + sector.vals)
+            cols, vals = np.hstack(sector.cols), np.hstack(sector.vals)
+            rows = np.broadcast_to(np.arange(nb.size), cols.shape)
+            hop = vals != 0
+            assert np.all(nb[rows[hop]] % 2 != nb[cols[hop]] % 2)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(complex_chis, complex_chis, st.tuples(*[st.integers(2, 8)] * 3))
     def test_gershgorin_bounds_every_sector_spectrum(self, chi1, chi2, dims):
         h = hamiltonian_matrix(chi1, chi2, dims)
         for ell in range(2 - dims[1] - dims[2], dims[0]):
@@ -405,11 +457,47 @@ class TestEvolveExact:
         pytest.param("all_sectors", (1.0, 2.5), 0.37, id="all_sectors"),
         pytest.param("vacuum", LONG_CHIS, LONG_T, id="long_vacuum"),
         pytest.param("all_sectors", LONG_CHIS, LONG_T, id="long_all_sectors"),
+        pytest.param("both_parities", (1.0, 2.5), 0.37, id="both_parities"),
+        pytest.param("both_parities", LONG_CHIS, LONG_T, id="long_both_parities"),
         # negative chis: the gauge phase is pi
         pytest.param("all_sectors", (-0.6, -1.3 + 0.8j), 0.9, id="negative_chis"),
     ])
     def test_matches_dense_expm(self, case, chis, t):
         assert dense_expm_gap(case, chis, t) < 1e-12
+
+    def test_underflowing_rho_t_is_identity(self):
+        # rho t = 5.6e-400 rounds to 0, where the series length would divide by zero
+        dims = (4, 4, 4)
+        out = evolve_exact(vacuum_state(dims), hamiltonian_matrix(1e-200, 2e-200, dims), 1e-200)
+        assert np.array_equal(out.support, [0])
+        assert np.array_equal(out.values, [1.0])
+
+    def test_one_state_sector_is_returned_unchanged(self):
+        # n1 - n2 - nb = 1 in (2, 2, 2) is |1, 0, 0> alone: no hop, an empty odd half
+        dims = (2, 2, 2)
+        h = hamiltonian_matrix(1.0, 2.5, dims)
+        assert h.sector(1).states.tolist() == [4]
+        assert h.sector(1).cols[1].shape == (4, 0)
+        state = FockState(dims, np.array([4]), np.array([1j]))
+        out = evolve_exact(state, h, 0.37, leak_tol=1.0)
+        assert np.array_equal(out.support, state.support)
+        assert np.array_equal(out.values, state.values)
+
+    def test_no_coupling_returns_the_start_unchanged(self):
+        # rho = 0 in every sector; |0,0,0>, |1,0,1> in sector 0 and |0,0,1>,
+        # |0,1,0> in sector -1, so both parities of both sectors are occupied
+        dims = (3, 3, 3)
+        state = FockState(dims, np.array([0, 1, 3, 10]), np.array([0.5, -0.5j, 0.5, 0.5j]))
+        out = evolve_exact(state, hamiltonian_matrix(0.0, 0.0, dims), 0.37, leak_tol=1.0)
+        assert np.array_equal(out.support, state.support)
+        assert np.array_equal(out.values, state.values)
+
+    def test_r3_crosscheck_is_pinned(self):
+        # the bits of the run oracle-check prints; any change to the order in
+        # which the propagation or the norm sums moves them
+        check = fock_oracle.crosscheck(3.0)
+        assert check.dims == (30, 30, 46)
+        assert (check.rows, check.observables.leakage) == R3_CROSSCHECK
 
     def test_non_finite_time_rejected(self):
         h = hamiltonian_matrix(1.0, 2.0, (4, 4, 4))
@@ -481,15 +569,29 @@ class TestMutants:
         # fixes the vacuum and leaves every compared moment at the half period alone
         original = fock_oracle._propagate
         monkeypatch.setattr(fock_oracle, "_propagate",
-                            lambda cols, vals, x, t: original(cols, vals, x, -t))
+                            lambda sector, first, x, t: original(sector, first, x, -t))
         assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
 
     def test_time_reversed_propagator_fails_mid_pulse_row(self, monkeypatch):
         # the parity flips the cavity-motion cross-covariances, nonzero mid-pulse
         original = fock_oracle._propagate
         monkeypatch.setattr(fock_oracle, "_propagate",
-                            lambda cols, vals, x, t: original(cols, vals, x, -t))
+                            lambda sector, first, x, t: original(sector, first, x, -t))
         assert mid_pulse_gap() > 1e-6
+
+    def test_term_on_the_wrong_half_fails_unitarity(self, monkeypatch):
+        # each term writes v_{k+1} over v_k, on the wrong half, not over v_{k-1}
+        monkeypatch.setattr(fock_oracle, "_propagate",
+                            mutated("_propagate", "terms[k % 2]", "terms[(k + 1) % 2]"))
+        with pytest.raises(StateError, match="unitarity"):
+            dense_expm_gap("vacuum", LONG_CHIS, LONG_T)
+
+    def test_dropped_previous_vector_fails_unitarity(self, monkeypatch):
+        # v_{k+1} = 2 (K / rho) v_k, the v_{k-1} of the recurrence left out
+        monkeypatch.setattr(fock_oracle, "_propagate",
+                            mutated("_propagate", "u_h += g.sum(0)", "u_h[:] = g.sum(0)"))
+        with pytest.raises(StateError, match="unitarity"):
+            dense_expm_gap("vacuum", LONG_CHIS, LONG_T)
 
     def test_series_cut_short_fails_bessel_tail(self, monkeypatch):
         # five terms short, the long dense-expm case still agrees to about 1e-14

@@ -489,6 +489,16 @@ class TestTmss:
         with pytest.raises(StateError, match="finite r"):
             tmss(r)
 
+    @pytest.mark.parametrize("beta", [1e300, -1e300, 2 * math.pi * (1 + 2 ** -52)])
+    def test_beta_past_two_pi_rejected(self, beta):
+        # the cos of 1e300 is round-off: cov[0, 2] would read -2.557, not 4.444
+        with pytest.raises(StateError, match="beta"):
+            tmss(2.0, beta)
+
+    @pytest.mark.parametrize("beta", [2 * math.pi, -2 * math.pi])
+    def test_beta_of_two_pi_accepted(self, beta):
+        assert np.max(np.abs(tmss(2.0, beta).cov - tmss(2.0, 0.0).cov)) <= 1e-14
+
     @pytest.mark.parametrize("r", [1e200])
     def test_extreme_finite_r_gives_the_vacuum(self, r):
         # x = 1/r = 1e-200: x^2 underflows, so cosh 2s is 1 and sinh 2s is 4x

@@ -74,6 +74,18 @@ class TestQuadratureMoments:
         with pytest.raises(ParameterError):
             quadrature_moments(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.1, 1e300), (1.0, 1.1, 0.0, -1e300), (1.0, 1.1, 2 * math.pi * (1 + 2 ** -52)),
+    ])
+    def test_rejects_angles_past_two_pi(self, args):
+        # the cos of 1e300 is round-off: <q1 q2> would read -126.87, not 220.50
+        with pytest.raises(ParameterError, match="2 pi"):
+            quadrature_moments(*args)
+
+    def test_angles_of_two_pi_accepted(self):
+        _, q1q2 = quadrature_moments(1.0, 1.1, 2 * math.pi, -2 * math.pi)
+        assert q1q2 == pytest.approx(Q1Q2_R11, rel=1e-14)
+
     def test_matches_evolved_state(self, rng):
         # formula route vs. moments of the actual half-period state
         for _ in range(20):
