@@ -105,7 +105,7 @@ def cmd_simulate(cfg: SimpleNamespace, args) -> int:
 
 def cmd_fig3(cfg: SimpleNamespace, args) -> int:
     from . import protocol
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out)
     traces = protocol.fig3_sweep(cfg.fig3_r_list, kappa_dt=cfg.kappa_dt,
                                  t_grid=protocol.default_time_grid(cfg.t_max, cfg.t_step),
                                  theta1=cfg.theta1, theta2=cfg.theta2)
@@ -178,19 +178,17 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand takes ``--config``; ``simulate`` also ``--force``, ``fig3`` ``--out``."""
     parser = argparse.ArgumentParser(
         prog="ionlight",
         description="Entangled light pulses from a single trapped ion in a cavity.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key=value config file")
-    common.add_argument("--out", help="output directory for data files")
-    common.add_argument("--ratio", type=float, default=None,
-                        help="threshold factor for the '>>' regime checks")
-    common.add_argument("--force", action="store_true",
-                        help="run protocols even if the regime check fails")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+    commands = {name: sub.add_parser(name) for name in COMMANDS}
+    for command in commands.values():
+        command.add_argument("--config", help="path to a key=value config file")
+    commands["simulate"].add_argument("--force", action="store_true",
+                                      help="run even if the regime check fails")
+    commands["fig3"].add_argument("--out", default=".", help="output directory for the CSV files")
     return parser
 
 
@@ -200,8 +198,6 @@ def main(argv=None) -> int:
         print(f"ionlight {__version__}", file=sys.stderr)
         handler, needs_params = COMMANDS[args.command]
         cfg = read_run_config(args.config)
-        if args.ratio is not None:
-            cfg.ratio = args.ratio
         if needs_params and cfg.params is None:
             raise IonlightError("this command needs --config with the physical parameters")
         return handler(cfg, args)

@@ -54,6 +54,11 @@ DEFAULT_LEAK_TOL = 1e-9
 # Largest sector SectorHamiltonian admits: suggest_dims(1.06) needs 1.6e6 states
 # there, r = 1.05 needs 2.6e6 and r = 1.01 2.3e8.
 MAX_SECTOR_STATES = 2 ** 21
+# Largest |rho * t| that _propagate admits: its series has a little more than
+# rho * t terms, and an FFT of twice as many samples gives their coefficients.
+# crosscheck(1.5) runs at rho * t = 1,234 and crosscheck(1.1) at 18,145; r = 1.06
+# would need about 4.4e4, by extrapolation.
+MAX_RHO_T = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,12 +325,18 @@ def _propagate(sector: Sector, first: int, x: np.ndarray, t: float) -> np.ndarra
     that half's ``cols``, which read v_k on the other half, scales by
     ``vals``, sums the four slots, in the order a product over the whole
     sector would, and adds v_{k-1}.  When rho t is 0, from no hop or an
-    underflow, exp(K t) x is x to double precision.
+    underflow, exp(K t) x is x to double precision.  A rho t that is not
+    finite, or whose magnitude exceeds ``MAX_RHO_T``, raises
+    :class:`StateError` before anything is allocated.
     """
     rho = _spectral_bound(sector.vals)
-    if rho * t == 0.0:
+    alpha = rho * t
+    if alpha == 0.0:
         return x
-    coeffs = _chebyshev_coefficients(rho * t)
+    if not abs(alpha) <= MAX_RHO_T:
+        raise StateError(f"rho * t = {alpha!r} is not finite or exceeds {MAX_RHO_T}: "
+                         "the Chebyshev series would be too long")
+    coeffs = _chebyshev_coefficients(alpha)
     scale = 2.0 / rho
     u = x.copy()
     out = np.empty_like(x)
@@ -562,13 +573,12 @@ def crosscheck(r: float, dims=None) -> Crosscheck:
     _require_finite_r(r, "crosscheck")
     dims = suggest_dims(r) if dims is None else tuple(dims)
     couplings = Couplings.from_chis(1.0, r)
-    labels = protocol.SIMULTANEOUS_LABELS
+    labels = gaussian.SIMULTANEOUS_LABELS
     (pulse,) = protocol.simultaneous_stages(couplings)
     (g_state,) = protocol.run_stages(gaussian.vacuum(3, labels), (pulse,))
     hamiltonian = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
     obs = observables(evolve_exact(vacuum_state(dims), hamiltonian, pulse.t))
-    f_state = gaussian.GaussianState(labels, obs.mean_quadratures, obs.covariance,
-                                     validate=False)
+    f_state = gaussian.GaussianState(labels, obs.mean_quadratures, obs.covariance)
 
     rows = [(f"photons {label}", gaussian.mean_photons(g_state, label),
              float(obs.mean_photons[k])) for k, label in enumerate(labels)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import StateError, UnphysicalStateError, require_half_period
 from .params import TWO_PI, Couplings
 
 SYMMETRY_TOL = 1e-12
+SIMULTANEOUS_LABELS = ("cav1", "cav2", "motion")     # the modes of the simultaneous pulse
 
 # Double precision resolves the symplectic spectrum of cov only to about
 # eps * ||cov||_F^2: the eigenvalues of i Omega cov inherit the conditioning of
@@ -100,7 +101,7 @@ class GaussianState:
     """Gaussian state over labelled bosonic modes.
 
     Construction copies the arrays, validates symmetry of the covariance (to
-    1e-12) and, by default, physicality: every symplectic eigenvalue must be
+    1e-12) and physicality: every symplectic eigenvalue must be
     >= 1 - b, with b = eps * ||cov||_F^2 the round-off bound of the
     spectrum, and b must not exceed ``SPECTRUM_LIMIT``.  The states this
     module returns (maps of states already known to be physical) are built
@@ -110,7 +111,6 @@ class GaussianState:
     mode_labels: tuple
     mean: np.ndarray
     cov: np.ndarray
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(self.mode_labels)
@@ -131,8 +131,7 @@ class GaussianState:
         object.__setattr__(self, "mode_labels", labels)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if self.validate:
-            _spectrum_bound(cov[np.newaxis])
+        _spectrum_bound(cov[np.newaxis])
         mean.setflags(write=False)
         cov.setflags(write=False)
 
@@ -147,7 +146,7 @@ class GaussianState:
         if len(set(labels)) != len(labels):
             raise StateError(f"duplicate mode labels: {labels!r}")
         state = object.__new__(cls)
-        vars(state).update(mode_labels=labels, mean=mean, cov=cov, validate=False)
+        vars(state).update(mode_labels=labels, mean=mean, cov=cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
         return state
@@ -370,7 +369,8 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
 
 def simultaneous_terms(chi1: complex, chi2: complex) -> tuple:
     """The simultaneous pulse's terms, H = i chi1 a1_dag b_dag + i chi2 a2_dag b + h.c."""
-    return ((PAIR, "cav1", "motion", chi1), (EXCHANGE, "cav2", "motion", chi2))
+    cav1, cav2, motion = SIMULTANEOUS_LABELS
+    return ((PAIR, cav1, motion, chi1), (EXCHANGE, cav2, motion, chi2))
 
 
 def dynamics_from_couplings(chi1: complex, chi2: complex,
@@ -385,8 +385,8 @@ def dynamics_from_couplings(chi1: complex, chi2: complex,
 
     kappa = 0 is the lossless drive.
     """
-    return quadratic_dynamics(("cav1", "cav2", "motion"), simultaneous_terms(chi1, chi2),
-                              {"cav1": kappa, "cav2": kappa})
+    return quadratic_dynamics(SIMULTANEOUS_LABELS, simultaneous_terms(chi1, chi2),
+                              dict.fromkeys(SIMULTANEOUS_LABELS[:2], kappa))
 
 
 def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
@@ -588,4 +588,4 @@ def tmss(r: float, beta: float = 0.0) -> GaussianState:
     cross = sinh_2s * np.array([[cb, sb], [sb, -cb]])
     cov = np.block([[cosh_2s * np.eye(2), cross],
                     [cross.T, cosh_2s * np.eye(2)]])
-    return GaussianState._made(("cav1", "cav2"), np.zeros(4), cov)
+    return GaussianState._made(SIMULTANEOUS_LABELS[:2], np.zeros(4), cov)

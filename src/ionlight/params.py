@@ -209,116 +209,6 @@ def coupling_constants(params: PhysicalParams) -> Couplings:
 
 
 # ---------------------------------------------------------------------------
-# operating-regime report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegimeConstraint:
-    """One inequality of the operating regime, evaluated as left >= ratio*right."""
-
-    name: str
-    left: Optional[float]
-    right: Optional[float]
-    required_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        """left >= required_ratio * right; a row with an undefined side fails."""
-        return (self.left is not None and self.right is not None
-                and self.left >= self.required_ratio * self.right)
-
-    @property
-    def margin(self) -> Optional[float]:
-        """How many times the left side exceeds the right (None if undefined)."""
-        if self.left is None or self.right is None or self.right == 0.0:
-            return None
-        return self.left / self.right
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Outcome of all validity inequalities for one parameter set.
-
-    ``constraints`` are the hard inequalities; the overall verdict is a pass
-    if and only if every one of them passes.  ``soft`` holds the
-    kappa * T_pi check, reported separately because realistic parameter sets
-    satisfy it only with a modest margin.
-    """
-
-    constraints: tuple
-    soft: tuple
-    ratio: float
-    soft_ratio: float
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(c.passed for c in self.constraints)
-
-    def as_text(self) -> str:
-        lines = []
-        width = max(len(c.name) for c in self.constraints + self.soft)
-        header = f"{'constraint':<{width}}  {'left':>13}  {'right':>13}  {'margin':>10}  result"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for c in self.constraints + self.soft:
-            left = "undefined" if c.left is None else f"{c.left:.6e}"
-            right = "undefined" if c.right is None else f"{c.right:.6e}"
-            margin = "-" if c.margin is None else f"{c.margin:.3f}"
-            result = "pass" if c.passed else "FAIL"
-            soft_tag = " (soft)" if c in self.soft else ""
-            lines.append(f"{c.name:<{width}}  {left:>13}  {right:>13}  {margin:>10}  {result}{soft_tag}")
-        lines.append(f"threshold for '>>': factor {self.ratio:g} "
-                     f"(soft checks: factor {self.soft_ratio:g})")
-        lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = None,
-                    much_greater_ratio: float = 10.0,
-                    soft_ratio: float = 2.0) -> RegimeReport:
-    """Check every inequality required for the pulsed-entanglement description.
-
-    Each hard constraint is evaluated as ``left >= much_greater_ratio * right``.
-    Failures are report entries, never exceptions.  kappa * T_pi <= 1/soft_ratio
-    is reported separately as a soft check, by the same rule with left = 1.
-    """
-    if not much_greater_ratio > 1.0:
-        raise ParameterError("much_greater_ratio must exceed 1")
-    if not soft_ratio > 0.0:
-        raise ParameterError(f"soft_ratio must be positive, got {soft_ratio!r}")
-    if couplings is None:
-        couplings = coupling_constants(params)
-    eta = params.lamb_dicke
-    theta = couplings.theta_rate
-    t_pi = couplings.t_pi
-
-    abs_delta = abs(params.delta)
-    # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row
-    delta_sq = params.delta * params.delta
-    scatter1 = params.gamma * (abs(params.g1) * abs(params.g1)) / delta_sq
-    scatter2 = params.gamma * (abs(params.g2) * abs(params.g2)) / delta_sq
-    recoil_heating = eta * eta * params.gamma * (params.omega_rabi * params.omega_rabi) / delta_sq
-
-    hard = (
-        ("|delta| >> nu", abs_delta, params.nu),
-        ("|delta| >> gamma", abs_delta, params.gamma),
-        ("nu >> theta", params.nu, theta),
-        ("theta >> kappa", theta, params.kappa),
-        ("kappa >> gamma*|g1|^2/delta^2", params.kappa, scatter1),
-        ("kappa >> gamma*|g2|^2/delta^2", params.kappa, scatter2),
-        ("theta >> eta^2*gamma*omega^2/delta^2", theta, recoil_heating),
-        ("nu*T >> 1", None if t_pi is None else params.nu * t_pi, 1.0),
-        ("1 >> eta", 1.0, eta),
-    )
-    kappa_tpi = None if t_pi is None else params.kappa * t_pi
-    soft = RegimeConstraint("kappa*t_pi <= 1/soft_ratio", 1.0, kappa_tpi, soft_ratio)
-    return RegimeReport(
-        constraints=tuple(RegimeConstraint(name, left, right, much_greater_ratio)
-                          for name, left, right in hard),
-        soft=(soft,), ratio=much_greater_ratio, soft_ratio=soft_ratio)
-
-
-# ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
 
@@ -447,3 +337,113 @@ def params_from_config(entries: dict):
         return PhysicalParams(**kwargs), settings
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# operating-regime report
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RegimeConstraint:
+    """One inequality of the operating regime, evaluated as left >= ratio*right."""
+
+    name: str
+    left: Optional[float]
+    right: Optional[float]
+    required_ratio: float
+
+    @property
+    def passed(self) -> bool:
+        """left >= required_ratio * right; a row with an undefined side fails."""
+        return (self.left is not None and self.right is not None
+                and self.left >= self.required_ratio * self.right)
+
+    @property
+    def margin(self) -> Optional[float]:
+        """How many times the left side exceeds the right (None if undefined)."""
+        if self.left is None or self.right is None or self.right == 0.0:
+            return None
+        return self.left / self.right
+
+
+@dataclass(frozen=True)
+class RegimeReport:
+    """Outcome of all validity inequalities for one parameter set.
+
+    ``constraints`` are the hard inequalities; the overall verdict is a pass
+    if and only if every one of them passes.  ``soft`` holds the
+    kappa * T_pi check, reported separately because realistic parameter sets
+    satisfy it only with a modest margin.
+    """
+
+    constraints: tuple
+    soft: tuple
+    ratio: float
+    soft_ratio: float
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(c.passed for c in self.constraints)
+
+    def as_text(self) -> str:
+        lines = []
+        width = max(len(c.name) for c in self.constraints + self.soft)
+        header = f"{'constraint':<{width}}  {'left':>13}  {'right':>13}  {'margin':>10}  result"
+        lines.append(header)
+        lines.append("-" * len(header))
+        for c in self.constraints + self.soft:
+            left = "undefined" if c.left is None else f"{c.left:.6e}"
+            right = "undefined" if c.right is None else f"{c.right:.6e}"
+            margin = "-" if c.margin is None else f"{c.margin:.3f}"
+            result = "pass" if c.passed else "FAIL"
+            soft_tag = " (soft)" if c in self.soft else ""
+            lines.append(f"{c.name:<{width}}  {left:>13}  {right:>13}  {margin:>10}  {result}{soft_tag}")
+        lines.append(f"threshold for '>>': factor {self.ratio:g} "
+                     f"(soft checks: factor {self.soft_ratio:g})")
+        lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
+        return "\n".join(lines)
+
+
+def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = None,
+                    much_greater_ratio: float = CONFIG_KEYS["ratio"].default,
+                    soft_ratio: float = CONFIG_KEYS["soft_ratio"].default) -> RegimeReport:
+    """Check every inequality required for the pulsed-entanglement description.
+
+    Each hard constraint is evaluated as ``left >= much_greater_ratio * right``.
+    Failures are report entries, never exceptions.  kappa * T_pi <= 1/soft_ratio
+    is reported separately as a soft check, by the same rule with left = 1.
+    """
+    if not much_greater_ratio > 1.0:
+        raise ParameterError("much_greater_ratio must exceed 1")
+    if not soft_ratio > 0.0:
+        raise ParameterError(f"soft_ratio must be positive, got {soft_ratio!r}")
+    if couplings is None:
+        couplings = coupling_constants(params)
+    eta = params.lamb_dicke
+    theta = couplings.theta_rate
+    t_pi = couplings.t_pi
+
+    abs_delta = abs(params.delta)
+    # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row
+    delta_sq = params.delta * params.delta
+    scatter1 = params.gamma * (abs(params.g1) * abs(params.g1)) / delta_sq
+    scatter2 = params.gamma * (abs(params.g2) * abs(params.g2)) / delta_sq
+    recoil_heating = eta * eta * params.gamma * (params.omega_rabi * params.omega_rabi) / delta_sq
+
+    hard = (
+        ("|delta| >> nu", abs_delta, params.nu),
+        ("|delta| >> gamma", abs_delta, params.gamma),
+        ("nu >> theta", params.nu, theta),
+        ("theta >> kappa", theta, params.kappa),
+        ("kappa >> gamma*|g1|^2/delta^2", params.kappa, scatter1),
+        ("kappa >> gamma*|g2|^2/delta^2", params.kappa, scatter2),
+        ("theta >> eta^2*gamma*omega^2/delta^2", theta, recoil_heating),
+        ("nu*T >> 1", None if t_pi is None else params.nu * t_pi, 1.0),
+        ("1 >> eta", 1.0, eta),
+    )
+    kappa_tpi = None if t_pi is None else params.kappa * t_pi
+    soft = RegimeConstraint("kappa*t_pi <= 1/soft_ratio", 1.0, kappa_tpi, soft_ratio)
+    return RegimeReport(
+        constraints=tuple(RegimeConstraint(name, left, right, much_greater_ratio)
+                          for name, left, right in hard),
+        soft=(soft,), ratio=much_greater_ratio, soft_ratio=soft_ratio)

@@ -43,16 +43,16 @@ import numpy as np
 
 from . import gaussian
 from .errors import ParameterError, RegimeError, require_half_period
-from .gaussian import GaussianState
-from .params import (DEFAULT_KAPPA_DT, DEFAULT_R_LIST, TWO_PI, Couplings, PhysicalParams,
-                     coupling_constants, validate_regime)
+from .gaussian import SIMULTANEOUS_LABELS, GaussianState
+from .params import (CONFIG_KEYS, DEFAULT_KAPPA_DT, DEFAULT_R_LIST, TWO_PI, Couplings,
+                     PhysicalParams, coupling_constants, validate_regime)
 
-SIMULTANEOUS_LABELS = ("cav1", "cav2", "motion")
 SEQUENTIAL_LABELS = ("cav", "motion", "pulse1")
 MAX_GRID_POINTS = 1_000_000     # 8 MB per float64 trace column; the default grid has 401
 
 
-def default_time_grid(t_max: float = 8.0, step: float = 0.02) -> np.ndarray:
+def default_time_grid(t_max: float = CONFIG_KEYS["t_max"].default,
+                      step: float = CONFIG_KEYS["t_step"].default) -> np.ndarray:
     """Time grid in units of 1/kappa, inclusive of both ends.
 
     At most MAX_GRID_POINTS points; the check comes before the allocation.
@@ -283,7 +283,7 @@ def simultaneous_stages(couplings: Couplings) -> tuple:
 
 
 def run_simultaneous(params: PhysicalParams, force: bool = False,
-                     ratio: float = 10.0) -> SimultaneousResult:
+                     ratio: float = CONFIG_KEYS["ratio"].default) -> SimultaneousResult:
     """Drive both couplings for one half-period from vacuum x vacuum x thermal.
 
     The run is lossless during the drive (the pulse is much shorter than the
@@ -364,7 +364,7 @@ def sequential_stages(couplings: Couplings, kappa: float, t1: float, delay_t12: 
 
 
 def run_sequential(params: PhysicalParams, t1: float, delay_t12: float = math.inf,
-                   swap_area: float = math.pi / 2) -> SequentialResult:
+                   swap_area: float = CONFIG_KEYS["seq_swap_area"].default) -> SequentialResult:
     """Sequential pulses with the motion as intermediate memory.
 
     Runs the stages of :func:`sequential_stages` from vacuum x thermal x

@@ -36,6 +36,36 @@ def rewrite_config(tmp_path, name, replacements=None, drop=None, extra=None):
     return str(path)
 
 
+def flags(command, cfg, out_dir):
+    """The argv after ``command``: ``--config cfg``, and ``--out out_dir`` for fig3 alone."""
+    return ["--config", cfg] + (["--out", str(out_dir)] if command == "fig3" else [])
+
+
+# The flags each subcommand reads; it refuses every other.
+FLAGS = {"validate": {"--config"}, "couplings": {"--config"}, "simulate": {"--config", "--force"},
+         "fig3": {"--config", "--out"}, "sequential": {"--config"},
+         "oracle-check": {"--config"}}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag", ["--config", "--force", "--out", "--ratio"])
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_accepted_only_where_read(self, capsys, tmp_path, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)     # fig3 writes to the working directory without --out
+        given = {"--config": [INDIUM], "--force": [], "--out": ["x"], "--ratio": ["10"]}[flag]
+        base = [] if flag == "--config" else ["--config", INDIUM]
+        code, out, err = run(capsys, command, *base, flag, *given)
+        if flag in FLAGS[command]:
+            assert code == EXIT_OK, err
+            return
+        assert code == EXIT_USAGE
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"ionlight: error: unrecognized arguments: {' '.join([flag, *given])}"]
+        assert "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidate:
     def test_bundled_config_passes(self, capsys):
         code, out, err = run(capsys, "validate", "--config", INDIUM)
@@ -94,14 +124,15 @@ class TestSimulate:
         assert float(match.group(1)) == pytest.approx(109.75, abs=0.01)
         assert "motion decorrelation" in out
 
-    def test_strict_ratio_blocks(self, capsys):
-        code, _, err = run(capsys, "simulate", "--config", INDIUM, "--ratio", "10")
+    def test_strict_ratio_blocks(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "strict.cfg", replacements={"ratio": "10"})
+        code, _, err = run(capsys, "simulate", "--config", cfg)
         assert code == EXIT_PHYSICS
         assert "regime" in err
 
-    def test_force_overrides_gate(self, capsys):
-        code, out, _ = run(capsys, "simulate", "--config", INDIUM,
-                           "--ratio", "10", "--force")
+    def test_force_overrides_gate(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "strict.cfg", replacements={"ratio": "10"})
+        code, out, _ = run(capsys, "simulate", "--config", cfg, "--force")
         assert code == EXIT_OK
 
 
@@ -237,9 +268,10 @@ class TestOneFailurePath:
             self.assert_usage_error(capsys, [command, "--config", cfg],
                                     "chi1 and chi2 must be finite")
 
-    def test_ratio_not_above_one(self, capsys):
+    def test_ratio_not_above_one(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "loose.cfg", replacements={"ratio": "0.5"})
         for command in ("validate", "simulate"):
-            self.assert_usage_error(capsys, [command, "--config", INDIUM, "--ratio", "0.5"],
+            self.assert_usage_error(capsys, [command, "--config", cfg],
                                     "much_greater_ratio must exceed 1")
 
     @pytest.mark.parametrize("g1_hz", ["1e-320", "0"])
@@ -268,8 +300,9 @@ class TestOneFailurePath:
             self.assert_usage_error(capsys, [command, "--config", cfg],
                                     r"2 \* mass \* nu underflows to 0")
 
-    def test_regime_gate_is_a_physics_failure(self, capsys):
-        code, out, err = run(capsys, "simulate", "--config", INDIUM, "--ratio", "10")
+    def test_regime_gate_is_a_physics_failure(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "strict.cfg", replacements={"ratio": "10"})
+        code, out, err = run(capsys, "simulate", "--config", cfg)
         assert code == EXIT_PHYSICS
         assert re.search(r"^error: operating-regime check failed \(theta >> kappa, 1 >> eta\)",
                          err, re.MULTILINE)
@@ -302,7 +335,7 @@ class TestRunKeyTable:
         raw = ",".join([value] * 3) if key == "oracle_dims" else value
         cfg = rewrite_config(tmp_path, "run.cfg", drop={key}, extra=[f"{key} = {raw}"])
         for command in cli.COMMANDS:
-            code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path))
+            code, _, err = run(capsys, command, *flags(command, cfg, tmp_path))
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, code)
             if code == EXIT_USAGE:
                 assert "error:" in err, (command, err)
@@ -319,7 +352,7 @@ class TestNonFiniteValues:
     def test_rejected_with_line_number(self, capsys, tmp_path, command, key, value):
         cfg = rewrite_config(tmp_path, "bad.cfg", drop={key}, extra=[f"{key} = {value}"])
         lineno = len(Path(cfg).read_text().splitlines())
-        code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+        code, _, err = run(capsys, command, *flags(command, cfg, tmp_path / "x"))
         assert code == EXIT_USAGE
         assert re.search(rf"^\S*\s*error: line {lineno}: key '{key}'", err, re.MULTILINE)
         assert "Traceback" not in err
@@ -339,7 +372,7 @@ class TestExtremeFiniteValues:
         for command in ("validate", "couplings", "simulate", "fig3", "sequential",
                         "oracle-check"):
             # an exception escaping main fails the test by itself
-            code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+            code, _, err = run(capsys, command, *flags(command, cfg, tmp_path / "x"))
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, err)
 
     @pytest.mark.parametrize("command,key,name", [("fig3", "theta1", "theta1"),
@@ -347,7 +380,7 @@ class TestExtremeFiniteValues:
     def test_angles_past_two_pi_refused(self, capsys, tmp_path, command, key, name):
         # the cos and sin of 1e300 are round-off: refused, by the argument's name
         cfg = rewrite_config(tmp_path, "angle.cfg", drop={key}, extra=[f"{key} = 1e300"])
-        code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "x"))
+        code, out, err = run(capsys, command, *flags(command, cfg, tmp_path / "x"))
         assert code == EXIT_USAGE
         assert re.search(rf"^error: {name} must lie in \[", err, re.MULTILINE)
         assert out == ""
@@ -358,7 +391,7 @@ class TestExtremeFiniteValues:
         ("sequential", [f"seq_swap_area = {2 * math.pi!r}"])])
     def test_angles_of_two_pi_accepted(self, capsys, tmp_path, command, extra):
         cfg = rewrite_config(tmp_path, "angle.cfg", extra=extra)
-        code, _, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path))
+        code, _, err = run(capsys, command, *flags(command, cfg, tmp_path))
         assert code == EXIT_OK, err
 
     def test_overflowing_square_is_a_fail_row(self, capsys, tmp_path):

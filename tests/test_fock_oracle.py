@@ -472,6 +472,26 @@ class TestEvolveExact:
         assert np.array_equal(out.support, [0])
         assert np.array_equal(out.values, [1.0])
 
+    @pytest.mark.parametrize("chis, t", [((1e300, 2e300), 1e10), ((1.0, 2.0), 1e7),
+                                         ((1.0, 2.0), -1e7)],
+                             ids=["infinite", "huge", "huge_backwards"])
+    def test_rho_t_past_the_cap_is_refused(self, chis, t):
+        # an infinite rho t ended in math.floor(inf); a huge finite one asked
+        # for an FFT of 2 rho t samples
+        dims = (4, 4, 4)
+        with pytest.raises(StateError, match=r"rho \* t = .* is not finite or exceeds"):
+            evolve_exact(vacuum_state(dims), hamiltonian_matrix(*chis, dims), t)
+
+    def test_rho_t_at_the_cap_runs(self, monkeypatch):
+        dims, t = (4, 4, 4), 0.37
+        h = hamiltonian_matrix(1.0, 2.5, dims)
+        alpha = fock_oracle._spectral_bound(h.sector(0).vals) * t
+        monkeypatch.setattr(fock_oracle, "MAX_RHO_T", alpha)
+        evolve_exact(vacuum_state(dims), h, t, leak_tol=1.0)
+        monkeypatch.setattr(fock_oracle, "MAX_RHO_T", math.nextafter(alpha, 0.0))
+        with pytest.raises(StateError, match="exceeds"):
+            evolve_exact(vacuum_state(dims), h, t, leak_tol=1.0)
+
     def test_one_state_sector_is_returned_unchanged(self):
         # n1 - n2 - nb = 1 in (2, 2, 2) is |1, 0, 0> alone: no hop, an empty odd half
         dims = (2, 2, 2)

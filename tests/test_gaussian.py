@@ -136,15 +136,14 @@ class TestStateBasics:
         with pytest.raises(StateError, match="duplicate"):
             vacuum(2, ("a", "b")).reduced(("a", "a"))
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_user_built_state_is_copied_and_scanned(self, validate):
+    def test_user_built_state_is_copied_and_scanned(self):
         mean, cov = np.zeros(2), 2.0 * np.eye(2)
-        state = GaussianState(("a",), mean, cov, validate=validate)
+        state = GaussianState(("a",), mean, cov)
         mean[0] = cov[0, 0] = 7.0
         assert state.mean[0] == 0.0 and state.cov[0, 0] == 2.0
         cov[0, 1] = 1e-6
         with pytest.raises(StateError, match="not symmetric"):
-            GaussianState(("a",), mean, cov, validate=validate)
+            GaussianState(("a",), mean, cov)
 
     def test_reduced_keeps_blocks(self):
         state = tensor(thermal(1.0, "a"), thermal(2.0, "b"))
@@ -554,7 +553,7 @@ class TestDiagnostics:
     def test_log_negativity_rejects_non_finite(self):
         cov = np.eye(4)
         cov[0, 0] = math.nan
-        state = GaussianState(("a", "b"), np.zeros(4), cov, validate=False)
+        state = GaussianState._made(("a", "b"), np.zeros(4), cov)
         with pytest.raises(StateError, match="round-off bound"):
             log_negativity(state, ("a",))
 
@@ -565,7 +564,7 @@ class TestDiagnostics:
         # not blamed on r close to 1 or a large nbar: those leave the bound finite
         cov = np.eye(4)
         cov[2, 2] = entry
-        state = GaussianState(("a", "b"), np.zeros(4), cov, validate=False)
+        state = GaussianState._made(("a", "b"), np.zeros(4), cov)
         for check in (lambda: log_negativity(state, ("a",)),
                       lambda: GaussianState(("a", "b"), np.zeros(4), cov)):
             with pytest.raises(StateError, match="not finite") as info:
@@ -573,8 +572,8 @@ class TestDiagnostics:
             assert "r too close" not in str(info.value)
 
     def test_log_negativity_rejects_unphysical(self):
-        state = GaussianState(("a", "b"), np.zeros(4), np.eye(4), validate=False)
-        bad = GaussianState(("a", "b"), np.zeros(4), 0.9 * np.eye(4), validate=False)
+        state = GaussianState._made(("a", "b"), np.zeros(4), np.eye(4))
+        bad = GaussianState._made(("a", "b"), np.zeros(4), 0.9 * np.eye(4))
         assert log_negativity(state, ("a",)) == 0.0
         with pytest.raises(UnphysicalStateError):
             log_negativity(bad, ("a",))

@@ -6,6 +6,7 @@ need no numpy, and no entry point loads scipy, which the tests alone use,
 as a reference.  Module loading is checked in fresh interpreters, never by timing.
 """
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -71,7 +72,8 @@ class TestImportGraph:
 
     @pytest.mark.parametrize("command", ["simulate", "sequential", "fig3"])
     def test_protocol_commands_load_no_scipy(self, command, tmp_path):
-        out = cli_run(command, "--config", INDIUM, "--out", str(tmp_path))
+        out_dir = ["--out", str(tmp_path)] if command == "fig3" else []
+        out = cli_run(command, "--config", INDIUM, *out_dir)
         assert out == {"result": 0, "loaded": ["numpy"]}
 
     def test_oracle_check_loads_numpy_only(self):
@@ -155,8 +157,9 @@ TRACED_SIGNATURES = {
     "cli.main": "(argv=None) -> 'int'",
 }
 
-# What a user can set: the config keys, the physical parameters and the error
-# types a caller may catch.  A new knob shows up here as a test edit.
+# What a user can set: the config keys, the physical parameters, the flags of
+# each subcommand and the error types a caller may catch.  A new knob shows up
+# here as a test edit.
 SETTABLE_SURFACE = {
     "config_keys": {
         "nu_hz", "gamma_hz", "delta_hz", "omega_rabi_hz", "kappa_hz", "g1_hz", "g2_hz",
@@ -167,6 +170,10 @@ SETTABLE_SURFACE = {
     "physical_params": {
         "nu", "gamma", "delta", "omega_rabi", "kappa", "g1", "g2", "alpha1", "alpha2",
         "theta_l", "theta_c", "mass", "wavenumber", "nbar_motion"},
+    "flags": {
+        "validate": {"--config"}, "couplings": {"--config"}, "simulate": {"--config", "--force"},
+        "fig3": {"--config", "--out"}, "sequential": {"--config"},
+        "oracle-check": {"--config"}},
     "errors": {
         "ConfigError", "IonlightError", "ParameterError", "RegimeError", "StateError",
         "TruncationError", "UndefinedPeriodError", "UnphysicalStateError"},
@@ -202,14 +209,28 @@ class TestLazyNamespace:
         assert protocol.DEFAULT_KAPPA_DT is params.DEFAULT_KAPPA_DT
         assert params.CONFIG_KEYS["fig3_r_list"].default is params.DEFAULT_R_LIST
         assert params.CONFIG_KEYS["kappa_dt"].default == params.DEFAULT_KAPPA_DT
+        for function, argument, key in (
+                (params.validate_regime, "much_greater_ratio", "ratio"),
+                (params.validate_regime, "soft_ratio", "soft_ratio"),
+                (protocol.run_simultaneous, "ratio", "ratio"),
+                (protocol.default_time_grid, "t_max", "t_max"),
+                (protocol.default_time_grid, "step", "t_step"),
+                (protocol.run_sequential, "swap_area", "seq_swap_area")):
+            default = inspect.signature(function).parameters[argument].default
+            assert default is params.CONFIG_KEYS[key].default, (function.__name__, argument)
 
     def test_settable_surface_is_pinned(self):
         from dataclasses import fields
 
-        from ionlight import params
+        from ionlight import cli, params
+        (subcommands,) = [action.choices for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)]
         assert {
             "config_keys": set(params.CONFIG_KEYS),
             "physical_params": {f.name for f in fields(params.PhysicalParams)},
+            "flags": {name: {flag for action in parser._actions
+                             for flag in action.option_strings} - {"-h", "--help"}
+                      for name, parser in subcommands.items()},
             "errors": set(ionlight._EXPORTS["errors"]),
         } == SETTABLE_SURFACE
 
