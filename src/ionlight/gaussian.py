@@ -100,12 +100,13 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 class GaussianState:
     """Gaussian state over labelled bosonic modes.
 
-    Construction copies the arrays, validates symmetry of the covariance (to
-    1e-12) and physicality: every symplectic eigenvalue must be
-    >= 1 - b, with b = eps * ||cov||_F^2 the round-off bound of the
-    spectrum, and b must not exceed ``SPECTRUM_LIMIT``.  The states this
-    module returns (maps of states already known to be physical) are built
-    by :meth:`_made`, which skips the copy and both checks.
+    Construction copies the arrays, refuses a covariance entry that is not
+    finite, and validates symmetry of the covariance (to 1e-12) and
+    physicality: every symplectic eigenvalue must be >= 1 - b, with
+    b = eps * ||cov||_F^2 the round-off bound of the spectrum, and b must
+    not exceed ``SPECTRUM_LIMIT``.  The states this module returns (maps of
+    states already known to be physical) are built by :meth:`_made`, which
+    skips the copy and the checks.
     """
 
     mode_labels: tuple
@@ -124,6 +125,8 @@ class GaussianState:
                 f"shape mismatch: {n} modes need mean (2N,) and cov (2N, 2N), "
                 f"got {mean.shape} and {cov.shape}"
             )
+        if not np.all(np.isfinite(cov)):
+            raise StateError("covariance has an entry that is not finite (NaN or infinite)")
         asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
         if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
             raise StateError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
@@ -169,7 +172,8 @@ class GaussianState:
     def reduced(self, labels: Sequence) -> "GaussianState":
         """Reduced state of a subset of modes (partial trace over the rest)."""
         idx = self.quad_indices(labels)
-        return GaussianState._made(tuple(labels), self.mean[idx], self.cov[np.ix_(idx, idx)])
+        return GaussianState._made(tuple(labels), self.mean.take(idx),
+                                   self.cov.take(idx, 0).take(idx, 1))
 
 
 def _label_index(labels: tuple, label) -> int:
@@ -265,11 +269,15 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     rest = [l for l in state.mode_labels if l not in part]
     if not rest:
         raise StateError("partition must be a strict subset of the modes")
-    # Partial transposition flips the sign of P on the transposed modes.
-    flip = np.ones(2 * state.n_modes)
+    # Partial transposition flips the sign of P on the transposed modes: of
+    # each such P row and column, the entry they share keeps its sign.
+    covs = np.array((state.cov, state.cov))
+    pt = covs[1]
     for label in part:
-        flip[2 * state.mode_index(label) + 1] = -1.0
-    bound, spectra = _spectrum_bound(np.stack((state.cov, state.cov * np.outer(flip, flip))))
+        p = 2 * state.mode_index(label) + 1
+        pt[p] *= -1.0
+        pt[:, p] *= -1.0
+    bound, spectra = _spectrum_bound(covs)
     nu = spectra[1]
     # Eigenvalues within the bound of 1 carry no negativity.  A state that
     # passed both checks has every nu >= 1/||cov||_F > 1e-6, so ln(nu) is finite.
@@ -288,7 +296,8 @@ def decorrelation_norm(state: GaussianState, block_a: Sequence, block_b: Sequenc
         raise StateError(f"mode sets overlap: {set(a) & set(b)!r}")
     ia = state.quad_indices(a)
     ib = state.quad_indices(b)
-    return float(np.linalg.norm(state.cov[np.ix_(ia, ib)]))
+    # take keeps the block in C order, which sets the order the norm sums in
+    return float(np.linalg.norm(state.cov.take(ia, 0).take(ib, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +350,20 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
     raises :class:`StateError`.
     """
     labels = tuple(labels)
+    drift = _drift(labels, terms)
+    d = np.zeros(drift.shape)
+    for label, kappa in (decay or {}).items():
+        if not 0.0 <= kappa < math.inf:
+            raise StateError(f"decay rate of {label!r} must be finite and >= 0, got {kappa!r}")
+        k = _label_index(labels, label)
+        drift[2 * k, 2 * k] -= kappa
+        drift[2 * k + 1, 2 * k + 1] -= kappa
+        d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 2.0 * kappa
+    return LinearDynamics(drift=drift, diffusion=d)
+
+
+def _drift(labels: tuple, terms: Iterable) -> np.ndarray:
+    """The drift :func:`quadratic_dynamics` derives from the terms, before any decay."""
     n = len(labels)
     m = np.zeros((n, n), dtype=complex)
     nn = np.zeros((n, n), dtype=complex)
@@ -357,14 +380,7 @@ def quadratic_dynamics(labels: Sequence, terms: Iterable,
             m[j, i] -= chi.conjugate()
         else:
             raise StateError(f"unknown term kind {kind!r}")
-    d = np.zeros((2 * n, 2 * n))
-    for label, kappa in (decay or {}).items():
-        if not 0.0 <= kappa < math.inf:
-            raise StateError(f"decay rate of {label!r} must be finite and >= 0, got {kappa!r}")
-        k = _label_index(labels, label)
-        m[k, k] -= kappa
-        d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 2.0 * kappa
-    return LinearDynamics(drift=bogoliubov_to_symplectic(m, nn), diffusion=d)
+    return bogoliubov_to_symplectic(m, nn)
 
 
 def simultaneous_terms(chi1: complex, chi2: complex) -> tuple:
@@ -407,7 +423,8 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
     kind, mode_a, mode_b, chi = term
     if mode_a == mode_b:
         raise StateError(f"a term must couple two distinct modes, got {mode_a!r} twice")
-    drift = quadratic_dynamics(labels, [term]).drift
+    labels = tuple(labels)
+    drift = _drift(labels, (term,))
     rate = abs(complex(chi))
     if rate == 0.0:
         return np.eye(2 * len(labels))

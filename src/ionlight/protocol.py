@@ -66,6 +66,10 @@ def default_time_grid(t_max: float = CONFIG_KEYS["t_max"].default,
     return np.linspace(0.0, n * step, n + 1)
 
 
+_DEFAULT_GRID = default_time_grid()     # HomodyneSettings' default, which copies it
+_DEFAULT_GRID.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class HomodyneSettings:
     """Local-oscillator phases and the detection time binning.
@@ -80,7 +84,7 @@ class HomodyneSettings:
     theta1: float = 0.0
     theta2: float = 0.0
     kappa_dt: float = DEFAULT_KAPPA_DT
-    t_grid: np.ndarray = field(default_factory=default_time_grid)
+    t_grid: np.ndarray = field(default_factory=lambda: _DEFAULT_GRID)
 
     def __post_init__(self):
         if not 0.0 < self.kappa_dt <= 1.0:
@@ -223,8 +227,11 @@ def beam_splitter_signal(couplings: Couplings,
 
         C = Var(Q1 - Q2) / (Var Q1 + Var Q2).
     """
-    source = run_stages(gaussian.vacuum(3, SIMULTANEOUS_LABELS),
-                        simultaneous_stages(couplings))[-1].reduced(("cav1", "cav2"))
+    # The cavity rows of the map take the three-mode vacuum to the source's
+    # covariance, symmetrised as gaussian.apply_symplectic does.
+    rows = gaussian.bogoliubov_tpi(couplings)[:4]
+    source = rows @ rows.T
+    source = 0.5 * (source + source.T)
 
     def rot(theta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
@@ -233,7 +240,7 @@ def beam_splitter_signal(couplings: Couplings,
     rotation = np.zeros((4, 4))
     rotation[0:2, 0:2] = rot(settings.theta1)
     rotation[2:4, 2:4] = rot(settings.theta2)
-    sigma = rotation @ source.cov @ rotation.T
+    sigma = rotation @ source @ rotation.T
 
     # measured covariance per grid point: weight * sigma + identity
     weight = 2.0 * settings.kappa_dt * np.exp(-2.0 * settings.t_grid)

@@ -28,3 +28,10 @@ def random_couplings(rng, r_low=1.05, r_high=3.0):
     chi1 = mag1 * np.exp(1j * phase1)
     chi2 = mag1 * ratio * np.exp(1j * phase2)
     return complex(chi1), complex(chi2)
+
+
+@pytest.fixture(autouse=True)
+def strict_floating_point():
+    """Overflow, invalid operations and division by zero raise in every test; underflow does not."""
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        yield

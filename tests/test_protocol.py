@@ -114,6 +114,22 @@ def assert_closed_form_equals_beam_splitter_model(rng):
         assert np.max(np.abs(closed - model)) < 1e-9
 
 
+def three_mode_route_signal(couplings, settings):
+    """beam_splitter_signal by its former route: the stage list on the three-mode vacuum, reduced."""
+    source = run_stages(gaussian.vacuum(3, SIMULTANEOUS_LABELS),
+                        simultaneous_stages(couplings))[-1].reduced(("cav1", "cav2"))
+    rotation = np.zeros((4, 4))
+    for k, theta in enumerate((settings.theta1, settings.theta2)):
+        c, s = math.cos(theta), math.sin(theta)
+        rotation[2 * k:2 * k + 2, 2 * k:2 * k + 2] = np.array([[c, -s], [s, c]])
+    sigma = rotation @ source.cov @ rotation.T
+    weight = 2.0 * settings.kappa_dt * np.exp(-2.0 * settings.t_grid)
+    var1 = weight * sigma[0, 0] + 1.0
+    var2 = weight * sigma[2, 2] + 1.0
+    cross = weight * sigma[0, 2]
+    return (var1 + var2 - 2.0 * cross) / (var1 + var2)
+
+
 class TestOutputSignal:
     def test_frozen_r11_point(self):
         settings = HomodyneSettings(kappa_dt=0.1, t_grid=default_time_grid())
@@ -125,6 +141,14 @@ class TestOutputSignal:
 
     def test_closed_form_equals_beam_splitter_model(self, rng):
         assert_closed_form_equals_beam_splitter_model(rng)
+
+    @pytest.mark.parametrize("thetas", [(0.0, 0.0), (0.7, -2.9), (-5.5, 6.2)])
+    def test_beam_splitter_signal_equals_the_three_mode_route(self, rng, thetas):
+        for _ in range(10):
+            couplings = Couplings.from_chis(*random_couplings(rng))
+            settings = HomodyneSettings(*thetas, kappa_dt=rng.uniform(0.02, 1.0))
+            assert np.array_equal(beam_splitter_signal(couplings, settings),
+                                  three_mode_route_signal(couplings, settings))
 
     def test_no_pair_coupling_means_shot_noise(self):
         settings = HomodyneSettings(t_grid=default_time_grid(4.0, 0.5))
@@ -617,6 +641,48 @@ class TestOneSpectrumPerNegativity:
     def test_run_sequential(self, eigvals_calls, indium_params):
         run_sequential(indium_params, t1=1.0 / abs_chi1(indium_params))
         assert len(eigvals_calls) == 3
+
+
+class TestOneDriftPerTerm:
+    """Structural guard: a stage's map reads the drift of its one term, and builds no dynamics."""
+
+    def test_sequential_stages_build_no_linear_dynamics(self, monkeypatch, indium_params):
+        built = []
+        original = gaussian.LinearDynamics.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(gaussian.LinearDynamics, "__post_init__", counted)
+        c = coupling_constants(indium_params)
+        gaussian.quadratic_dynamics(SEQUENTIAL_LABELS, ())     # the count sees one
+        assert len(built) == 1
+        sequential_stages(c, indium_params.kappa, t1=1.0 / abs(c.chi1),
+                          delay_t12=1.0 / indium_params.kappa, swap_area=math.pi / 2)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("kind", [gaussian.PAIR, gaussian.EXCHANGE])
+    def test_term_propagator_is_the_closed_form_of_the_drift(self, rng, kind):
+        # I + (c - 1) P + (s / |chi|) A, with A the drift quadratic_dynamics
+        # derives from the term; A vanishes on P's diagonal, whose entries are c
+        for mode_a, mode_b in (("cav", "motion"), ("pulse1", "cav")):
+            for _ in range(5):
+                chi = complex(*rng.normal(size=2))
+                term = (kind, mode_a, mode_b, chi)
+                t = rng.uniform(0.1, 2.0)
+                rate = abs(chi)
+                if kind == gaussian.PAIR:
+                    c, s = math.cosh(rate * t), math.sinh(rate * t)
+                else:
+                    c, s = math.cos(rate * t), math.sin(rate * t)
+                drift = gaussian.quadratic_dynamics(SEQUENTIAL_LABELS, [term]).drift
+                want = np.eye(6) + (s / rate) * drift
+                for label in (mode_a, mode_b):
+                    k = SEQUENTIAL_LABELS.index(label)
+                    assert drift[2 * k, 2 * k] == drift[2 * k + 1, 2 * k + 1] == 0.0
+                    want[2 * k, 2 * k] = want[2 * k + 1, 2 * k + 1] = c
+                assert np.array_equal(gaussian.term_propagator(SEQUENTIAL_LABELS, term, t), want)
 
 
 def abs_chi1(params):
