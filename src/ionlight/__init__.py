@@ -4,8 +4,8 @@ The package is organized around four layers:
 
 * :mod:`ionlight.params` - physical parameters, the Raman coupling rates
   chi1/chi2 and everything derived from them, and the operating-regime checks.
-* :mod:`ionlight.gaussian` - multimode Gaussian states (mean vector +
-  covariance matrix, vacuum variance 1) with exact linear evolution, the
+* :mod:`ionlight.gaussian` - centred multimode Gaussian states
+  (covariance matrix, vacuum variance 1) with exact linear evolution, the
   closed-form symplectic maps (half-period map, single squeezer or beam
   splitter), the two-mode squeezed target state, and entanglement
   diagnostics.

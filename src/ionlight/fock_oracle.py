@@ -443,7 +443,6 @@ class FockObservables:
 
     mean_photons: np.ndarray        # (3,) per mode
     covariance: np.ndarray          # 6x6 symmetrized quadrature covariance
-    mean_quadratures: np.ndarray    # (6,) first moments
     joint_photon_distribution: np.ndarray   # (d1, d2) cav1/cav2 marginal
     leakage: float
 
@@ -500,14 +499,9 @@ def observables(state: FockState) -> FockObservables:
             cov[2 * i + 1, 2 * j + 1] = -2.0 * s_re + 2.0 * n_re + delta   # P_i P_j
     cov = 0.5 * (cov + cov.T)
 
-    quad_means = np.empty(6)
-    quad_means[0::2] = 2.0 * disp.real
-    quad_means[1::2] = 2.0 * disp.imag
-
     return FockObservables(
         mean_photons=means,
         covariance=cov,
-        mean_quadratures=quad_means,
         joint_photon_distribution=np.bincount(
             levels[0] * dims[1] + levels[1], weights=pop,
             minlength=dims[0] * dims[1]).reshape(dims[:2]),
@@ -541,7 +535,7 @@ def suggest_dims(r: float, leak_target: float = 1e-12) -> tuple:
         # smallest d with (1-q) q^(d-1) <= leak_target, for q = nbar/(1+nbar)
         q = nbar / (1.0 + nbar)
         if q <= 0.0:
-            return 2
+            return 4
         if not 1.0 - q > leak_target:    # then every d meets the criterion
             raise StateError(f"suggest_dims: r = {r!r} is too close to 1 for a finite basis")
         d = 1 + math.ceil(math.log(leak_target / (1.0 - q)) / math.log(q))
@@ -578,7 +572,7 @@ def crosscheck(r: float, dims=None) -> Crosscheck:
     (g_state,) = protocol.run_stages(gaussian.vacuum(3, labels), (pulse,))
     hamiltonian = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
     obs = observables(evolve_exact(vacuum_state(dims), hamiltonian, pulse.t))
-    f_state = gaussian.GaussianState(labels, obs.mean_quadratures, obs.covariance)
+    f_state = gaussian.GaussianState(labels, obs.covariance)
 
     rows = [(f"photons {label}", gaussian.mean_photons(g_state, label),
              float(obs.mean_photons[k])) for k, label in enumerate(labels)]

@@ -11,10 +11,13 @@ noise") level of the homodyne signal downstream.  This is a classic source of
 factor-of-two bugs against conventions with vacuum variance 1/2; all formulas
 in this module are written for variance 1.
 
-A state is ``(mode_labels, mean, cov)``: a real vector of length 2N ordered
-(X1, P1, X2, P2, ...) and a real symmetric 2N x 2N matrix of centered,
-symmetrized second moments.  Physicality means every symplectic eigenvalue of
-cov is >= 1, decided up to the round-off bound of :func:`_spectrum_bound`.
+A state is ``(mode_labels, cov)``: a real symmetric 2N x 2N matrix of
+symmetrized second moments over the quadratures (X1, P1, X2, P2, ...).
+Every state is centred: the vacuum and the thermal state have zero first
+moments, and the quadratic Hamiltonians here have no linear term, so every
+map keeps them zero and the covariance holds the whole state.  Physicality
+means every symplectic eigenvalue of cov is >= 1, decided up to the
+round-off bound of :func:`_spectrum_bound`.
 """
 
 from __future__ import annotations
@@ -98,9 +101,9 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian state over labelled bosonic modes.
+    """Centred Gaussian state over labelled bosonic modes.
 
-    Construction copies the arrays, refuses a covariance entry that is not
+    Construction copies the covariance, refuses an entry that is not
     finite, and validates symmetry of the covariance (to 1e-12) and
     physicality: every symplectic eigenvalue must be >= 1 - b, with
     b = eps * ||cov||_F^2 the round-off bound of the spectrum, and b must
@@ -110,21 +113,16 @@ class GaussianState:
     """
 
     mode_labels: tuple
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         labels = tuple(self.mode_labels)
         if len(set(labels)) != len(labels):
             raise StateError(f"duplicate mode labels: {labels!r}")
-        mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.asarray(self.cov, dtype=float)
         n = len(labels)
-        if mean.shape != (2 * n,) or cov.shape != (2 * n, 2 * n):
-            raise StateError(
-                f"shape mismatch: {n} modes need mean (2N,) and cov (2N, 2N), "
-                f"got {mean.shape} and {cov.shape}"
-            )
+        if cov.shape != (2 * n, 2 * n):
+            raise StateError(f"shape mismatch: {n} modes need cov (2N, 2N), got {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise StateError("covariance has an entry that is not finite (NaN or infinite)")
         asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
@@ -132,25 +130,22 @@ class GaussianState:
             raise StateError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
         cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "mode_labels", labels)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         _spectrum_bound(cov[np.newaxis])
-        mean.setflags(write=False)
         cov.setflags(write=False)
 
     @classmethod
-    def _made(cls, labels: tuple, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
-        """A state from float arrays of the right shapes that nothing else holds.
+    def _made(cls, labels: tuple, cov: np.ndarray) -> "GaussianState":
+        """A state from a float covariance of the right shape that nothing else holds.
 
-        Keeps the duplicate-label check and freezes the arrays, which it takes
-        as they are: no copy, no symmetry scan, no physicality check.  The
+        Keeps the duplicate-label check and freezes the array, which it takes
+        as it is: no copy, no symmetry scan, no physicality check.  The
         caller makes cov exactly symmetric.
         """
         if len(set(labels)) != len(labels):
             raise StateError(f"duplicate mode labels: {labels!r}")
         state = object.__new__(cls)
-        vars(state).update(mode_labels=labels, mean=mean, cov=cov)
-        mean.setflags(write=False)
+        vars(state).update(mode_labels=labels, cov=cov)
         cov.setflags(write=False)
         return state
 
@@ -172,8 +167,7 @@ class GaussianState:
     def reduced(self, labels: Sequence) -> "GaussianState":
         """Reduced state of a subset of modes (partial trace over the rest)."""
         idx = self.quad_indices(labels)
-        return GaussianState._made(tuple(labels), self.mean.take(idx),
-                                   self.cov.take(idx, 0).take(idx, 1))
+        return GaussianState._made(tuple(labels), self.cov.take(idx, 0).take(idx, 1))
 
 
 def _label_index(labels: tuple, label) -> int:
@@ -184,14 +178,14 @@ def _label_index(labels: tuple, label) -> int:
 
 
 def vacuum(n_modes: int, labels: Optional[Sequence] = None) -> GaussianState:
-    """Vacuum of ``n_modes`` modes: zero mean, identity covariance."""
+    """Vacuum of ``n_modes`` modes: identity covariance."""
     if n_modes < 1:
         raise StateError(f"need at least one mode, got {n_modes!r}")
     if labels is None:
         labels = tuple(f"mode{k}" for k in range(n_modes))
     elif len(labels) != n_modes:
         raise StateError("number of labels must match n_modes")
-    return GaussianState._made(tuple(labels), np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return GaussianState._made(tuple(labels), np.eye(2 * n_modes))
 
 
 def thermal(nbar: float, label="motion") -> GaussianState:
@@ -202,13 +196,12 @@ def thermal(nbar: float, label="motion") -> GaussianState:
     """
     if not 0.0 <= nbar < math.inf:
         raise StateError(f"nbar must be finite and >= 0, got {nbar!r}")
-    return GaussianState._made((label,), np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
+    return GaussianState._made((label,), (2.0 * nbar + 1.0) * np.eye(2))
 
 
 def tensor(*states: GaussianState) -> GaussianState:
     """Product state of independent Gaussian states (labels must not clash)."""
     labels = tuple(l for s in states for l in s.mode_labels)
-    mean = np.concatenate([s.mean for s in states])
     n = len(labels)
     cov = np.zeros((2 * n, 2 * n))
     offset = 0
@@ -216,7 +209,7 @@ def tensor(*states: GaussianState) -> GaussianState:
         d = 2 * s.n_modes
         cov[offset:offset + d, offset:offset + d] = s.cov
         offset += d
-    return GaussianState._made(labels, mean, cov)
+    return GaussianState._made(labels, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +217,9 @@ def tensor(*states: GaussianState) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 def mean_photons(state: GaussianState, mode) -> float:
-    """Mean photon number of one mode: (<X^2> + <P^2> + <X>^2 + <P>^2 - 2)/4."""
+    """Mean photon number of one mode: (<X^2> + <P^2> - 2)/4."""
     k = state.mode_index(mode)
-    ix, ip = 2 * k, 2 * k + 1
-    return float(state.cov[ix, ix] + state.cov[ip, ip]
-                 + state.mean[ix] ** 2 + state.mean[ip] ** 2 - 2.0) / 4.0
+    return float(state.cov[2 * k, 2 * k] + state.cov[2 * k + 1, 2 * k + 1] - 2.0) / 4.0
 
 
 def epr_variance(state: GaussianState, mode_i, mode_j,
@@ -444,7 +435,7 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
 
 
 def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
-    """The state after the linear map S: mean S m, covariance S cov S^T.
+    """The state after the linear map S: covariance S cov S^T.
 
     The covariance is symmetrised, 0.5 (C + C^T), since the two triangles
     of the product round differently.
@@ -454,7 +445,7 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
         raise StateError(f"shape mismatch: a map of {state.n_modes} modes must be "
                          f"{state.cov.shape}, got {s.shape}")
     cov = s @ state.cov @ s.T
-    return GaussianState._made(state.mode_labels, s @ state.mean, 0.5 * (cov + cov.T))
+    return GaussianState._made(state.mode_labels, 0.5 * (cov + cov.T))
 
 
 # Numerator coefficients of the [13/13] Pade approximant to exp, and the
@@ -528,9 +519,8 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
     propagator = w[n:, n:].T            # e^{A t}
     integral = propagator @ w[:n, n:]   # int_0^t e^{As} D e^{A^T s} ds
     integral = 0.5 * (integral + integral.T)
-    mean = propagator @ state.mean
     cov = propagator @ state.cov @ propagator.T + integral
-    return GaussianState._made(state.mode_labels, mean, 0.5 * (cov + cov.T))
+    return GaussianState._made(state.mode_labels, 0.5 * (cov + cov.T))
 
 
 # ---------------------------------------------------------------------------
@@ -605,4 +595,4 @@ def tmss(r: float, beta: float = 0.0) -> GaussianState:
     cross = sinh_2s * np.array([[cb, sb], [sb, -cb]])
     cov = np.block([[cosh_2s * np.eye(2), cross],
                     [cross.T, cosh_2s * np.eye(2)]])
-    return GaussianState._made(SIMULTANEOUS_LABELS[:2], np.zeros(4), cov)
+    return GaussianState._made(SIMULTANEOUS_LABELS[:2], cov)

@@ -49,7 +49,10 @@ TWO_PI = 2.0 * math.pi
 class PhysicalParams:
     """All experimentally settable quantities, validated on construction.
 
-    Frequencies/rates are angular (rad/s); see the module docstring.
+    Frequencies/rates are angular (rad/s); see the module docstring.  The
+    angles ``theta_l`` and ``theta_c`` must lie in [-2 pi, 2 pi]: past that
+    the spacing between doubles grows toward 2 pi and their cosines become
+    round-off.
     """
 
     nu: float                    # motional (trap) frequency, rad/s
@@ -78,6 +81,10 @@ class PhysicalParams:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
         if self.nbar_motion < 0.0:
             raise ParameterError(f"nbar_motion must be >= 0, got {self.nbar_motion!r}")
+        for name in ("theta_l", "theta_c"):
+            value = getattr(self, name)
+            if not abs(value) <= TWO_PI:
+                raise ParameterError(f"{name} must lie in [-2 pi, 2 pi], got {value!r}")
         # Pole guard: the Raman denominators delta -+ nu would be resonant.
         # Within one linewidth of either pole the adiabatic elimination behind
         # chi1/chi2 is meaningless, so such parameter sets are rejected here.

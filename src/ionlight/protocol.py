@@ -228,10 +228,10 @@ def beam_splitter_signal(couplings: Couplings,
         C = Var(Q1 - Q2) / (Var Q1 + Var Q2).
     """
     # The cavity rows of the map take the three-mode vacuum to the source's
-    # covariance, symmetrised as gaussian.apply_symplectic does.
+    # covariance.  numpy computes a product with its own transpose view from
+    # one triangle (BLAS syrk) and copies it to the other: exactly symmetric.
     rows = gaussian.bogoliubov_tpi(couplings)[:4]
     source = rows @ rows.T
-    source = 0.5 * (source + source.T)
 
     def rot(theta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)

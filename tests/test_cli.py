@@ -376,21 +376,27 @@ class TestExtremeFiniteValues:
             assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, err)
 
     @pytest.mark.parametrize("command,key,name", [("fig3", "theta1", "theta1"),
-                                                  ("sequential", "seq_swap_area", "swap_area")])
+                                                  ("sequential", "seq_swap_area", "swap_area"),
+                                                  ("couplings", "theta_l", "theta_l"),
+                                                  ("simulate", "theta_c", "theta_c")])
     def test_angles_past_two_pi_refused(self, capsys, tmp_path, command, key, name):
-        # the cos and sin of 1e300 are round-off: refused, by the argument's name
+        # the cos and sin of 1e300 are round-off: refused, by the argument's name;
+        # a physical parameter is refused while the config is read
         cfg = rewrite_config(tmp_path, "angle.cfg", drop={key}, extra=[f"{key} = 1e300"])
         code, out, err = run(capsys, command, *flags(command, cfg, tmp_path / "x"))
         assert code == EXIT_USAGE
-        assert re.search(rf"^error: {name} must lie in \[", err, re.MULTILINE)
+        prefix = "error" if key in RUN_KEYS else "config error"
+        assert re.search(rf"^{prefix}: {name} must lie in \[", err, re.MULTILINE)
         assert out == ""
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command,extra", [
         ("fig3", [f"theta1 = {2 * math.pi!r}", f"theta2 = {-2 * math.pi!r}"]),
-        ("sequential", [f"seq_swap_area = {2 * math.pi!r}"])])
+        ("sequential", [f"seq_swap_area = {2 * math.pi!r}"]),
+        ("couplings", [f"theta_l = {2 * math.pi!r}", f"theta_c = {-2 * math.pi!r}"])])
     def test_angles_of_two_pi_accepted(self, capsys, tmp_path, command, extra):
-        cfg = rewrite_config(tmp_path, "angle.cfg", extra=extra)
+        keys = {line.split("=")[0].strip() for line in extra}
+        cfg = rewrite_config(tmp_path, "angle.cfg", drop=keys, extra=extra)
         code, _, err = run(capsys, command, *flags(command, cfg, tmp_path))
         assert code == EXIT_OK, err
 

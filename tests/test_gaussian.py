@@ -87,7 +87,6 @@ class TestStateBasics:
     def test_vacuum(self):
         v = vacuum(2)
         assert np.array_equal(v.cov, np.eye(4))
-        assert np.array_equal(v.mean, np.zeros(4))
         assert np.allclose(symplectic_eigenvalues(v.cov), 1.0)
         assert mean_photons(v, "mode0") == 0.0
 
@@ -115,15 +114,15 @@ class TestStateBasics:
         cov = np.eye(2)
         cov[0, 1] = 1e-6
         with pytest.raises(StateError):
-            GaussianState(("a",), np.zeros(2), cov)
+            GaussianState(("a",), cov)
 
     def test_unphysical_cov_rejected(self):
         with pytest.raises(UnphysicalStateError):
-            GaussianState(("a",), np.zeros(2), 0.5 * np.eye(2))
+            GaussianState(("a",), 0.5 * np.eye(2))
         # next to a mode too bright for the round-off bound, physicality cannot
         # be decided, so the state is refused rather than waved through
         with pytest.raises(StateError, match="round-off bound"):
-            GaussianState(("a", "b"), np.zeros(4), np.diag([1e8, 1e8, 0.5, 0.5]))
+            GaussianState(("a", "b"), np.diag([1e8, 1e8, 0.5, 0.5]))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(StateError):
@@ -138,13 +137,13 @@ class TestStateBasics:
             vacuum(2, ("a", "b")).reduced(("a", "a"))
 
     def test_user_built_state_is_copied_and_scanned(self):
-        mean, cov = np.zeros(2), 2.0 * np.eye(2)
-        state = GaussianState(("a",), mean, cov)
-        mean[0] = cov[0, 0] = 7.0
-        assert state.mean[0] == 0.0 and state.cov[0, 0] == 2.0
+        cov = 2.0 * np.eye(2)
+        state = GaussianState(("a",), cov)
+        cov[0, 0] = 7.0
+        assert state.cov[0, 0] == 2.0
         cov[0, 1] = 1e-6
         with pytest.raises(StateError, match="not symmetric"):
-            GaussianState(("a",), mean, cov)
+            GaussianState(("a",), cov)
 
     def test_reduced_keeps_blocks(self):
         state = tensor(thermal(1.0, "a"), thermal(2.0, "b"))
@@ -156,23 +155,17 @@ class TestStateBasics:
         # np.ix_ does, in every label order; the norm also pins the layout
         cov = apply_symplectic(tensor(tmss(1.7, 0.4), thermal(3.0, "motion")),
                                random_symplectic(rng, 3)).cov
-        state = GaussianState(LABELS3, rng.normal(size=6), cov)
+        state = GaussianState(LABELS3, cov)
         for k in (2, 3):
             for labels in itertools.permutations(LABELS3, k):
                 idx = state.quad_indices(labels)
                 sub = state.reduced(labels)
                 assert sub.mode_labels == labels
-                assert sub.mean.tobytes() == state.mean[idx].tobytes()
                 assert sub.cov.tobytes() == state.cov[np.ix_(idx, idx)].tobytes()
                 for cut in range(1, k):
                     a, b = labels[:cut], labels[cut:]
                     block = state.cov[np.ix_(state.quad_indices(a), state.quad_indices(b))]
                     assert decorrelation_norm(state, a, b) == float(np.linalg.norm(block))
-
-    def test_mean_photons_includes_displacement(self):
-        state = GaussianState(("a",), np.array([2.0, 0.0]), np.eye(2))
-        # coherent state with <X> = 2, i.e. |alpha| = 1
-        assert mean_photons(state, "a") == pytest.approx(1.0, abs=1e-14)
 
     def test_mean_photons_unknown_label(self):
         with pytest.raises(StateError):
@@ -239,7 +232,6 @@ class TestDynamics:
         for t in (0.1, 1.0, 10.0):
             out = evolve(state, dyn, t)
             assert np.allclose(out.cov, np.eye(6), atol=1e-12)
-            assert np.allclose(out.mean, 0.0)
 
 
 class TestEvolve:
@@ -269,14 +261,13 @@ class TestEvolve:
             state = tensor(vacuum(2, ("cav1", "cav2")), thermal(0.7, "motion"))
             out = evolve(state, dynamics_from_couplings(chi1, chi2, 0.0), 2 * c.t_pi)
             assert np.max(np.abs(out.cov - state.cov)) < 1e-9
-            assert np.max(np.abs(out.mean - state.mean)) < 1e-9
 
     def test_pure_decay_relaxation(self):
         # single decaying mode, cov = 3I, run until exp(-2 kappa t) = 1/3
         kappa = 0.9
         dyn = LinearDynamics(drift=-kappa * np.eye(2),
                              diffusion=2 * kappa * np.eye(2))
-        state = GaussianState(("a",), np.zeros(2), 3.0 * np.eye(2))
+        state = GaussianState(("a",), 3.0 * np.eye(2))
         t = math.log(math.sqrt(3.0)) / kappa
         out = evolve(state, dyn, t)
         assert np.allclose(out.cov, (1 + 2 / 3) * np.eye(2), atol=1e-12)
@@ -549,7 +540,7 @@ class TestDiagnostics:
         a = 5.0
         cross = c * np.diag([1.0, -1.0])
         cov = np.block([[a * np.eye(2), cross], [cross.T, a * np.eye(2)]])
-        assert log_negativity(GaussianState(("a", "b"), np.zeros(4), cov), ("a",)) == 0.0
+        assert log_negativity(GaussianState(("a", "b"), cov), ("a",)) == 0.0
 
     def test_log_negativity_of_tmss_r3(self):
         assert_tmss_r3_negativity()
@@ -564,7 +555,7 @@ class TestDiagnostics:
         # both physicality checks allow for it, and E_N = 2s to the 2e-6
         # that gaussian.SPECTRUM_LIMIT is chosen for
         state = tmss(1.0 + gap, beta=0.4)
-        checked = GaussianState(state.mode_labels, state.mean, state.cov)
+        checked = GaussianState(state.mode_labels, state.cov)
         r = 1.0 + gap
         assert log_negativity(checked, ("cav1",)) == pytest.approx(
             2.0 * math.asinh(2.0 * r / (r * r - 1.0)), rel=2e-6)
@@ -572,7 +563,7 @@ class TestDiagnostics:
     def test_log_negativity_rejects_non_finite(self):
         cov = np.eye(4)
         cov[0, 0] = math.nan
-        state = GaussianState._made(("a", "b"), np.zeros(4), cov)
+        state = GaussianState._made(("a", "b"), cov)
         with pytest.raises(StateError, match="round-off bound"):
             log_negativity(state, ("a",))
 
@@ -583,16 +574,16 @@ class TestDiagnostics:
         # not blamed on r close to 1 or a large nbar: those leave the bound finite
         cov = np.eye(4)
         cov[2, 2] = entry
-        state = GaussianState._made(("a", "b"), np.zeros(4), cov)
+        state = GaussianState._made(("a", "b"), cov)
         for check in (lambda: log_negativity(state, ("a",)),
-                      lambda: GaussianState(("a", "b"), np.zeros(4), cov)):
+                      lambda: GaussianState(("a", "b"), cov)):
             with pytest.raises(StateError, match="not finite") as info:
                 check()
             assert "r too close" not in str(info.value)
 
     def test_log_negativity_rejects_unphysical(self):
-        state = GaussianState._made(("a", "b"), np.zeros(4), np.eye(4))
-        bad = GaussianState._made(("a", "b"), np.zeros(4), 0.9 * np.eye(4))
+        state = GaussianState._made(("a", "b"), np.eye(4))
+        bad = GaussianState._made(("a", "b"), 0.9 * np.eye(4))
         assert log_negativity(state, ("a",)) == 0.0
         with pytest.raises(UnphysicalStateError):
             log_negativity(bad, ("a",))
@@ -642,10 +633,9 @@ class TestLibraryStates:
     def test_read_only_and_exactly_symmetric(self, name):
         state = LIBRARY_STATES[name]()
         assert np.array_equal(state.cov, state.cov.T)
-        for array in (state.mean, state.cov):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        assert not state.cov.flags.writeable
+        with pytest.raises(ValueError):
+            state.cov[0] = 1.0
 
     def test_apply_symplectic_is_exactly_symmetric(self, rng):
         assert_maps_exactly_symmetric(rng)
@@ -725,8 +715,7 @@ class TestMutants:
 
     def test_unsymmetrised_map_fails_exact_symmetry(self, monkeypatch, rng):
         def unsymmetrised(state, s):
-            return GaussianState._made(state.mode_labels, s @ state.mean,
-                                       s @ state.cov @ s.T)
+            return GaussianState._made(state.mode_labels, s @ state.cov @ s.T)
 
         monkeypatch.setattr(gaussian, "apply_symplectic", unsymmetrised)
         with pytest.raises(AssertionError):

@@ -83,6 +83,19 @@ class TestPhysicalParams:
         with pytest.raises(ParameterError, match="finite"):
             dataclasses.replace(make_params(), **{field: value})
 
+    @pytest.mark.parametrize("value", [1e300, -1e300, TWO_PI * (1 + 2.0 ** -52),
+                                       -TWO_PI * (1 + 2.0 ** -52)])
+    @pytest.mark.parametrize("field", ["theta_l", "theta_c"])
+    def test_angles_past_two_pi_rejected(self, field, value):
+        # the cos of 1e300 is round-off: refused, by the field's name
+        with pytest.raises(ParameterError, match=rf"^{field} must lie in \[-2 pi, 2 pi\]"):
+            make_params(**{field: value})
+
+    @pytest.mark.parametrize("value", [TWO_PI, -TWO_PI])
+    @pytest.mark.parametrize("field", ["theta_l", "theta_c"])
+    def test_angles_of_two_pi_accepted(self, field, value):
+        assert getattr(make_params(**{field: value}), field) == value
+
     def test_negative_nbar_rejected(self):
         with pytest.raises(ParameterError):
             make_params(nbar_motion=-0.1)
