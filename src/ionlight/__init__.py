@@ -39,8 +39,8 @@ _EXPORTS = {
                     "suggest_dims", "vacuum_state"),
     "protocol": ("HomodyneSettings", "SequentialResult", "SignalTrace",
                  "SimultaneousResult", "beam_splitter_signal", "default_time_grid",
-                 "fig3_sweep", "output_signal", "quadrature_moments",
-                 "run_sequential", "run_simultaneous"),
+                 "fig3_sweep", "output_signal", "run_sequential",
+                 "run_simultaneous"),
 }
 # name -> home module; each module is also public under its own name.
 _HOME = {name: module for module, names in _EXPORTS.items()

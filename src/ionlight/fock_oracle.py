@@ -379,15 +379,6 @@ def _evolve_sector(sector: Sector, psi: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _sorted_state(dims: tuple, support: np.ndarray, values: np.ndarray) -> FockState:
-    """The state with amplitudes ``values`` at the flat indices ``support``, in any order.
-
-    The states of one sector ascend, but those of several sectors interleave.
-    """
-    order = np.argsort(support)
-    return FockState(dims, support[order], values[order])
-
-
 def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
                  leak_tol: float = DEFAULT_LEAK_TOL) -> FockState:
     """Apply exp(-i H t) to the state, with no approximation knobs.
@@ -396,7 +387,8 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
     built and propagated; every other amplitude stays exactly zero.  Each
     occupied block is propagated by a Chebyshev series whose length is fixed
     in advance, so that the terms it drops sum below the unit roundoff.
-    The result holds the states of the occupied sectors, in ascending order.
+    The result holds the states of the occupied sectors, sorted once by
+    flat index.
 
     Raises :class:`TruncationError` when the propagated state puts more than
     ``leak_tol`` population on the top level of any mode, since observables
@@ -414,19 +406,18 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
     if t == 0.0:
         return state
     n1, n2, nb = np.unravel_index(state.support, state.dims)
-    support, evolved = [], []
-    for ell in np.unique(n1 - n2 - nb):
-        sector = hamiltonian.sector(int(ell))
-        # by ascending flat index again, so that the norm below sums in that order
-        ascending = np.argsort(sector.states)
-        values = _evolve_sector(sector, _gather(state.support, state.values, sector.states), t)
-        support.append(sector.states[ascending])
-        evolved.append(values[ascending])
-    evolved = np.concatenate(evolved)
+    sectors = [hamiltonian.sector(int(ell)) for ell in np.unique(n1 - n2 - nb)]
+    support = np.concatenate([sector.states for sector in sectors])
+    evolved = np.concatenate([
+        _evolve_sector(sector, _gather(state.support, state.values, sector.states), t)
+        for sector in sectors])
+    # the one sort, by flat index, before the norm sums in that order
+    ascending = np.argsort(support)
+    support, evolved = support[ascending], evolved[ascending]
     norm = float(np.linalg.norm(evolved))
     if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
-    out = _sorted_state(state.dims, np.concatenate(support), evolved / norm)
+    out = FockState(state.dims, support, evolved / norm)
     leak = leakage(out)
     if leak > leak_tol:
         raise TruncationError(

@@ -117,15 +117,14 @@ class GaussianState:
 
     def __post_init__(self):
         labels = tuple(self.mode_labels)
-        if len(set(labels)) != len(labels):
-            raise StateError(f"duplicate mode labels: {labels!r}")
+        _check_labels(labels)
         cov = np.asarray(self.cov, dtype=float)
         n = len(labels)
         if cov.shape != (2 * n, 2 * n):
             raise StateError(f"shape mismatch: {n} modes need cov (2N, 2N), got {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise StateError("covariance has an entry that is not finite (NaN or infinite)")
-        asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
+        asym = np.max(np.abs(cov - cov.T))
         if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
             raise StateError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
         cov = 0.5 * (cov + cov.T)
@@ -138,12 +137,11 @@ class GaussianState:
     def _made(cls, labels: tuple, cov: np.ndarray) -> "GaussianState":
         """A state from a float covariance of the right shape that nothing else holds.
 
-        Keeps the duplicate-label check and freezes the array, which it takes
-        as it is: no copy, no symmetry scan, no physicality check.  The
-        caller makes cov exactly symmetric.
+        Keeps the label checks and freezes the array, which it takes as it
+        is: no copy, no symmetry scan, no physicality check.  The caller
+        makes cov exactly symmetric.
         """
-        if len(set(labels)) != len(labels):
-            raise StateError(f"duplicate mode labels: {labels!r}")
+        _check_labels(labels)
         state = object.__new__(cls)
         vars(state).update(mode_labels=labels, cov=cov)
         cov.setflags(write=False)
@@ -157,7 +155,15 @@ class GaussianState:
         return _label_index(self.mode_labels, label)
 
     def quad_indices(self, labels: Iterable) -> list:
-        """Flat quadrature indices (X then P per mode) for the given labels."""
+        """Flat quadrature indices (X then P per mode) for the given labels.
+
+        A label named twice raises :class:`StateError`: ``reduced``,
+        ``log_negativity`` and ``decorrelation_norm`` read their mode sets
+        through here, and would count such a mode twice.
+        """
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise StateError(f"duplicate mode labels: {labels!r}")
         out = []
         for label in labels:
             k = self.mode_index(label)
@@ -168,6 +174,14 @@ class GaussianState:
         """Reduced state of a subset of modes (partial trace over the rest)."""
         idx = self.quad_indices(labels)
         return GaussianState._made(tuple(labels), self.cov.take(idx, 0).take(idx, 1))
+
+
+def _check_labels(labels: tuple) -> None:
+    """Refuse a state with no modes, or with a label named twice."""
+    if not labels:
+        raise StateError("need at least one mode, got 0")
+    if len(set(labels)) != len(labels):
+        raise StateError(f"duplicate mode labels: {labels!r}")
 
 
 def _label_index(labels: tuple, label) -> int:
@@ -228,13 +242,15 @@ def epr_variance(state: GaussianState, mode_i, mode_j,
 
     With theta = (0, 0) this is Var(X_i - X_j); with (pi/2, -pi/2) it is
     Var(P_i + P_j).  Two independent vacua give 2 (the shot-noise reference),
-    so values below 2 witness EPR-type correlations.  A NaN or infinite angle
-    raises :class:`StateError`.
+    so values below 2 witness EPR-type correlations.  An angle outside
+    [-2 pi, 2 pi], NaN and infinities included, raises :class:`StateError`:
+    far past it the cos and sin are round-off.
     """
     if mode_i == mode_j:
         raise StateError("epr_variance needs two distinct modes")
-    if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
-        raise StateError(f"epr_variance needs finite angles, got {theta_i!r}, {theta_j!r}")
+    for name, theta in (("theta_i", theta_i), ("theta_j", theta_j)):
+        if not abs(theta) <= TWO_PI:
+            raise StateError(f"epr_variance needs a finite {name} in [-2 pi, 2 pi], got {theta!r}")
     ki = state.mode_index(mode_i)
     kj = state.mode_index(mode_j)
     w = np.zeros(2 * state.n_modes)
@@ -264,8 +280,7 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     # each such P row and column, the entry they share keeps its sign.
     covs = np.array((state.cov, state.cov))
     pt = covs[1]
-    for label in part:
-        p = 2 * state.mode_index(label) + 1
+    for p in state.quad_indices(part)[1::2]:
         pt[p] *= -1.0
         pt[:, p] *= -1.0
     bound, spectra = _spectrum_bound(covs)

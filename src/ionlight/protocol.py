@@ -178,33 +178,21 @@ def run_stages(state: GaussianState, stages: Iterable[Stage]) -> tuple:
 # source-field moments and the signal
 # ---------------------------------------------------------------------------
 
-def quadrature_moments(chi1: complex, chi2: complex,
-                       theta1: float = 0.0, theta2: float = 0.0) -> tuple:
-    """Second moments of the source quadratures q_j = a_j e^{i theta_j} + h.c.
-
-    Returns (<q1^2>, <q1 q2>) for the field at the end of the half-period
-    pulse; <q2^2> equals <q1^2>.  From n = ``Couplings.n_mean`` and beta they
-    are <q1^2> = 1 + 2n and <q1 q2> = 2 sqrt(n (1 + n)) cos(beta + theta1 + theta2).
-    Non-finite rates, and angles outside [-2 pi, 2 pi] as for
-    :class:`HomodyneSettings`, raise :class:`ParameterError`.
-    """
-    if not (abs(theta1) <= TWO_PI and abs(theta2) <= TWO_PI):
-        raise ParameterError(f"quadrature_moments needs finite angles in [-2 pi, 2 pi], got "
-                             f"theta1 = {theta1!r}, theta2 = {theta2!r}")
-    couplings = Couplings(chi1, chi2)
-    require_half_period(couplings.r)
-    n = couplings.n_mean
-    phase = (couplings.beta or 0.0) + theta1 + theta2
-    return 1.0 + 2.0 * n, 2.0 * math.sqrt(n) * math.sqrt(1.0 + n) * math.cos(phase)
-
-
 def output_signal(couplings: Couplings, kappa: float,
                   settings: HomodyneSettings) -> SignalTrace:
-    """Homodyne signal C(t) of the emitted bichromatic pulse (closed form)."""
+    """Homodyne signal C(t) of the emitted bichromatic pulse (closed form).
+
+    The source quadratures q_j = a_j e^{i theta_j} + h.c. at the end of the
+    half-period pulse have, from n = ``couplings.n_mean`` and beta,
+    <q1^2> = <q2^2> = 1 + 2n and <q1 q2> = 2 sqrt(n (1 + n)) cos(beta + theta1 + theta2).
+    """
     if not 0.0 < kappa < math.inf:
         raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
-    q1_sq, q1q2 = quadrature_moments(couplings.chi1, couplings.chi2,
-                                     settings.theta1, settings.theta2)
+    require_half_period(couplings.r)
+    n = couplings.n_mean
+    phase = (couplings.beta or 0.0) + settings.theta1 + settings.theta2
+    q1_sq = 1.0 + 2.0 * n
+    q1q2 = 2.0 * math.sqrt(n) * math.sqrt(1.0 + n) * math.cos(phase)
     total = 2.0 * q1_sq
     r_values = settings.kappa_dt * np.exp(-2.0 * settings.t_grid) * total
     c_values = 1.0 - (r_values / (1.0 + r_values)) * (2.0 * q1q2 / total)
@@ -270,13 +258,9 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
         require_half_period(r)
     if t_grid is None:
         t_grid = default_time_grid()
-    traces = []
-    for r in r_list:
-        settings = HomodyneSettings(theta1=theta1, theta2=theta2,
-                                    kappa_dt=kappa_dt, t_grid=t_grid)
-        couplings = Couplings.from_chis(1.0, r)
-        traces.append(output_signal(couplings, kappa=1.0, settings=settings))
-    return traces
+    settings = HomodyneSettings(theta1=theta1, theta2=theta2, kappa_dt=kappa_dt, t_grid=t_grid)
+    return [output_signal(Couplings.from_chis(1.0, r), kappa=1.0, settings=settings)
+            for r in r_list]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,15 @@ def random_couplings(rng, r_low=1.05, r_high=3.0):
     chi1 = mag1 * np.exp(1j * phase1)
     chi2 = mag1 * ratio * np.exp(1j * phase2)
     return complex(chi1), complex(chi2)
+
+
+def mutated(module, name, old, new):
+    """``module``'s function ``name`` with the source text ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,4 @@
-import inspect
 import math
-import textwrap
 import tracemalloc
 
 import numpy as np
@@ -10,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
+from conftest import mutated
 from ionlight import fock_oracle, gaussian, protocol
 from ionlight.cli import ORACLE_TOL
 from ionlight.errors import StateError, TruncationError, UndefinedPeriodError
@@ -158,7 +157,7 @@ def dense_expm_gap(case, chis, t):
         if case == "two_sectors":
             psi[2] = 1.0        # |0, 0, 2>, sector n1 - n2 - nb = -2
             psi /= math.sqrt(2.0)
-    out = evolve_exact(dense_state(dims, psi), h, t, leak_tol=1.0)
+    out = fock_oracle.evolve_exact(dense_state(dims, psi), h, t, leak_tol=1.0)
     expected = scipy.linalg.expm(-1j * t * index_hamiltonian(*chis, dims).toarray()) @ psi
     return np.max(np.abs(dense_vector(out) - expected))
 
@@ -180,15 +179,6 @@ def assert_matches_bessel(alpha):
 
 
 complex_chis = st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-
-
-def mutated(name, old, new):
-    """fock_oracle's function ``name`` with the source text ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(fock_oracle, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(fock_oracle))
-    exec(source.replace(old, new), namespace)
-    return namespace[name]
 
 
 # crosscheck(3.0) at suggest_dims(3.0) = (30, 30, 46) bit for bit: (rows, leakage)
@@ -599,15 +589,15 @@ class TestMutants:
 
     def test_term_on_the_wrong_half_fails_unitarity(self, monkeypatch):
         # each term writes v_{k+1} over v_k, on the wrong half, not over v_{k-1}
-        monkeypatch.setattr(fock_oracle, "_propagate",
-                            mutated("_propagate", "terms[k % 2]", "terms[(k + 1) % 2]"))
+        monkeypatch.setattr(fock_oracle, "_propagate", mutated(
+            fock_oracle, "_propagate", "terms[k % 2]", "terms[(k + 1) % 2]"))
         with pytest.raises(StateError, match="unitarity"):
             dense_expm_gap("vacuum", LONG_CHIS, LONG_T)
 
     def test_dropped_previous_vector_fails_unitarity(self, monkeypatch):
         # v_{k+1} = 2 (K / rho) v_k, the v_{k-1} of the recurrence left out
-        monkeypatch.setattr(fock_oracle, "_propagate",
-                            mutated("_propagate", "u_h += g.sum(0)", "u_h[:] = g.sum(0)"))
+        monkeypatch.setattr(fock_oracle, "_propagate", mutated(
+            fock_oracle, "_propagate", "u_h += g.sum(0)", "u_h[:] = g.sum(0)"))
         with pytest.raises(StateError, match="unitarity"):
             dense_expm_gap("vacuum", LONG_CHIS, LONG_T)
 
@@ -649,7 +639,8 @@ class TestMutants:
 
     def test_unsorted_two_sector_output_fails_dense_expm(self, monkeypatch):
         # sector -2 comes first and holds |0, 0, 2>, above the vacuum's index 0
-        monkeypatch.setattr(fock_oracle, "_sorted_state", FockState)
+        monkeypatch.setattr(fock_oracle, "evolve_exact", mutated(
+            fock_oracle, "evolve_exact", "np.argsort(support)", "slice(None)"))
         with pytest.raises(StateError, match="ascend"):
             dense_expm_gap("two_sectors", (1.0, 2.5), 0.37)
 

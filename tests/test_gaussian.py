@@ -15,6 +15,7 @@ from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
                                symplectic_eigenvalues, tensor, term_propagator,
                                thermal, tmss, vacuum)
 from ionlight.params import Couplings
+from ionlight.protocol import run_simultaneous
 
 LABELS3 = ("cav1", "cav2", "motion")
 
@@ -170,6 +171,14 @@ class TestStateBasics:
     def test_mean_photons_unknown_label(self):
         with pytest.raises(StateError):
             mean_photons(vacuum(1), "nope")
+
+    @pytest.mark.parametrize("build", [lambda: GaussianState((), np.zeros((0, 0))),
+                                       lambda: tensor(),
+                                       lambda: vacuum(2).reduced(())],
+                             ids=["constructor", "tensor", "reduced"])
+    def test_a_state_needs_a_mode(self, build):
+        with pytest.raises(StateError, match="need at least one mode"):
+            build()
 
 
 class TestDynamics:
@@ -517,6 +526,12 @@ class TestTmss:
         assert np.max(np.abs(cov - np.eye(4))) <= 4e-200
 
 
+@pytest.fixture(scope="module")
+def indium_state(indium_params):
+    """The state after the simultaneous pulse at the bundled indium point."""
+    return run_simultaneous(indium_params, force=True).state
+
+
 class TestDiagnostics:
     def test_epr_variance_of_independent_vacua(self):
         assert epr_variance(vacuum(2, ("a", "b")), "a", "b") == pytest.approx(2.0)
@@ -594,6 +609,39 @@ class TestDiagnostics:
             log_negativity(state, ())
         with pytest.raises(StateError):
             log_negativity(state, ("a", "b"))
+
+    def test_quad_indices_refuses_a_repeated_label(self):
+        state = vacuum(2, ("a", "b"))
+        assert state.quad_indices(("b", "a")) == [2, 3, 0, 1]
+        with pytest.raises(StateError, match="duplicate"):
+            state.quad_indices(("a", "b", "a"))
+
+    def test_repeated_label_refused_at_the_indium_point(self, indium_state):
+        # the second flip of P undid the first (E_N 0.0), and the block was
+        # read twice (a norm sqrt 2 too large)
+        with pytest.raises(StateError, match="duplicate"):
+            log_negativity(indium_state, ("cav1", "cav1"))
+        with pytest.raises(StateError, match="duplicate"):
+            decorrelation_norm(indium_state, ("cav1", "cav1"), ("cav2",))
+
+    def test_distinct_labels_keep_their_values(self, indium_state):
+        # bit for bit the values from before the labels were checked for repeats
+        for partition in (("cav1",), ("cav1", "motion"), ("motion", "cav1")):
+            assert log_negativity(indium_state, partition) == 6.08906123900628
+        assert decorrelation_norm(indium_state, ("cav1",), ("cav2",)) == 311.8375898732094
+        assert decorrelation_norm(indium_state, ("cav1", "motion"), ("cav2",)) == \
+            311.8375898732094
+
+    @pytest.mark.parametrize("theta", [1e300, -1e300, 2 * math.pi * (1 + 2 ** -52)])
+    @pytest.mark.parametrize("name", ["theta_i", "theta_j"])
+    def test_epr_variance_refuses_angles_past_two_pi(self, indium_state, name, theta):
+        # the cos of 1e300 is round-off: Var(X1 - X2) would read 692.69
+        with pytest.raises(StateError, match=rf"{name} in \[-2 pi, 2 pi\]"):
+            epr_variance(indium_state, "cav1", "cav2", **{name: theta})
+
+    def test_epr_variance_accepts_angles_of_two_pi(self, indium_state):
+        assert epr_variance(indium_state, "cav1", "cav2", 2 * math.pi, -2 * math.pi) == \
+            pytest.approx(epr_variance(indium_state, "cav1", "cav2"), rel=1e-12)
 
     def test_decorrelation_norm_product_state(self):
         state = tensor(thermal(1.0, "a"), thermal(2.0, "b"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_couplings
+from conftest import mutated, random_couplings
 import ionlight
 from ionlight import fock_oracle, gaussian, protocol
 from ionlight.errors import (ParameterError, RegimeError, StateError, UndefinedPeriodError,
@@ -14,9 +14,9 @@ from ionlight.params import Couplings, PhysicalParams, coupling_constants
 from ionlight.protocol import (DEFAULT_R_LIST, MAX_GRID_POINTS, SEQUENTIAL_LABELS,
                                SIMULTANEOUS_LABELS, HomodyneSettings,
                                beam_splitter_signal, default_time_grid,
-                               fig3_sweep, output_signal, quadrature_moments,
-                               run_sequential, run_simultaneous, run_stages,
-                               sequential_stages, simultaneous_stages)
+                               fig3_sweep, output_signal, run_sequential,
+                               run_simultaneous, run_stages, sequential_stages,
+                               simultaneous_stages)
 
 # Frozen reference values for the r = 1.1 operating point, theta1 + theta2 = 0
 # (first computed with the attenuate-and-mix model, then pinned):
@@ -42,9 +42,15 @@ def state_moments(state, theta1, theta2):
     return float(w1 @ state.cov @ w1), float(w1 @ state.cov @ w2)
 
 
+def source_moments(chi1, chi2, theta1=0.0, theta2=0.0):
+    """(<q1^2>, <q1 q2>) of the source as ``output_signal`` reports them."""
+    trace = output_signal(Couplings(chi1, chi2), 1.0, HomodyneSettings(theta1, theta2))
+    return trace.q1_sq, trace.q1q2
+
+
 class TestQuadratureMoments:
     def test_reference_point(self):
-        q1_sq, q1q2 = quadrature_moments(1.0, 1.1)
+        q1_sq, q1q2 = source_moments(1.0, 1.1)
         assert q1_sq == pytest.approx(((1 + 1.21) ** 2 + 4 * 1.21) / 0.21**2, rel=1e-14)
         assert q1q2 == pytest.approx(4 * 1.1 * (1 + 1.21) / 0.21**2, rel=1e-14)
         assert q1_sq == pytest.approx(Q1_SQ_R11, rel=1e-15)
@@ -53,37 +59,38 @@ class TestQuadratureMoments:
         assert q1q2 == pytest.approx(220.5, abs=2e-3)
 
     def test_chi1_zero_limit(self):
-        q1_sq, q1q2 = quadrature_moments(0.0, 2.0)
+        q1_sq, q1q2 = source_moments(0.0, 2.0)
         assert q1_sq == pytest.approx(1.0, rel=1e-14)     # bare vacuum
         assert q1q2 == 0.0
 
     def test_orthogonal_theta_sum_kills_cross_term(self):
-        _, q1q2 = quadrature_moments(1.0, 1.5, theta1=math.pi / 4, theta2=math.pi / 4)
+        _, q1q2 = source_moments(1.0, 1.5, theta1=math.pi / 4, theta2=math.pi / 4)
         assert q1q2 == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_r_above_one(self):
         with pytest.raises(UndefinedPeriodError):
-            quadrature_moments(2.0, 1.0)
+            source_moments(2.0, 1.0)
 
     @pytest.mark.parametrize("args", [
         (1.0, math.nan), (math.nan, 2.0), (1.0, math.inf), (math.inf, 2.0),
         (1.0, complex(2.0, math.nan)), (1.0, 2.0, math.nan), (1.0, 2.0, 0.0, math.inf),
     ])
     def test_rejects_non_finite_arguments(self, args):
-        # refused before the r > 1 check, which a NaN rate passes
+        # Couplings refuses the rate and HomodyneSettings the angle, before
+        # the r > 1 check, which a NaN rate passes
         with pytest.raises(ParameterError):
-            quadrature_moments(*args)
+            source_moments(*args)
 
     @pytest.mark.parametrize("args", [
-        (1.0, 1.1, 1e300), (1.0, 1.1, 0.0, -1e300), (1.0, 1.1, 2 * math.pi * (1 + 2 ** -52)),
+        (1e300,), (0.0, -1e300), (2 * math.pi * (1 + 2 ** -52),),
     ])
     def test_rejects_angles_past_two_pi(self, args):
         # the cos of 1e300 is round-off: <q1 q2> would read -126.87, not 220.50
         with pytest.raises(ParameterError, match="2 pi"):
-            quadrature_moments(*args)
+            HomodyneSettings(*args)
 
     def test_angles_of_two_pi_accepted(self):
-        _, q1q2 = quadrature_moments(1.0, 1.1, 2 * math.pi, -2 * math.pi)
+        _, q1q2 = source_moments(1.0, 1.1, 2 * math.pi, -2 * math.pi)
         assert q1q2 == pytest.approx(Q1Q2_R11, rel=1e-14)
 
     def test_matches_evolved_state(self, rng):
@@ -93,7 +100,7 @@ class TestQuadratureMoments:
             theta1 = rng.uniform(-math.pi, math.pi)
             theta2 = rng.uniform(-math.pi, math.pi)
             state, _ = source_state(chi1, chi2)
-            q1_sq_f, q1q2_f = quadrature_moments(chi1, chi2, theta1, theta2)
+            q1_sq_f, q1q2_f = source_moments(chi1, chi2, theta1, theta2)
             q1_sq_s, q1q2_s = state_moments(state, theta1, theta2)
             assert q1_sq_f == pytest.approx(q1_sq_s, abs=1e-9 * max(1, q1_sq_s))
             assert q1q2_f == pytest.approx(q1q2_s, abs=1e-9 * max(1, abs(q1q2_s)))
@@ -109,7 +116,7 @@ def assert_closed_form_equals_beam_splitter_model(rng):
             theta2=rng.uniform(-math.pi, math.pi),
             kappa_dt=rng.uniform(0.02, 1.0), t_grid=grid)
         couplings = Couplings.from_chis(chi1, chi2)
-        closed = output_signal(couplings, 1.0, settings).c_values
+        closed = protocol.output_signal(couplings, 1.0, settings).c_values
         model = beam_splitter_signal(couplings, settings)
         assert np.max(np.abs(closed - model)) < 1e-9
 
@@ -722,12 +729,12 @@ def squeezed_thermal_log_negativity(area, nbar):
     return max(0.0, -math.log(nu))
 
 
-@pytest.mark.parametrize("site", ["quadrature_moments", "bogoliubov_tpi", "simultaneous_stages",
+@pytest.mark.parametrize("site", ["output_signal", "bogoliubov_tpi", "simultaneous_stages",
                                   "fig3_sweep", "suggest_dims", "crosscheck"])
 def test_every_site_refuses_r_below_one_alike(site):
     couplings = Couplings.from_chis(1.0, 0.9)
     call = {
-        "quadrature_moments": lambda: quadrature_moments(1.0, 0.9),
+        "output_signal": lambda: output_signal(couplings, 1.0, HomodyneSettings()),
         "bogoliubov_tpi": lambda: gaussian.bogoliubov_tpi(couplings),
         "simultaneous_stages": lambda: simultaneous_stages(couplings),
         "fig3_sweep": lambda: fig3_sweep([0.9]),
@@ -752,11 +759,8 @@ class TestMutants:
     def test_cross_term_off_by_a_quarter_percent_fails_beam_splitter_model(
             self, monkeypatch, rng):
         # output_signal's correlation term 2 <q1 q2> / (<q1^2> + <q2^2>), x 1.0025
-        def scaled(*args):
-            q1_sq, q1q2 = quadrature_moments(*args)
-            return q1_sq, q1q2 * 1.0025
-
-        monkeypatch.setattr("ionlight.protocol.quadrature_moments", scaled)
+        monkeypatch.setattr(protocol, "output_signal", mutated(
+            protocol, "output_signal", "math.cos(phase)", "math.cos(phase) * 1.0025"))
         with pytest.raises(AssertionError):
             assert_closed_form_equals_beam_splitter_model(rng)
 

@@ -2,21 +2,20 @@
 
 ``Couplings`` derives the photons per mode n = 4r^2/(r^2 - 1)^2 and the rate
 theta = sqrt(|chi2|^2 - |chi1|^2) from the two rates; the half-period map
-and the signal moments read n.  At chis (1, r) each must agree with an
+and ``output_signal``'s moments read n.  At chis (1, r) each must agree with an
 mpmath evaluation to a few ulps from r - 1 = 1e-6 up to r = 1e150, and stay
 finite, without an exception, up to r = 1e300.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from ionlight.gaussian import bogoliubov_tpi
 from ionlight.params import Couplings
-from ionlight.protocol import quadrature_moments
-
-mpmath = pytest.importorskip("mpmath")
+from ionlight.protocol import HomodyneSettings, output_signal
 
 ULPS = 4 * np.finfo(float).eps
 R_NEAR_ONE = [1.0 + g for g in np.logspace(-6, 0, 25)]
@@ -37,8 +36,9 @@ def reference(r):
 def closed_form(r):
     c = Couplings(1.0, r)
     s = bogoliubov_tpi(c)
+    signal = output_signal(c, 1.0, HomodyneSettings())
     # cav1's row: S[0, 0] = u, and (S[0, 2], S[0, 3]) = (-Re v, -Im v)
-    return (c.n_mean, c.theta_rate, *quadrature_moments(1.0, r),
+    return (c.n_mean, c.theta_rate, signal.q1_sq, signal.q1q2,
             s[0, 0], math.hypot(s[0, 2], s[0, 3]))
 
 
