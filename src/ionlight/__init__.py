@@ -27,12 +27,12 @@ _EXPORTS = {
                "StateError", "TruncationError", "UndefinedPeriodError",
                "UnphysicalStateError"),
     "params": ("HBAR", "Couplings", "PhysicalParams", "RegimeConstraint",
-               "RegimeReport", "coupling_constants", "lamb_dicke", "load_config",
+               "RegimeReport", "coupling_constants", "load_config",
                "params_from_config", "parse_config_text", "validate_regime"),
     "gaussian": ("GaussianState", "LinearDynamics", "apply_symplectic",
-                 "bogoliubov_tpi", "decorrelation_norm", "dynamics_from_couplings",
-                 "epr_variance", "evolve", "log_negativity", "mean_photons",
-                 "quadratic_dynamics", "symplectic_eigenvalues", "tensor",
+                 "bogoliubov_tpi", "decorrelation_norm", "drift",
+                 "dynamics_from_couplings", "epr_variance", "evolve", "log_negativity",
+                 "mean_photons", "symplectic_eigenvalues", "tensor",
                  "term_propagator", "thermal", "tmss", "vacuum"),
     "fock_oracle": ("Crosscheck", "FockObservables", "FockState", "crosscheck",
                     "evolve_exact", "hamiltonian_matrix", "leakage", "observables",

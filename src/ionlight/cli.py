@@ -76,7 +76,7 @@ def cmd_validate(cfg: SimpleNamespace, args) -> int:
 
 def cmd_couplings(cfg: SimpleNamespace, args) -> int:
     c = coupling_constants(cfg.params)
-    print(f"eta        = {_fmt(c.eta)}")
+    print(f"eta        = {_fmt(cfg.params.lamb_dicke)}")
     print(f"chi1       = {_fmt(c.chi1)} rad/s  (|chi1|/2pi = {_fmt(abs(c.chi1) / (2 * math.pi))} Hz)")
     print(f"chi2       = {_fmt(c.chi2)} rad/s  (|chi2|/2pi = {_fmt(abs(c.chi2) / (2 * math.pi))} Hz)")
     print(f"r          = {_fmt(c.r)}")

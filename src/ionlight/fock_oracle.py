@@ -152,6 +152,8 @@ class SectorHamiltonian:
     antisymmetric; so exp(-i H t) = W exp(K t) W+.  :meth:`sector` builds
     the stencil of K and the gauge W of one sector on first use and keeps
     them; ``nnz`` counts the nonzero entries of the blocks built so far.
+    Rates that could make a row sum of |K| overflow double precision at
+    ``dims`` raise :class:`StateError` on construction, before any block.
     """
 
     chi1: complex
@@ -167,8 +169,15 @@ class SectorHamiltonian:
         if largest > MAX_SECTOR_STATES:
             raise StateError(f"dims {dims} allow a sector of {largest} states, more than "
                              f"the {MAX_SECTOR_STATES} this oracle holds")
-        object.__setattr__(self, "chi1", complex(self.chi1))
-        object.__setattr__(self, "chi2", complex(self.chi2))
+        chi1, chi2 = complex(self.chi1), complex(self.chi2)
+        # every row sum of |K|, and so every entry, is at most this bound
+        bound = 2.0 * (abs(chi1) * math.sqrt(dims[0] - 1)
+                       + abs(chi2) * math.sqrt(dims[1] - 1)) * math.sqrt(dims[2] - 1)
+        if not bound < math.inf:
+            raise StateError(f"rates |chi1| = {abs(chi1)!r}, |chi2| = {abs(chi2)!r} at dims "
+                             f"{dims} give a row sum of H that overflows double precision")
+        object.__setattr__(self, "chi1", chi1)
+        object.__setattr__(self, "chi2", chi2)
         object.__setattr__(self, "dims", dims)
 
     @property

@@ -60,7 +60,7 @@ def _spectrum_bound(covs: np.ndarray) -> tuple:
     symplectic eigenvalue of cov is below 1 by more than the bound.
     """
     cov = covs[0]
-    bound = np.finfo(float).eps * float(np.vdot(cov, cov))
+    bound = float(np.finfo(float).eps) * float(np.vdot(cov, cov))
     if not math.isfinite(bound):
         raise StateError(
             f"round-off bound eps*||cov||^2 = {bound!r} is not finite: the covariance "
@@ -206,11 +206,15 @@ def thermal(nbar: float, label="motion") -> GaussianState:
     """Single-mode thermal state with mean occupation ``nbar``.
 
     cov = (2 nbar + 1) * identity; nbar = 0 gives the vacuum.  A negative,
-    NaN or infinite ``nbar`` raises :class:`StateError`.
+    NaN or infinite ``nbar``, or one for which 2 nbar + 1 overflows double
+    precision, raises :class:`StateError`.
     """
     if not 0.0 <= nbar < math.inf:
         raise StateError(f"nbar must be finite and >= 0, got {nbar!r}")
-    return GaussianState._made((label,), (2.0 * nbar + 1.0) * np.eye(2))
+    variance = 2.0 * nbar + 1.0
+    if variance == math.inf:
+        raise StateError(f"2 nbar + 1 overflows double precision, got nbar = {nbar!r}")
+    return GaussianState._made((label,), variance * np.eye(2))
 
 
 def tensor(*states: GaussianState) -> GaussianState:
@@ -294,10 +298,13 @@ def decorrelation_norm(state: GaussianState, block_a: Sequence, block_b: Sequenc
     """Frobenius norm of the cross-covariance block between two mode sets.
 
     Zero if and only if the two blocks are uncorrelated at the level of
-    second moments (for Gaussian states: fully decorrelated).
+    second moments (for Gaussian states: fully decorrelated).  An empty
+    mode set raises :class:`StateError`: it would read as decorrelated.
     """
     a = tuple(block_a)
     b = tuple(block_b)
+    if not (a and b):
+        raise StateError("each mode set must name at least one mode")
     if set(a) & set(b):
         raise StateError(f"mode sets overlap: {set(a) & set(b)!r}")
     ia = state.quad_indices(a)
@@ -343,33 +350,15 @@ PAIR = "pair"
 EXCHANGE = "exchange"
 
 
-def quadratic_dynamics(labels: Sequence, terms: Iterable,
-                       decay: Optional[dict] = None) -> LinearDynamics:
-    """Drift/diffusion of a quadratic Hamiltonian given as a list of terms.
+def drift(labels: Sequence, terms: Iterable) -> np.ndarray:
+    """Drift A of the quadratic Hamiltonian given as a list of terms over ``labels``.
 
     The Heisenberg equations da/dt = M a + N a_dag are collected term by term
     (see PAIR and EXCHANGE above) and mapped to quadratures as a mode
-    transformation.  ``decay`` maps mode labels to amplitude decay rates
-    kappa: each such mode gets -kappa on its drift diagonal and 2 kappa of
-    vacuum noise per quadrature, so the vacuum is a fixed point of pure decay.
-    A chi that is not finite, or a rate that is negative or not finite,
-    raises :class:`StateError`.
+    transformation.  A term on an unknown label, of an unknown kind, or with
+    a chi that is not finite raises :class:`StateError`.
     """
     labels = tuple(labels)
-    drift = _drift(labels, terms)
-    d = np.zeros(drift.shape)
-    for label, kappa in (decay or {}).items():
-        if not 0.0 <= kappa < math.inf:
-            raise StateError(f"decay rate of {label!r} must be finite and >= 0, got {kappa!r}")
-        k = _label_index(labels, label)
-        drift[2 * k, 2 * k] -= kappa
-        drift[2 * k + 1, 2 * k + 1] -= kappa
-        d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 2.0 * kappa
-    return LinearDynamics(drift=drift, diffusion=d)
-
-
-def _drift(labels: tuple, terms: Iterable) -> np.ndarray:
-    """The drift :func:`quadratic_dynamics` derives from the terms, before any decay."""
     n = len(labels)
     m = np.zeros((n, n), dtype=complex)
     nn = np.zeros((n, n), dtype=complex)
@@ -399,22 +388,30 @@ def dynamics_from_couplings(chi1: complex, chi2: complex,
                             kappa: float = 0.0) -> LinearDynamics:
     """Drift/diffusion for the driven three-mode system (cav1, cav2, motion).
 
-    The terms of :func:`simultaneous_terms` give
+    The terms of :func:`simultaneous_terms` and the cavity decay kappa give
 
         da1/dt = chi1 * b_dag - kappa * a1
         da2/dt = chi2 * b     - kappa * a2
         db/dt  = chi1 * a1_dag - conj(chi2) * a2
 
-    kappa = 0 is the lossless drive.
+    with 2 kappa of vacuum noise per cavity quadrature, so the vacuum is a
+    fixed point of pure decay.  kappa = 0 is the lossless drive.  A kappa
+    that is negative or not finite raises :class:`StateError`.
     """
-    return quadratic_dynamics(SIMULTANEOUS_LABELS, simultaneous_terms(chi1, chi2),
-                              dict.fromkeys(SIMULTANEOUS_LABELS[:2], kappa))
+    if not 0.0 <= kappa < math.inf:
+        raise StateError(f"kappa must be finite and >= 0, got {kappa!r}")
+    a = drift(SIMULTANEOUS_LABELS, simultaneous_terms(chi1, chi2))
+    cavities = np.arange(4)             # X and P of cav1 and cav2
+    a[cavities, cavities] -= kappa
+    d = np.zeros(a.shape)
+    d[cavities, cavities] = 2.0 * kappa
+    return LinearDynamics(drift=a, diffusion=d)
 
 
 def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
     """Symplectic matrix exp(A t) of one PAIR or EXCHANGE term, in closed form.
 
-    A is the drift :func:`quadratic_dynamics` derives from the term alone.  It
+    A is the :func:`drift` of the term alone.  It
     vanishes outside the two modes' quadratures and squares to +|chi|^2 (PAIR)
     or -|chi|^2 (EXCHANGE) on them, so with P the projector onto them
 
@@ -422,7 +419,8 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
 
     where (c, s) = (cosh, sinh)(|chi| t) for the two-mode squeezer and
     (cos, sin)(|chi| t) for the beam splitter.  chi = 0 gives the identity.
-    A squeezer whose cosh overflows double precision raises StateError.
+    An area |chi| t that overflows double precision, or a squeezer whose
+    cosh does, raises :class:`StateError`.
     """
     if not 0.0 <= t < math.inf:
         raise StateError(f"t must be finite and >= 0, got {t!r}")
@@ -430,11 +428,13 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
     if mode_a == mode_b:
         raise StateError(f"a term must couple two distinct modes, got {mode_a!r} twice")
     labels = tuple(labels)
-    drift = _drift(labels, (term,))
+    a = drift(labels, (term,))
     rate = abs(complex(chi))
     if rate == 0.0:
         return np.eye(2 * len(labels))
     angle = rate * t
+    if angle == math.inf:
+        raise StateError(f"{kind} area |chi| t = {angle!r} overflows double precision")
     if kind == PAIR:
         try:
             c, s = math.cosh(angle), math.sinh(angle)
@@ -442,7 +442,7 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
             raise StateError(f"pair area |chi| t = {angle!r} overflows double precision") from None
     else:
         c, s = math.cos(angle), math.sin(angle)
-    out = np.eye(2 * len(labels)) + (s / rate) * drift
+    out = np.eye(2 * len(labels)) + (s / rate) * a
     for label in (mode_a, mode_b):
         k = labels.index(label)
         out[2 * k, 2 * k] = out[2 * k + 1, 2 * k + 1] = c

@@ -97,15 +97,22 @@ class PhysicalParams:
 
     @property
     def lamb_dicke(self) -> float:
-        """Lamb-Dicke parameter for this mass, wavenumber and trap frequency."""
-        return lamb_dicke(self.mass, self.wavenumber, self.nu)
+        """Lamb-Dicke parameter eta = sqrt(hbar k^2 / (2 M nu)).
+
+        Raises :class:`ParameterError` when the product 2 M nu underflows to 0.
+        """
+        mass_nu = 2.0 * self.mass * self.nu
+        if mass_nu == 0.0:
+            raise ParameterError(f"lamb_dicke: 2 * mass * nu underflows to 0, "
+                                 f"got mass={self.mass!r}, nu={self.nu!r}")
+        return math.sqrt(HBAR * (self.wavenumber * self.wavenumber) / mass_nu)
 
 
 @dataclass(frozen=True)
 class Couplings:
     """Raman coupling rates and the quantities derived from them.
 
-    Only ``chi1``, ``chi2`` and ``eta`` are set; the rest is derived on
+    Only ``chi1`` and ``chi2`` are set; the rest is derived on
     construction, also by ``dataclasses.replace``.  A non-finite rate raises
     :class:`ParameterError`.  chi1 = 0 is the r -> infinity limit (the
     exchange coupling alone): theta_rate = |chi2| and n_mean = 0.  ``n_mean``
@@ -120,7 +127,6 @@ class Couplings:
 
     chi1: complex                      # pair-creation rate (mode 1 <-> motion), rad/s
     chi2: complex                      # exchange rate (mode 2 <-> motion), rad/s
-    eta: Optional[float] = None        # Lamb-Dicke parameter used, if known
     theta_rate: Optional[float] = field(init=False)   # sqrt(|chi2|^2 - |chi1|^2), rad/s
     r: Optional[float] = field(init=False)            # |chi2 / chi1|
     beta: Optional[float] = field(init=False)         # arg(chi1) + arg(chi2), rad
@@ -148,48 +154,14 @@ class Couplings:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_chis(cls, chi1: complex, chi2: complex,
-                  eta: Optional[float] = None) -> "Couplings":
-        """The record of the two rates; the same as ``Couplings(chi1, chi2, eta)``."""
-        return cls(chi1, chi2, eta)
+    def from_chis(cls, chi1: complex, chi2: complex) -> "Couplings":
+        """The record of the two rates; the same as ``Couplings(chi1, chi2)``."""
+        return cls(chi1, chi2)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def lamb_dicke(mass: float, wavenumber: float, nu: float) -> float:
-    """Lamb-Dicke parameter sqrt(hbar k^2 / (2 M nu)).
-
-    Parameters
-    ----------
-    mass : float
-        Atomic mass in kg.
-    wavenumber : float
-        Optical wavenumber k in 1/m.
-    nu : float
-        Trap (motional) angular frequency in rad/s.
-
-    Returns
-    -------
-    float
-        The dimensionless ratio of the zero-point motion to the optical
-        wavelength scale.  Scales as k, 1/sqrt(M) and 1/sqrt(nu).
-
-    Raises :class:`ParameterError` for a non-positive input, or when the
-    product 2 M nu underflows to 0.
-    """
-    if not (mass > 0.0 and wavenumber > 0.0 and nu > 0.0):
-        raise ParameterError(
-            f"lamb_dicke needs positive inputs, got mass={mass!r}, "
-            f"wavenumber={wavenumber!r}, nu={nu!r}"
-        )
-    mass_nu = 2.0 * mass * nu
-    if mass_nu == 0.0:
-        raise ParameterError(f"lamb_dicke: 2 * mass * nu underflows to 0, got mass={mass!r}, "
-                             f"nu={nu!r}")
-    return math.sqrt(HBAR * (wavenumber * wavenumber) / mass_nu)
-
 
 def coupling_constants(params: PhysicalParams) -> Couplings:
     """Evaluate chi1 and chi2 for a parameter set.
@@ -212,7 +184,7 @@ def coupling_constants(params: PhysicalParams) -> Couplings:
     pref2 = eta * params.g2.conjugate() * params.omega_rabi
     chi1 = pref1 * (laser / d1 - params.alpha1 * cav / d0)
     chi2 = pref2 * (laser / d2 - params.alpha2 * cav / d0)
-    return Couplings.from_chis(chi1, chi2, eta=eta)
+    return Couplings.from_chis(chi1, chi2)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +403,16 @@ def validate_regime(params: PhysicalParams, couplings: Optional[Couplings] = Non
     t_pi = couplings.t_pi
 
     abs_delta = abs(params.delta)
-    # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row
+    # x * x, unlike x ** 2, gives inf rather than OverflowError: a FAIL row.
+    # A delta^2 of 0 (delta = 0, or its square underflows) gives the rates'
+    # limit inf, also a FAIL row.
     delta_sq = params.delta * params.delta
-    scatter1 = params.gamma * (abs(params.g1) * abs(params.g1)) / delta_sq
-    scatter2 = params.gamma * (abs(params.g2) * abs(params.g2)) / delta_sq
-    recoil_heating = eta * eta * params.gamma * (params.omega_rabi * params.omega_rabi) / delta_sq
+    scatter1 = scatter2 = recoil_heating = math.inf
+    if delta_sq:
+        scatter1 = params.gamma * (abs(params.g1) * abs(params.g1)) / delta_sq
+        scatter2 = params.gamma * (abs(params.g2) * abs(params.g2)) / delta_sq
+        recoil_heating = (eta * eta * params.gamma * (params.omega_rabi * params.omega_rabi)
+                          / delta_sq)
 
     hard = (
         ("|delta| >> nu", abs_delta, params.nu),

@@ -161,7 +161,7 @@ class Stage(NamedTuple):
     """One lossless stage: its term list, driven for ``t``, and that map in closed form."""
 
     name: str
-    terms: tuple                # PAIR/EXCHANGE terms, as gaussian.quadratic_dynamics reads them
+    terms: tuple                # PAIR/EXCHANGE terms, as gaussian.drift reads them
     t: float
     symplectic: np.ndarray      # gaussian.bogoliubov_tpi or gaussian.term_propagator
 

@@ -33,6 +33,14 @@ def random_couplings(rng, r_low=1.05, r_high=3.0):
     return complex(chi1), complex(chi2)
 
 
+def lossless_reference(labels, cov, terms, t):
+    """cov after the terms are driven for t, by scipy's expm of their drift: S cov S^T."""
+    from scipy.linalg import expm
+    from ionlight.gaussian import drift
+    s = expm(drift(labels, terms) * t)
+    return s @ cov @ s.T
+
+
 def mutated(module, name, old, new):
     """``module``'s function ``name`` with the source text ``old`` replaced by ``new``."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))

@@ -320,6 +320,16 @@ class TestOneFailurePath:
 
 
 RUN_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.field is None]
+PHYSICAL_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.field is not None]
+# zero, negative, the least subnormal, tiny, huge and near the largest double
+EXTREME_VALUES = ["0", "-1", "5e-324", "1e-300", "1e300", "1e308"]
+
+
+def assert_exit_code(code, err, *context):
+    """An exit code of the documented three, and an ``error:`` line on every exit 1."""
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (*context, code)
+    if code == EXIT_USAGE:
+        assert "error:" in err, (*context, err)
 
 
 class TestRunKeyTable:
@@ -329,16 +339,64 @@ class TestRunKeyTable:
         assert vars(read_run_config()) == {
             "params": None, **{key: CONFIG_KEYS[key].default for key in RUN_KEYS}}
 
-    @pytest.mark.parametrize("value", ["0", "-1", "1e-300", "1e300"])
+    @pytest.mark.parametrize("value", EXTREME_VALUES)
     @pytest.mark.parametrize("key", RUN_KEYS)
     def test_every_command_ends_in_an_exit_code(self, capsys, tmp_path, key, value):
         raw = ",".join([value] * 3) if key == "oracle_dims" else value
         cfg = rewrite_config(tmp_path, "run.cfg", drop={key}, extra=[f"{key} = {raw}"])
         for command in cli.COMMANDS:
             code, _, err = run(capsys, command, *flags(command, cfg, tmp_path))
-            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, code)
-            if code == EXIT_USAGE:
-                assert "error:" in err, (command, err)
+            assert_exit_code(code, err, command)
+
+
+class TestPhysicalKeyTable:
+    """The CLI driven from the key table: every physical key at extreme values.
+
+    An exception escaping ``cli.main`` fails the test by itself, and so does
+    any numpy warning, under the strict floating-point fixture.
+    """
+
+    @pytest.mark.parametrize("key", PHYSICAL_KEYS)
+    def test_every_command_ends_in_an_exit_code(self, capsys, tmp_path, key):
+        for value in EXTREME_VALUES:
+            cfg = rewrite_config(tmp_path, "physical.cfg", drop={key},
+                                 extra=[f"{key} = {value}"])
+            for argv in (["validate"], ["couplings"], ["simulate"], ["simulate", "--force"],
+                         ["sequential"]):
+                code, _, err = run(capsys, argv[0], "--config", cfg, *argv[1:])
+                assert_exit_code(code, err, value, argv)
+
+    @pytest.mark.parametrize("delta_hz", ["0", "5e-324", "1e-300"])
+    def test_vanishing_delta_squared_is_a_fail_report(self, capsys, tmp_path, delta_hz):
+        # delta^2 is 0: the scattering and recoil-heating rates take their limit inf
+        cfg = rewrite_config(tmp_path, "resonant.cfg", replacements={"delta_hz": delta_hz})
+        code, out, _ = run(capsys, "validate", "--config", cfg)
+        assert code == EXIT_PHYSICS
+        for row in (r"kappa >> gamma\*\|g1\|\^2/delta\^2", r"kappa >> gamma\*\|g2\|\^2/delta\^2",
+                    r"theta >> eta\^2\*gamma\*omega\^2/delta\^2"):
+            assert re.search(rf"^{row} .* inf .* FAIL$", out, re.MULTILINE), row
+        assert "overall: FAIL" in out
+
+    OVERFLOWS = [("simulate", "nbar_motion", r"2 nbar \+ 1 overflows double precision"),
+                 ("sequential", "nbar_motion", r"2 nbar \+ 1 overflows double precision"),
+                 ("sequential", "seq_t1", r"pair area \|chi\| t = inf overflows double precision"),
+                 ("oracle-check", "oracle_r", r"a row sum of H that overflows double precision")]
+
+    @pytest.mark.parametrize("command,key,match", OVERFLOWS,
+                             ids=[f"{command}-{key}" for command, key, _ in OVERFLOWS])
+    def test_overflowing_input_refused(self, capsys, tmp_path, command, key, match):
+        cfg = rewrite_config(tmp_path, "huge.cfg", drop={key}, extra=[f"{key} = 1e308"])
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_USAGE
+        assert re.search(rf"^error: .*{match}", err, re.MULTILINE), err
+        assert out == ""
+
+    def test_round_off_refusal_prints_a_python_float(self, capsys, tmp_path):
+        cfg = rewrite_config(tmp_path, "bright.cfg", replacements={"nbar_motion": "1e300"})
+        code, _, err = run(capsys, "simulate", "--config", cfg)
+        assert code == EXIT_USAGE
+        assert re.search(r"^error: round-off bound eps\*\|\|cov\|\|\^2 = inf is not finite", err,
+                         re.MULTILINE), err
 
 
 class TestNonFiniteValues:

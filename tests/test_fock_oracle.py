@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from conftest import mutated
+from conftest import lossless_reference, mutated
 from ionlight import fock_oracle, gaussian, protocol
 from ionlight.cli import ORACLE_TOL
 from ionlight.errors import StateError, TruncationError, UndefinedPeriodError
@@ -203,14 +203,14 @@ def mid_pulse_gap(r=3.0):
 
     Mid-pulse the motion is still correlated with the cavities, so the
     cavity-motion cross-covariances, which vanish at the half period, are
-    compared too.  The Gaussian side evolves the pulse stage's terms.
+    compared too.  The Gaussian side is scipy's expm of the pulse stage's drift.
     """
     couplings = Couplings.from_chis(1.0, r)
     (pulse,) = protocol.simultaneous_stages(couplings)
     labels = protocol.SIMULTANEOUS_LABELS
     t = pulse.t / 2.0
-    g_state = gaussian.evolve(gaussian.vacuum(3, labels),
-                              gaussian.quadratic_dynamics(labels, pulse.terms), t)
+    g_state = gaussian.GaussianState(labels, lossless_reference(labels, np.eye(6),
+                                                                pulse.terms, t))
     assert gaussian.decorrelation_norm(g_state, ("motion",), ("cav1", "cav2")) > 0.1
     dims = suggest_dims(r)
     h = hamiltonian_matrix(couplings.chi1, couplings.chi2, dims)
@@ -290,6 +290,16 @@ def fock_states(draw):
 
 
 class TestHamiltonian:
+    def test_overflowing_rates_refused_before_any_block(self):
+        # the row sums of |K| at r = 1e307 on suggest_dims' basis pass the largest double
+        dims = suggest_dims(1e307)
+        assert dims == (4, 4, 42)
+        with pytest.raises(StateError, match="overflows double precision"):
+            hamiltonian_matrix(1.0, 1e307, dims)
+        with pytest.raises(StateError, match="overflows double precision"):
+            fock_oracle.crosscheck(1e307)
+        assert worst_row(fock_oracle.crosscheck(3e306)) < ORACLE_TOL
+
     def test_hermitian_exactly(self):
         # H = W (i K) W+ is Hermitian exactly when K is antisymmetric exactly
         k = assembled(hamiltonian_matrix(0.7 + 0.2j, 1.9 - 0.4j, (5, 5, 5)))

@@ -9,11 +9,10 @@ from ionlight import gaussian
 from ionlight.errors import StateError, UndefinedPeriodError, UnphysicalStateError
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
                                apply_symplectic, bogoliubov_tpi,
-                               decorrelation_norm, dynamics_from_couplings,
+                               decorrelation_norm, drift, dynamics_from_couplings,
                                epr_variance, evolve, expm, log_negativity,
-                               mean_photons, quadratic_dynamics,
-                               symplectic_eigenvalues, tensor, term_propagator,
-                               thermal, tmss, vacuum)
+                               mean_photons, symplectic_eigenvalues, tensor,
+                               term_propagator, thermal, tmss, vacuum)
 from ionlight.params import Couplings
 from ionlight.protocol import run_simultaneous
 
@@ -105,6 +104,12 @@ class TestStateBasics:
     def test_thermal_negative_nbar(self):
         with pytest.raises(StateError):
             thermal(-0.5)
+
+    def test_thermal_overflowing_variance(self):
+        # 2 nbar + 1 is inf: (2 nbar + 1) I would hold inf * 0 = NaN off the diagonal
+        with pytest.raises(StateError, match=r"2 nbar \+ 1 overflows double precision"):
+            thermal(1e308)
+        assert thermal(8e307).cov[0, 0] == 2.0 * 8e307 + 1.0
 
     @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf])
     def test_thermal_non_finite_nbar(self, nbar):
@@ -203,10 +208,10 @@ class TestDynamics:
         # db/dt = -conj(chi) a (exchange), written out in X = a + a_dag,
         # P = -i (a - a_dag)
         re, im = 0.3, -0.8
-        pair = quadratic_dynamics(("a", "b"), [(PAIR, "a", "b", re + 1j * im)]).drift
+        pair = drift(("a", "b"), [(PAIR, "a", "b", re + 1j * im)])
         assert np.array_equal(pair[0:2, 2:4], [[re, im], [im, -re]])
         assert np.array_equal(pair[2:4, 0:2], [[re, im], [im, -re]])
-        swap = quadratic_dynamics(("a", "b"), [(EXCHANGE, "a", "b", re + 1j * im)]).drift
+        swap = drift(("a", "b"), [(EXCHANGE, "a", "b", re + 1j * im)])
         assert np.array_equal(swap[0:2, 2:4], [[re, -im], [im, re]])
         assert np.array_equal(swap[2:4, 0:2], [[-re, -im], [im, -re]])
         assert np.all(pair[0:2, 0:2] == 0.0) and np.all(swap[2:4, 2:4] == 0.0)
@@ -218,22 +223,18 @@ class TestDynamics:
             terms = [(kind, *rng.choice(labels, 2, replace=False),
                       complex(*rng.normal(size=2)))
                      for kind in (PAIR, EXCHANGE, PAIR, EXCHANGE)]
-            a = quadratic_dynamics(labels, terms).drift
+            a = drift(labels, terms)
             assert np.max(np.abs(a @ omega + omega @ a.T)) < 1e-12
 
     def test_unknown_term_kind_rejected(self):
         with pytest.raises(StateError):
-            quadratic_dynamics(("a", "b"), [("beam splitter", "a", "b", 1.0)])
+            drift(("a", "b"), [("beam splitter", "a", "b", 1.0)])
 
     def test_unknown_label_in_term_rejected(self):
         with pytest.raises(StateError, match="'z'"):
-            quadratic_dynamics(("a", "b"), [(PAIR, "a", "z", 1.0)])
+            drift(("a", "b"), [(PAIR, "a", "z", 1.0)])
         with pytest.raises(StateError, match="'z'"):
             term_propagator(("a", "b"), (EXCHANGE, "z", "a", 1.0), 1.0)
-
-    def test_unknown_label_in_decay_rejected(self):
-        with pytest.raises(StateError, match="'z'"):
-            quadratic_dynamics(("a", "b"), [(PAIR, "a", "b", 1.0)], {"z": 0.5})
 
     def test_vacuum_fixed_point_of_pure_decay(self):
         dyn = dynamics_from_couplings(0.0, 0.0, kappa=0.8)
@@ -321,8 +322,8 @@ class TestPadeExpm:
         labels = ("a", "b", "c")
         term = (kind, "c", "a", 0.8 * np.exp(0.9j))
         t = area / 0.8
-        drift = quadratic_dynamics(labels, [term]).drift
-        ours, theirs = expm(drift * t), scipy_expm(drift * t)
+        a = drift(labels, [term])
+        ours, theirs = expm(a * t), scipy_expm(a * t)
         exact = term_propagator(labels, term, t)
         assert relative_gap(ours, exact) <= 1e-12
         # At pair area 30 scipy's own result is 2.5e-12 off the closed form,
@@ -400,6 +401,12 @@ class TestTermPropagator:
             term_propagator(("a", "b"), (PAIR, "a", "b", 2.0), 360.0)
         assert np.all(np.isfinite(
             term_propagator(("a", "b"), (EXCHANGE, "a", "b", 2.0), 360.0)))
+
+    @pytest.mark.parametrize("kind", [PAIR, EXCHANGE])
+    def test_infinite_area_rejected(self, kind):
+        # |chi| t overflows to inf: cosh(inf) would give a NaN map, cos(inf) a bare ValueError
+        with pytest.raises(StateError, match=rf"{kind} area \|chi\| t = inf overflows"):
+            term_propagator(("a", "b"), (kind, "a", "b", 10.0), 1e308)
 
     def test_bad_terms_rejected(self):
         with pytest.raises(StateError):
@@ -660,6 +667,12 @@ class TestDiagnostics:
         with pytest.raises(StateError):
             decorrelation_norm(vacuum(2, ("a", "b")), ("a",), ("a", "b"))
 
+    @pytest.mark.parametrize("blocks", [((), ("a",)), (("a",), ()), ((), ())])
+    def test_decorrelation_norm_empty_set_rejected(self, blocks):
+        # an empty block has norm 0.0, which would certify "decorrelated"
+        with pytest.raises(StateError, match="at least one mode"):
+            decorrelation_norm(vacuum(2, ("a", "b")), *blocks)
+
     def test_initial_motion_state_does_not_matter(self):
         chi1, chi2 = 0.8, 0.8 * 1.4
         cold, _ = half_period_state(chi1, chi2, nbar=0.0)
@@ -715,8 +728,8 @@ class TestLibraryStates:
 NON_FINITE_CALLS = {
     "tmss beta nan": lambda: tmss(2.0, math.nan),
     "tmss beta inf": lambda: tmss(2.0, math.inf),
-    "pair chi nan": lambda: quadratic_dynamics(LABELS3, [(PAIR, "cav1", "motion", math.nan)]),
-    "exchange chi inf": lambda: quadratic_dynamics(
+    "pair chi nan": lambda: drift(LABELS3, [(PAIR, "cav1", "motion", math.nan)]),
+    "exchange chi inf": lambda: drift(
         LABELS3, [(EXCHANGE, "cav2", "motion", complex(0.0, math.inf))]),
     "decay nan": lambda: dynamics_from_couplings(1.0, 2.0, kappa=math.nan),
     "decay inf": lambda: dynamics_from_couplings(1.0, 2.0, kappa=math.inf),

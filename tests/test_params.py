@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from ionlight.errors import ConfigError, ParameterError
 from ionlight.params import (Couplings, PhysicalParams, coupling_constants,
-                             lamb_dicke, params_from_config, parse_config_text,
-                             validate_regime)
+                             params_from_config, parse_config_text, validate_regime)
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,31 +33,22 @@ class TestLambDicke:
     def test_indium_value(self):
         # Direct evaluation of sqrt(hbar k^2 / (2 M nu)) with its own constants.
         expected = math.sqrt(1.054571817e-34 * K_IN**2 / (2 * MASS_IN * NU_IN))
-        eta = lamb_dicke(MASS_IN, K_IN, NU_IN)
+        eta = make_params().lamb_dicke
         assert eta == pytest.approx(expected, rel=1e-14)
         assert eta == pytest.approx(0.104, abs=5e-4)
 
     def test_quadrupled_trap_frequency_halves_eta(self):
-        eta = lamb_dicke(MASS_IN, K_IN, NU_IN)
-        assert lamb_dicke(MASS_IN, K_IN, 4 * NU_IN) == pytest.approx(eta / 2, rel=1e-14)
+        eta = make_params().lamb_dicke
+        assert make_params(nu=4 * NU_IN).lamb_dicke == pytest.approx(eta / 2, rel=1e-14)
 
     def test_quadrupled_mass_halves_eta(self):
-        eta = lamb_dicke(MASS_IN, K_IN, NU_IN)
-        assert lamb_dicke(4 * MASS_IN, K_IN, NU_IN) == pytest.approx(eta / 2, rel=1e-14)
+        eta = make_params().lamb_dicke
+        assert make_params(mass=4 * MASS_IN).lamb_dicke == pytest.approx(eta / 2, rel=1e-14)
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_mass_homogeneity(self, c):
-        base = lamb_dicke(MASS_IN, K_IN, NU_IN)
-        assert lamb_dicke(c**2 * MASS_IN, K_IN, NU_IN) == pytest.approx(base / c, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [
-        dict(mass=0.0), dict(mass=-1e-25), dict(wavenumber=0.0), dict(nu=-1.0),
-    ])
-    def test_nonpositive_inputs_rejected(self, bad):
-        kwargs = dict(mass=MASS_IN, wavenumber=K_IN, nu=NU_IN)
-        kwargs.update(bad)
-        with pytest.raises(ParameterError):
-            lamb_dicke(**kwargs)
+        base = make_params().lamb_dicke
+        assert make_params(mass=c**2 * MASS_IN).lamb_dicke == pytest.approx(base / c, rel=1e-12)
 
 
 class TestPhysicalParams:
@@ -67,8 +57,8 @@ class TestPhysicalParams:
         assert p.lamb_dicke == pytest.approx(0.104, abs=5e-4)
 
     @pytest.mark.parametrize("field,value", [
-        ("nu", 0.0), ("gamma", -1.0), ("kappa", 0.0), ("omega_rabi", 0.0),
-        ("mass", 0.0), ("wavenumber", -2.0),
+        ("nu", 0.0), ("nu", -1.0), ("gamma", -1.0), ("kappa", 0.0), ("omega_rabi", 0.0),
+        ("mass", 0.0), ("mass", -1e-25), ("wavenumber", -2.0),
     ])
     def test_positivity(self, field, value):
         with pytest.raises(ParameterError):
@@ -237,10 +227,11 @@ class TestDerivedRates:
                                       (1.0, 0.5)])
     def test_direct_build_derives_every_field(self, chis):
         # dataclass equality compares every field, the derived ones included
-        assert Couplings(*chis, 0.05) == Couplings.from_chis(*chis, eta=0.05)
+        assert Couplings(*chis) == Couplings.from_chis(*chis)
 
     def test_only_the_rates_and_eta_are_settable(self):
-        assert [f.name for f in dataclasses.fields(Couplings) if f.init] == ["chi1", "chi2", "eta"]
+        # eta is no longer one of them: PhysicalParams.lamb_dicke is its one home
+        assert [f.name for f in dataclasses.fields(Couplings) if f.init] == ["chi1", "chi2"]
 
     def test_replace_derives_again(self):
         c = dataclasses.replace(Couplings(1.0, 2.0), chi2=3.0)
@@ -405,8 +396,8 @@ class TestMutants:
 
     def test_chi2_off_by_1e_7_fails_indium_magnitudes(self, monkeypatch):
         # coupling_constants hands Couplings a chi2 of (1 + 1e-7) times its value
-        def scaled(chi1, chi2, eta):
-            return Couplings.from_chis(chi1, chi2 * (1 + 1e-7), eta=eta)
+        def scaled(chi1, chi2):
+            return Couplings.from_chis(chi1, chi2 * (1 + 1e-7))
 
         monkeypatch.setattr("ionlight.params.Couplings", SimpleNamespace(from_chis=scaled))
         with pytest.raises(AssertionError):

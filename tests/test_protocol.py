@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mutated, random_couplings
+from conftest import lossless_reference, mutated, random_couplings
 import ionlight
 from ionlight import fock_oracle, gaussian, protocol
 from ionlight.errors import (ParameterError, RegimeError, StateError, UndefinedPeriodError,
@@ -450,7 +450,7 @@ class TestRunSimultaneous:
 
 
 def assert_final_covariance_matches_evolved_terms(params, swap_area):
-    """run_sequential's covariance equals evolve() through each stage's term."""
+    """run_sequential's covariance equals scipy's expm of each stage's term drift, in turn."""
     # H = i chi1 a+ b+ + i chi2 a+ b + h.c., a the cavity and b the motion,
     # one coupling at a time; in between, the beam splitter i c+ a + h.c.
     # of area acos(exp(-kappa T12)) hands the emitted light to pulse 1 (c).
@@ -464,13 +464,13 @@ def assert_final_covariance_matches_evolved_terms(params, swap_area):
               ((gaussian.EXCHANGE, "pulse1", "cav", 1.0),
                math.acos(math.exp(-p.kappa * delay))),
               ((gaussian.EXCHANGE, "cav", "motion", c.chi2), swap_area / abs(c.chi2)))
-    state = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(1.5, "motion"),
-                            gaussian.vacuum(1, ("pulse1",)))
+    cov = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(1.5, "motion"),
+                          gaussian.vacuum(1, ("pulse1",))).cov
     for term, t in stages:
-        state = gaussian.evolve(state, gaussian.quadratic_dynamics(labels, [term]), t)
+        cov = lossless_reference(labels, cov, [term], t)
     final = run_sequential(p, t1=t1, delay_t12=delay, swap_area=swap_area).state
     assert final.mode_labels == labels
-    assert np.max(np.abs(final.cov - state.cov)) <= 1e-9 * np.max(np.abs(state.cov))
+    assert np.max(np.abs(final.cov - cov)) <= 1e-9 * np.max(np.abs(cov))
 
 
 def assert_extraction_hands_over_the_emitted_fraction(params, kappa_t12):
@@ -674,7 +674,7 @@ class TestOneDriftPerTerm:
 
         monkeypatch.setattr(gaussian.LinearDynamics, "__post_init__", counted)
         c = coupling_constants(indium_params)
-        gaussian.quadratic_dynamics(SEQUENTIAL_LABELS, ())     # the count sees one
+        gaussian.dynamics_from_couplings(1.0, 2.0)     # the count sees one
         assert len(built) == 1
         sequential_stages(c, indium_params.kappa, t1=1.0 / abs(c.chi1),
                           delay_t12=1.0 / indium_params.kappa, swap_area=math.pi / 2)
@@ -682,8 +682,8 @@ class TestOneDriftPerTerm:
 
     @pytest.mark.parametrize("kind", [gaussian.PAIR, gaussian.EXCHANGE])
     def test_term_propagator_is_the_closed_form_of_the_drift(self, rng, kind):
-        # I + (c - 1) P + (s / |chi|) A, with A the drift quadratic_dynamics
-        # derives from the term; A vanishes on P's diagonal, whose entries are c
+        # I + (c - 1) P + (s / |chi|) A, with A the drift of the term;
+        # A vanishes on P's diagonal, whose entries are c
         for mode_a, mode_b in (("cav", "motion"), ("pulse1", "cav")):
             for _ in range(5):
                 chi = complex(*rng.normal(size=2))
@@ -694,7 +694,7 @@ class TestOneDriftPerTerm:
                     c, s = math.cosh(rate * t), math.sinh(rate * t)
                 else:
                     c, s = math.cos(rate * t), math.sin(rate * t)
-                drift = gaussian.quadratic_dynamics(SEQUENTIAL_LABELS, [term]).drift
+                drift = gaussian.drift(SEQUENTIAL_LABELS, [term])
                 want = np.eye(6) + (s / rate) * drift
                 for label in (mode_a, mode_b):
                     k = SEQUENTIAL_LABELS.index(label)
