@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ionlight.cli import bundled_config_path, read_run_config
+from ionlight.gaussian import drift
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +37,6 @@ def random_couplings(rng, r_low=1.05, r_high=3.0):
 def lossless_reference(labels, cov, terms, t):
     """cov after the terms are driven for t, by scipy's expm of their drift: S cov S^T."""
     from scipy.linalg import expm
-    from ionlight.gaussian import drift
     s = expm(drift(labels, terms) * t)
     return s @ cov @ s.T
 
