@@ -130,10 +130,7 @@ def cmd_sequential(cfg: SimpleNamespace, args) -> int:
         if t1 == math.inf:
             raise ParameterError("seq_t1 is not set and its default 1/|chi1| is infinite "
                                  f"(|chi1| = {abs(couplings.chi1)!r})")
-    if not cfg.seq_kappa_t12 >= 0.0:
-        raise ParameterError(f"seq_kappa_t12 must be >= 0, got {cfg.seq_kappa_t12!r}")
-    result = protocol.run_sequential(cfg.params, t1=t1,
-                                     delay_t12=cfg.seq_kappa_t12 / cfg.params.kappa,
+    result = protocol.run_sequential(cfg.params, t1=t1, kappa_t12=cfg.seq_kappa_t12,
                                      swap_area=cfg.seq_swap_area)
     print(f"pulse area |chi1|*t1      = {_fmt(abs(couplings.chi1) * t1)}")
     print(f"swap area                 = {_fmt(cfg.seq_swap_area)}")

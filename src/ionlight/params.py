@@ -136,11 +136,15 @@ class Couplings:
     def __post_init__(self):
         chi1 = complex(self.chi1)
         chi2 = complex(self.chi2)
-        if not (cmath.isfinite(chi1) and cmath.isfinite(chi2)):
-            raise ParameterError(f"chi1 and chi2 must be finite, got {chi1!r}, {chi2!r}")
+        try:
+            a1, a2 = abs(chi1), abs(chi2)
+        except OverflowError:       # finite parts whose magnitude exceeds a double
+            a1 = a2 = math.inf
+        if not (a1 < math.inf and a2 < math.inf):
+            raise ParameterError("chi1 and chi2 must be finite, in magnitude too, "
+                                 f"got {chi1!r}, {chi2!r}")
         theta = r = beta = t_pi = n_mean = None
         if chi1 or chi2:
-            a1, a2 = abs(chi1), abs(chi2)
             r = a2 / a1 if chi1 else math.inf
             beta = cmath.phase(chi1) + cmath.phase(chi2) if chi1 else None
             if r > 1.0:
@@ -278,8 +282,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read and parse a config file; see :func:`parse_config_text`."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read and parse a UTF-8 config file, with or without a byte-order mark.
+
+    See :func:`parse_config_text`.
+    """
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_config_text(handle.read())
 
 

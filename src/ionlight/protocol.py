@@ -35,6 +35,7 @@ inconsistent with the intended deep-squeezing signal.)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
@@ -318,43 +319,44 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
 # sequential protocol
 # ---------------------------------------------------------------------------
 
-def sequential_stages(couplings: Couplings, kappa: float, t1: float, delay_t12: float,
+def sequential_stages(couplings: Couplings, t1: float, kappa_t12: float,
                       swap_area: float) -> tuple:
     """The sequential protocol over (cav, motion, pulse1): ``("pair", "extract", "swap")``.
 
     Each stage is one symplectic map, in closed form from a single term (see
     :func:`gaussian.term_propagator`).  Stage A drives the pair-creation
-    coupling alone for ``t1``: a two-mode squeezer of cavity and motion with
-    parameter |chi1| * t1.  Stage B lets the light leave during ``delay_t12``
-    seconds: the emitted exponential mode is collected into the pulse-1
-    register by a beam splitter of area acos(exp(-kappa T12)), i.e.
-    transmittance 1 - exp(-2 kappa T12), with vacuum refilling the cavity
-    (``math.inf`` gives ideal extraction, area pi/2).  Stage C drives the
-    exchange coupling for t2 = swap_area / |chi2|; area pi/2 swaps the stored
-    motional state onto the cavity, which subsequently leaves as pulse 2.
-    ``swap_area`` lies in [0, 2 pi], one full period of the exchange.
-    With chi2 = 0 stage C has no drive: it lasts 0 and is the identity.
+    coupling alone for ``t1`` seconds: a two-mode squeezer of cavity and
+    motion with parameter |chi1| * t1.  Stage B lets the light leave during a
+    delay T12, given as ``kappa_t12`` = kappa * T12: the emitted exponential
+    mode is collected into the pulse-1 register by a beam splitter of area
+    acos(exp(-kappa T12)), i.e. transmittance 1 - exp(-2 kappa T12), with
+    vacuum refilling the cavity (``math.inf`` gives ideal extraction, area
+    pi/2).  Stage C drives the exchange coupling for the area ``swap_area`` =
+    |chi2| t2, as a unit-rate term with chi2's phase; area pi/2 swaps the
+    stored motional state onto the cavity, which subsequently leaves as
+    pulse 2.  ``swap_area`` lies in [0, 2 pi], one full period of the
+    exchange.  With chi2 = 0 stage C has no drive: it lasts 0 and is the
+    identity.  Both areas are taken as given, so no rate scales them.
     """
-    if not 0.0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     if not t1 > 0.0:
         raise ParameterError(f"t1 must be positive, got {t1!r}")
-    if not delay_t12 >= 0.0:
-        raise ParameterError(f"delay_t12 must be >= 0, got {delay_t12!r}")
+    if not kappa_t12 >= 0.0:
+        raise ParameterError(f"kappa_t12 must be >= 0, got {kappa_t12!r}")
     if not 0.0 <= swap_area <= TWO_PI:
         raise ParameterError(f"swap_area must lie in [0, 2 pi], got {swap_area!r}")
     cav, motion, pulse1 = SEQUENTIAL_LABELS
+    chi2 = couplings.chi2
     stages = (("pair", (gaussian.PAIR, cav, motion, couplings.chi1), t1),
               ("extract", (gaussian.EXCHANGE, pulse1, cav, 1.0),
-               math.acos(math.exp(-kappa * delay_t12))),
-              ("swap", (gaussian.EXCHANGE, cav, motion, couplings.chi2),
-               swap_area / abs(couplings.chi2) if couplings.chi2 else 0.0))
+               math.acos(math.exp(-kappa_t12))),
+              ("swap", (gaussian.EXCHANGE, cav, motion, cmath.rect(1.0, cmath.phase(chi2))),
+               swap_area if chi2 else 0.0))
     return tuple(Stage(name, (term,), t,
                        gaussian.term_propagator(SEQUENTIAL_LABELS, term, t))
                  for name, term, t in stages)
 
 
-def run_sequential(params: PhysicalParams, t1: float, delay_t12: float = math.inf,
+def run_sequential(params: PhysicalParams, t1: float, kappa_t12: float = math.inf,
                    swap_area: float = CONFIG_KEYS["seq_swap_area"].default) -> SequentialResult:
     """Sequential pulses with the motion as intermediate memory.
 
@@ -362,14 +364,14 @@ def run_sequential(params: PhysicalParams, t1: float, delay_t12: float = math.in
     vacuum.  There is no regime gate.
 
     Decay during the short drive stages is neglected, as in the simultaneous
-    protocol; kappa * delay_t12 >= 5 is recommended so most of pulse 1 is
-    actually out before the swap.
+    protocol; a delay of ``kappa_t12`` = kappa * T12 >= 5 is recommended so
+    most of pulse 1 is actually out before the swap.
     """
     initial = gaussian.tensor(gaussian.vacuum(1, ("cav",)),
                               gaussian.thermal(params.nbar_motion, "motion"),
                               gaussian.vacuum(1, ("pulse1",)))
     after_pair, _, state = run_stages(initial, sequential_stages(
-        coupling_constants(params), params.kappa, t1, delay_t12, swap_area))
+        coupling_constants(params), t1, kappa_t12, swap_area))
 
     return SequentialResult(
         stage_a_entanglement=gaussian.log_negativity(after_pair, ("cav",)),

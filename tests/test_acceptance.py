@@ -11,8 +11,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import lossless_reference, random_couplings
+from conftest import lossless_reference, mutated, random_couplings
 from ionlight import cli, fock_oracle, gaussian, protocol
 from ionlight.cli import bundled_config_path
 from ionlight.params import Couplings, PhysicalParams, coupling_constants, validate_regime
@@ -99,28 +100,32 @@ def test_criterion_2_signal_sweep(tmp_path, capsys):
         assert elapsed < 5.0
 
 
+def assert_term_maps_match_expm(rng):
+    """Criterion 3's term loop: each closed-form term map equals scipy's expm of its drift."""
+    labels = ("a", "b", "c")
+    for kind in (gaussian.PAIR, gaussian.EXCHANGE):
+        for angle in (0.0, 0.1, 1.0, 3.0):
+            for phase in (0.0, math.pi / 3, -2.5):
+                rate = rng.uniform(0.5, 2.0)
+                term = (kind, "c", "a", rate * complex(math.cos(phase), math.sin(phase)))
+                t = angle / rate
+                closed = gaussian.term_propagator(labels, term, t)
+                reference = expm(gaussian.drift(labels, [term]) * t)
+                assert np.linalg.norm(closed - reference) < 1e-9 * np.linalg.norm(reference)
+
+
 def test_criterion_3_analytic_numeric_equivalence(rng):
     # The named cross-check: the protocols apply closed-form maps, and the
     # matrix exponential of the term-list drift is the reference they must match.
-    from scipy.linalg import expm
     with criterion(3, "closed-form maps equal the matrix exponential of the term list"):
         start = time.perf_counter()
-        labels = ("a", "b", "c")
-        for kind in (gaussian.PAIR, gaussian.EXCHANGE):
-            for angle in (0.0, 0.1, 1.0, 3.0):
-                for phase in (0.0, math.pi / 3, -2.5):
-                    rate = rng.uniform(0.5, 2.0)
-                    term = (kind, "c", "a", rate * complex(math.cos(phase), math.sin(phase)))
-                    t = angle / rate
-                    closed = gaussian.term_propagator(labels, term, t)
-                    reference = expm(gaussian.drift(labels, [term]) * t)
-                    assert np.linalg.norm(closed - reference) < 1e-9 * np.linalg.norm(reference)
+        assert_term_maps_match_expm(rng)
         # Every stage of both protocols, as the protocols build them.
         draws = [(*random_couplings(rng, r_low=1.05, r_high=3.0), rng.uniform(0.0, 3.0))
                  for _ in range(20)]
         for chi1, chi2, nbar in draws:
             c = Couplings.from_chis(chi1, chi2)
-            # pair area |chi1| t1, kappa T12 (kappa = 1) and swap area
+            # pair area |chi1| t1, kappa T12 and swap area
             area, kappa_t12, swap_area = rng.uniform((0.1, 0.0, 0.0), (2.0, 5.0, 3.0))
             motion = gaussian.thermal(nbar, "motion")
             for initial, stages in (
@@ -128,8 +133,8 @@ def test_criterion_3_analytic_numeric_equivalence(rng):
                      protocol.simultaneous_stages(c)),
                     (gaussian.tensor(gaussian.vacuum(1, ("cav",)), motion,
                                      gaussian.vacuum(1, ("pulse1",))),
-                     protocol.sequential_stages(c, 1.0, area / abs(chi1),
-                                                kappa_t12, swap_area))):
+                     protocol.sequential_stages(c, area / abs(chi1), kappa_t12,
+                                                swap_area))):
                 after = protocol.run_stages(initial, stages)
                 for before, stage, mapped in zip((initial,) + after[:-1], stages, after):
                     evolved = lossless_reference(before.mode_labels, before.cov,
@@ -203,7 +208,7 @@ def test_criterion_8_sequential_memory(indium_params):
         chi1 = abs(coupling_constants(indium_params).chi1)
         for area in (0.6, 1.0, 1.7):
             result = protocol.run_sequential(indium_params, t1=area / chi1,
-                                             delay_t12=math.inf)
+                                             kappa_t12=math.inf)
             assert abs(result.final_entanglement
                        - result.stage_a_entanglement) < 1e-9
             assert result.motion_residual_norm < 1e-9
@@ -226,3 +231,16 @@ def test_criterion_9_homodyne_setting_equivalence(rng):
                 couplings, protocol.HomodyneSettings(
                     theta1=math.pi / 2, theta2=-math.pi / 2, t_grid=grid))
             assert np.max(np.abs(model_x - model_p)) < 1e-12
+
+
+class TestMutants:
+    """Mutants of the Gaussian kernel that an acceptance check must catch."""
+
+    def test_exchange_sign_in_drift_fails_criterion_3_term_loop(self, monkeypatch, rng):
+        # m[j, i] -= conj(chi) -> +=: the exchange drift is no longer a rotation,
+        # and the closed form still reads its cos and sin
+        assert_term_maps_match_expm(rng)
+        monkeypatch.setattr(gaussian, "drift", mutated(
+            gaussian, "drift", "m[j, i] -= chi.conjugate()", "m[j, i] += chi.conjugate()"))
+        with pytest.raises(AssertionError):
+            assert_term_maps_match_expm(rng)

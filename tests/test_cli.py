@@ -4,8 +4,9 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ionlight import cli
+from ionlight import cli, protocol
 from ionlight.cli import (EXIT_OK, EXIT_PHYSICS, EXIT_USAGE,
                           bundled_config_path, main, read_run_config)
 from ionlight.params import CONFIG_KEYS, coupling_constants
@@ -268,6 +269,17 @@ class TestOneFailurePath:
             self.assert_usage_error(capsys, [command, "--config", cfg],
                                     "chi1 and chi2 must be finite")
 
+    def test_rate_whose_magnitude_overflows(self, capsys, tmp_path):
+        # a Raman denominator near resonance makes chi1 = 1.5e308 (1 + 1j):
+        # both parts are finite, |chi1| is not
+        cfg = rewrite_config(tmp_path, "resonant.cfg", replacements={
+            "delta_hz": "3000000.000003", "gamma_hz": "1e-300", "omega_rabi_hz": "1e150",
+            "g1_hz": "6.867877545379083e+152-6.867877545379083e+152j"})
+        for command in ("validate", "couplings", "simulate", "sequential"):
+            self.assert_usage_error(capsys, [command, "--config", cfg],
+                                    r"chi1 and chi2 must be finite, in magnitude too, "
+                                    r"got \(1\.5\d*e\+308\+1\.5\d*e\+308j\)")
+
     def test_ratio_not_above_one(self, capsys, tmp_path):
         cfg = rewrite_config(tmp_path, "loose.cfg", replacements={"ratio": "0.5"})
         for command in ("validate", "simulate"):
@@ -281,11 +293,42 @@ class TestOneFailurePath:
                                 r"seq_t1 is not set .*1/\|chi1\| is infinite")
 
     def test_negative_kappa_t12_named_by_its_key(self, capsys, tmp_path):
-        # not by the delay_t12 = seq_kappa_t12 / kappa derived from it
+        # the protocol takes the key's value as given, as kappa_t12
         cfg = rewrite_config(tmp_path, "delay.cfg", drop={"seq_kappa_t12"},
                              extra=["seq_kappa_t12 = -1"])
         self.assert_usage_error(capsys, ["sequential", "--config", cfg],
-                                r"seq_kappa_t12 must be >= 0, got -1\.0$")
+                                r"kappa_t12 must be >= 0, got -1\.0$")
+
+    @pytest.mark.parametrize("kappa_hz", ["5e-324", "1e-310"])
+    def test_subnormal_kappa_keeps_the_delay(self, capsys, tmp_path, kappa_hz):
+        # seq_kappa_t12 = 10 reaches the protocol as given, not as
+        # (10 / kappa) * kappa, which overflows to ideal extraction
+        runs = {}
+        for name, edits in (("tiny", {"kappa_hz": kappa_hz}), ("small", {"kappa_hz": "1e-300"}),
+                            ("ideal", {"kappa_hz": kappa_hz, "seq_kappa_t12": "inf"})):
+            cfg = rewrite_config(tmp_path, f"{name}.cfg", drop=set(edits),
+                                 extra=[f"{key} = {value}" for key, value in edits.items()])
+            code, runs[name], err = run(capsys, "sequential", "--config", cfg)
+            assert code == EXIT_OK, (name, err)
+        assert runs["tiny"] == runs["small"]
+        assert "motion residual norm      = 2.927070e-04" in runs["tiny"]
+        assert runs["tiny"] != runs["ideal"]
+
+    def test_subnormal_exchange_rate_still_swaps(self, capsys, tmp_path):
+        # the swap area reaches the protocol as given, not as
+        # (area / |chi2|) * |chi2|, whose quotient overflows; chi2's phase is
+        # the indium point's, so the pulses are its pulses
+        cfg = rewrite_config(tmp_path, "weak.cfg", replacements={"g2_hz": "1e-310"})
+        code, out, err = run(capsys, "sequential", "--config", cfg)
+        assert code == EXIT_OK, err
+        assert out == run(capsys, "sequential", "--config", INDIUM)[1]
+
+    @pytest.mark.parametrize("command", ["validate", "couplings", "simulate", "sequential"])
+    def test_byte_order_mark_accepted(self, capsys, tmp_path, command):
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + bundled_config_path().read_bytes())
+        assert run(capsys, command, "--config", str(marked))[:2] == \
+            run(capsys, command, "--config", INDIUM)[:2]
 
     @pytest.mark.parametrize("soft_ratio", ["0", "-1"])
     def test_soft_ratio_not_positive(self, capsys, tmp_path, soft_ratio):
@@ -515,3 +558,75 @@ class TestNoMatrixExponential:
             gaussian.evolve(gaussian.vacuum(3, protocol.SIMULTANEOUS_LABELS),
                             gaussian.dynamics_from_couplings(c.chi1, c.chi2,
                                                              indium_params.kappa), c.t_pi)
+
+
+# The subcommands that read each config key.  The physical keys reach every
+# command that builds the parameters.
+PARAMS_COMMANDS = ("validate", "couplings", "simulate", "sequential")
+READERS = {
+    **{key: PARAMS_COMMANDS for key in PHYSICAL_KEYS},
+    "ratio": ("validate", "simulate"), "soft_ratio": ("validate",),
+    **{key: ("fig3",) for key in ("kappa_dt", "theta1", "theta2", "t_max", "t_step",
+                                  "fig3_r_list")},
+    "oracle_r": ("oracle-check",), "oracle_dims": ("oracle-check",),
+    **{key: ("sequential",) for key in ("seq_t1", "seq_kappa_t12", "seq_swap_area")},
+}
+# A drawn oracle_r runs on a small basis: near r = 1 the suggested one takes minutes.
+DRAW_BASE = {"oracle_r": ["oracle_dims = 6, 6, 6"]}
+
+# Floats with NaN, +-inf and subnormals, integers, the empty value, a word, a
+# complex literal and a comma list; the test's examples pin one of each.
+VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.just(""),
+    st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+    st.builds(complex, st.floats(), st.floats()).map(repr),
+    st.lists(st.one_of(st.integers(-2, 12), st.floats(-4.0, 4.0)), min_size=2, max_size=4)
+    .map(lambda items: ", ".join(map(repr, items))),
+)
+
+
+class TestDrawnValues:
+    """Drawn values of every config key, through every subcommand that reads the key.
+
+    Each ends in a documented exit code: 1 with an ``error:`` line
+    (``config error:`` while the file is read), 2 with the regime gate's
+    ``error:`` line, ``validate``'s FAIL report or the oracle's MISMATCH line.
+    """
+
+    def test_every_key_has_its_readers(self):
+        assert set(READERS) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=VALUES)
+    @example(value="nan")
+    @example(value="-inf")
+    @example(value="inf")
+    @example(value="5e-324")
+    @example(value="-1e308")
+    @example(value="1e308")
+    @example(value="7")
+    @example(value="")
+    @example(value="word")
+    @example(value="(1+2j)")
+    @example(value="1, 2, 3")
+    def test_every_reader_ends_in_an_exit_code(self, capsys, tmp_path, monkeypatch, key,
+                                               value):
+        # a drawn t_max or t_step may ask for up to a million points per
+        # trace, seconds of CSV: a smaller cap takes the same refusal path
+        monkeypatch.setattr(protocol, "MAX_GRID_POINTS", 4001)
+        cfg = rewrite_config(tmp_path, "drawn.cfg", drop={key},
+                             extra=[*DRAW_BASE.get(key, []), f"{key} = {value}"])
+        for command in READERS[key]:
+            code, out, err = run(capsys, command, *flags(command, cfg, tmp_path / "out"))
+            context = (command, key, value, err)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), context
+            assert "Traceback" not in err, context
+            if code == EXIT_USAGE:
+                assert re.search(r"^(config )?error: ", err, re.MULTILINE), context
+            elif code == EXIT_PHYSICS:
+                assert (re.search(r"^error: ", err, re.MULTILINE)
+                        or "overall: FAIL" in out or "MISMATCH" in err), context

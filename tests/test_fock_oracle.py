@@ -674,6 +674,17 @@ class TestMutants:
         assert_matches_index_build(0.7 + 0.2j, 1.9 - 0.4j, (5, 6, 7))
         assert dense_expm_gap("all_sectors", LONG_CHIS, LONG_T) > 1e-12
 
+    def test_dropped_imaginary_pass_fails_complex_start_dense_expm(self, monkeypatch):
+        # only the real part of W+ psi is propagated: from the vacuum, where
+        # W+ psi is real, nothing sees it; from a complex start the norm drops
+        assert dense_expm_gap("both_parities", LONG_CHIS, LONG_T) < 1e-12
+        monkeypatch.setattr(fock_oracle, "_evolve_sector", mutated(
+            fock_oracle, "_evolve_sector", "(rotated.real, out.real), (rotated.imag, out.imag)",
+            "(rotated.real, out.real),"))
+        assert dense_expm_gap("vacuum", LONG_CHIS, LONG_T) < 1e-12
+        with pytest.raises(StateError, match="unitarity"):
+            dense_expm_gap("both_parities", LONG_CHIS, LONG_T)
+
 
 class TestObservables:
     def test_vacuum_covariance_is_identity(self):

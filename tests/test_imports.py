@@ -20,6 +20,7 @@ import pytest
 
 import ionlight
 from ionlight.cli import bundled_config_path
+from test_pinned_outputs import CASES, PINNED, case_argv
 
 SRC = str(Path(ionlight.__file__).resolve().parents[1])
 INDIUM = str(bundled_config_path())
@@ -112,6 +113,75 @@ class TestImportGraph:
         assert out == {"result": True, "loaded": ["numpy"]}
 
 
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def entry_env(**extra) -> dict:
+    """This checkout's sources on the path, and no BLAS thread count but ``extra``'s."""
+    env = {key: value for key, value in os.environ.items() if key != BLAS_THREADS}
+    return dict(env, PYTHONPATH=SRC, **extra)
+
+
+def blas_setting_after(code: str, **extra) -> dict:
+    """Run ``code`` and then ``import numpy`` in a new interpreter.
+
+    Returns the BLAS thread variable after each step, and the number of
+    threads the process runs once numpy has loaded (None off Linux).
+    """
+    script = "\n".join([
+        "import contextlib, io, json, os, sys",
+        f"seen = [os.environ.get({BLAS_THREADS!r})]",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        *(f"    {line}\n    seen.append(os.environ.get({BLAS_THREADS!r}))"
+          for line in code.splitlines()),
+        "import numpy",
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None",
+        "print(json.dumps({'seen': seen, 'tasks': tasks}))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], env=entry_env(**extra),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestProcessEntry:
+    """``python -m ionlight`` and the installed script run numpy's OpenBLAS on one thread.
+
+    Only the process entry sets it: the library's imports and an in-process
+    ``cli.main`` leave the environment as they found it.
+    """
+
+    def test_entry_runs_blas_on_one_thread(self):
+        out = blas_setting_after("import ionlight.__main__")
+        assert out["seen"] == [None, "1"]
+        if out["tasks"] is not None:
+            assert out["tasks"] == 1
+
+    def test_the_callers_setting_wins(self):
+        out = blas_setting_after("import ionlight.__main__", **{BLAS_THREADS: "2"})
+        assert out["seen"] == ["2", "2"]
+
+    def test_library_and_in_process_cli_leave_the_setting_alone(self):
+        out = blas_setting_after("\n".join([
+            "import ionlight",
+            "import ionlight.cli",
+            f"ionlight.cli.main(['simulate', '--config', {INDIUM!r}])"]))
+        assert out["seen"] == [None, None, None, None]
+
+    def test_installed_script_is_the_process_entry(self):
+        import tomllib
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        assert project["project"]["scripts"] == {"ionlight": "ionlight.__main__:main"}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_entry_gives_the_pinned_outputs(self, tmp_path, case):
+        proc = subprocess.run([sys.executable, "-m", "ionlight", *case_argv(case, tmp_path)],
+                              env=entry_env(), capture_output=True, text=True, timeout=120)
+        want = json.loads(PINNED.read_text(encoding="utf-8"))[case]
+        assert (proc.returncode, proc.stdout) == (want["exit_code"], want["stdout"])
+
+
 def _load_perfbench_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -137,7 +207,7 @@ TRACED_SIGNATURES = {
         "(params: 'PhysicalParams', force: 'bool' = False, ratio: 'float' = 10.0) "
         "-> 'SimultaneousResult'"),
     "protocol.run_sequential": (
-        "(params: 'PhysicalParams', t1: 'float', delay_t12: 'float' = inf, "
+        "(params: 'PhysicalParams', t1: 'float', kappa_t12: 'float' = inf, "
         "swap_area: 'float' = 1.5707963267948966) -> 'SequentialResult'"),
     "protocol.output_signal": (
         "(couplings: 'Couplings', kappa: 'float', settings: 'HomodyneSettings') -> 'SignalTrace'"),

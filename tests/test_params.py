@@ -210,7 +210,10 @@ class TestDerivedRates:
         assert c.beta is None
 
     @pytest.mark.parametrize("chis", [(1.0, math.nan), (math.nan, 1.0),
-                                      (1.0, complex(math.inf, 0.0)), (-math.inf, 2.0)])
+                                      (1.0, complex(math.inf, 0.0)), (-math.inf, 2.0),
+                                      # finite parts, a magnitude past the largest double
+                                      (complex(1.5e308, 1.5e308), 1.0),
+                                      (1.0, complex(-1.5e308, 1.5e308))])
     def test_non_finite_rate_rejected(self, chis):
         for build in (Couplings, Couplings.from_chis):
             with pytest.raises(ParameterError):

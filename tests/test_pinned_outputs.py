@@ -76,13 +76,18 @@ def run_cli(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_case(case: str, tmp_dir: Path) -> tuple:
-    """(exit code, stdout) of one pinned case."""
+def case_argv(case: str, tmp_dir: Path) -> list:
+    """The argv of one pinned case; an oracle case writes its config to ``tmp_dir``."""
     if case.startswith("oracle-check"):
         config = tmp_dir / "oracle.cfg"
         config.write_text(f"oracle_r = {case.split('=')[1]}\n")
-        return run_cli(["oracle-check", "--config", str(config)])[:2]
-    return run_cli([case, "--config", str(bundled_config_path())])[:2]
+        return ["oracle-check", "--config", str(config)]
+    return [case, "--config", str(bundled_config_path())]
+
+
+def run_case(case: str, tmp_dir: Path) -> tuple:
+    """(exit code, stdout) of one pinned case."""
+    return run_cli(case_argv(case, tmp_dir))[:2]
 
 
 def run_corpus_config(edits: dict, tmp_dir: Path) -> dict:

@@ -454,21 +454,21 @@ def assert_final_covariance_matches_evolved_terms(params, swap_area):
     # H = i chi1 a+ b+ + i chi2 a+ b + h.c., a the cavity and b the motion,
     # one coupling at a time; in between, the beam splitter i c+ a + h.c.
     # of area acos(exp(-kappa T12)) hands the emitted light to pulse 1 (c).
-    # Local phases leave E_N and photon numbers alone; the covariance
-    # carries the phase of every stage.
+    # The swap drives chi2 itself for swap_area / |chi2|.  Local phases
+    # leave E_N and photon numbers alone; the covariance carries the phase
+    # of every stage.
     p = at_ratio(params, 1.3, 1.5, phases=(0.7, -2.1))
     c = coupling_constants(p)
-    t1, delay = 0.8 / abs(c.chi1), 1.5 / p.kappa
+    t1, kappa_t12 = 0.8 / abs(c.chi1), 1.5
     labels = ("cav", "motion", "pulse1")
     stages = (((gaussian.PAIR, "cav", "motion", c.chi1), t1),
-              ((gaussian.EXCHANGE, "pulse1", "cav", 1.0),
-               math.acos(math.exp(-p.kappa * delay))),
+              ((gaussian.EXCHANGE, "pulse1", "cav", 1.0), math.acos(math.exp(-kappa_t12))),
               ((gaussian.EXCHANGE, "cav", "motion", c.chi2), swap_area / abs(c.chi2)))
     cov = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(1.5, "motion"),
                           gaussian.vacuum(1, ("pulse1",))).cov
     for term, t in stages:
         cov = lossless_reference(labels, cov, [term], t)
-    final = run_sequential(p, t1=t1, delay_t12=delay, swap_area=swap_area).state
+    final = run_sequential(p, t1=t1, kappa_t12=kappa_t12, swap_area=swap_area).state
     assert final.mode_labels == labels
     assert np.max(np.abs(final.cov - cov)) <= 1e-9 * np.max(np.abs(cov))
 
@@ -476,8 +476,8 @@ def assert_final_covariance_matches_evolved_terms(params, swap_area):
 def assert_extraction_hands_over_the_emitted_fraction(params, kappa_t12):
     # without the swap pulse, pulse 1 holds 1 - exp(-2 kappa T12) of the
     # sinh^2(|chi1| t1) photons stage A put in the cavity; the rest stays
-    result = run_sequential(params, t1=1.0 / abs_chi1(params),
-                            delay_t12=kappa_t12 / params.kappa, swap_area=0.0)
+    result = run_sequential(params, t1=1.0 / abs_chi1(params), kappa_t12=kappa_t12,
+                            swap_area=0.0)
     made = math.sinh(1.0) ** 2
     emitted = -math.expm1(-2.0 * kappa_t12)
     assert gaussian.mean_photons(result.state, "pulse1") == pytest.approx(
@@ -489,7 +489,7 @@ def assert_extraction_hands_over_the_emitted_fraction(params, kappa_t12):
 class TestRunSequential:
     def test_ideal_memory_transfer(self, indium_params):
         t1 = 1.2 / abs_chi1(indium_params)
-        result = run_sequential(indium_params, t1=t1, delay_t12=math.inf)
+        result = run_sequential(indium_params, t1=t1, kappa_t12=math.inf)
         assert result.stage_a_entanglement == pytest.approx(2 * 1.2, abs=1e-9)
         assert result.final_entanglement == pytest.approx(
             result.stage_a_entanglement, abs=1e-9)
@@ -497,7 +497,7 @@ class TestRunSequential:
 
     def test_full_exchange_cycle_leaves_memory_in_motion(self, indium_params):
         t1 = 1.0 / abs_chi1(indium_params)
-        result = run_sequential(indium_params, t1=t1, delay_t12=math.inf,
+        result = run_sequential(indium_params, t1=t1, kappa_t12=math.inf,
                                 swap_area=math.pi)
         assert result.final_entanglement == pytest.approx(0.0, abs=1e-9)
         assert result.pulse1_motion_entanglement == pytest.approx(
@@ -505,8 +505,7 @@ class TestRunSequential:
 
     def test_extraction_improves_with_delay(self, indium_params):
         t1 = 1.0 / abs_chi1(indium_params)
-        values = [run_sequential(indium_params, t1=t1,
-                                 delay_t12=kt / indium_params.kappa).final_entanglement
+        values = [run_sequential(indium_params, t1=t1, kappa_t12=kt).final_entanglement
                   for kt in (1.0, 3.0, 5.0, 10.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -516,7 +515,7 @@ class TestRunSequential:
             delta=indium_params.delta, omega_rabi=indium_params.omega_rabi,
             kappa=indium_params.kappa, g1=0.0, g2=indium_params.g2,
             mass=indium_params.mass, wavenumber=indium_params.wavenumber)
-        result = run_sequential(dark, t1=1e-5, delay_t12=math.inf)
+        result = run_sequential(dark, t1=1e-5, kappa_t12=math.inf)
         assert result.stage_a_entanglement == 0.0
         assert result.final_entanglement == 0.0
 
@@ -534,17 +533,11 @@ class TestRunSequential:
         with pytest.raises(ParameterError, match="swap_area"):
             run_sequential(indium_params, t1=1e-5, swap_area=math.inf)
 
-    @pytest.mark.parametrize("bad", [dict(swap_area=math.nan), dict(delay_t12=math.nan),
-                                     dict(swap_area=-0.1), dict(delay_t12=-1.0)])
+    @pytest.mark.parametrize("bad", [dict(swap_area=math.nan), dict(kappa_t12=math.nan),
+                                     dict(swap_area=-0.1), dict(kappa_t12=-1.0)])
     def test_nan_or_negative_stage_arguments_rejected(self, indium_params, bad):
         with pytest.raises(ParameterError):
             run_sequential(indium_params, t1=1e-5, **bad)
-
-    @pytest.mark.parametrize("kappa", [-1.0, 0.0, math.nan, math.inf])
-    def test_stages_refuse_a_bad_kappa(self, indium_params, kappa):
-        with pytest.raises(ParameterError, match="kappa must be positive and finite"):
-            sequential_stages(coupling_constants(indium_params), kappa, t1=1e-5,
-                              delay_t12=1e-4, swap_area=math.pi / 2)
 
     @pytest.mark.parametrize("nbar", [0.0, 10.0])
     @pytest.mark.parametrize("area", [2.0, 4.0, 5.0])
@@ -574,8 +567,7 @@ class TestStages:
     def test_stage_names(self, indium_params):
         c = coupling_constants(indium_params)
         assert tuple(s.name for s in simultaneous_stages(c)) == ("pulse",)
-        stages = sequential_stages(c, indium_params.kappa, t1=1e-5, delay_t12=1e-6,
-                                   swap_area=math.pi / 2)
+        stages = sequential_stages(c, t1=1e-5, kappa_t12=1e-3, swap_area=math.pi / 2)
         assert tuple(s.name for s in stages) == ("pair", "extract", "swap")
 
     def test_directly_built_couplings_run_the_pulse(self):
@@ -588,8 +580,8 @@ class TestStages:
         c = coupling_constants(indium_params)
         for labels, stages in (
                 (SIMULTANEOUS_LABELS, simultaneous_stages(c)),
-                (SEQUENTIAL_LABELS, sequential_stages(c, indium_params.kappa, t1=1e-5,
-                                                      delay_t12=math.inf, swap_area=1.0))):
+                (SEQUENTIAL_LABELS, sequential_stages(c, t1=1e-5, kappa_t12=math.inf,
+                                                      swap_area=1.0))):
             states = run_stages(gaussian.vacuum(3, labels), stages)
             assert len(states) == len(stages)
             assert all(state.mode_labels == labels for state in states)
@@ -613,16 +605,29 @@ class TestStages:
         p = dataclasses.replace(indium_params, g2=0.0, nbar_motion=2.0)
         c = coupling_constants(p)
         assert c.chi2 == 0.0
-        stages = sequential_stages(c, p.kappa, t1=1.0 / abs(c.chi1),
-                                   delay_t12=1.0 / p.kappa, swap_area=swap_area)
+        stages = sequential_stages(c, t1=1.0 / abs(c.chi1), kappa_t12=1.0,
+                                   swap_area=swap_area)
         assert stages[-1].t == 0.0
         assert np.array_equal(stages[-1].symplectic, np.eye(6))
         initial = gaussian.tensor(gaussian.vacuum(1, ("cav",)), gaussian.thermal(2.0),
                                   gaussian.vacuum(1, ("pulse1",)))
         _, extracted, _ = run_stages(initial, stages)
-        final = run_sequential(p, t1=1.0 / abs(c.chi1), delay_t12=1.0 / p.kappa,
+        final = run_sequential(p, t1=1.0 / abs(c.chi1), kappa_t12=1.0,
                                swap_area=swap_area).state
         assert final.cov.tobytes() == extracted.cov.tobytes()
+
+    @pytest.mark.parametrize("chi2", [0.6 - 1.7j, 5e-324j, -1e-310])
+    def test_stages_take_their_areas_as_given(self, chi2):
+        # kappa T12 and the swap area reach the maps unscaled: no rate divides
+        # them, so a subnormal |chi2| still swaps, and kappa does not enter
+        (pair, extract, swap) = sequential_stages(Couplings(0.3, chi2), t1=2.0,
+                                                  kappa_t12=10.0, swap_area=1.25)
+        assert pair.t == 2.0
+        assert extract.t == math.acos(math.exp(-10.0))
+        ((kind, mode_a, mode_b, unit),) = swap.terms
+        assert (kind, mode_a, mode_b, swap.t) == (gaussian.EXCHANGE, "cav", "motion", 1.25)
+        assert abs(unit) == pytest.approx(1.0, rel=1e-15)
+        assert cmath.phase(unit) == cmath.phase(chi2)
 
     def test_undefined_period_checked_before_regime_gate(self, indium_params):
         blue = dataclasses.replace(indium_params, delta=-indium_params.delta)
@@ -676,8 +681,7 @@ class TestOneDriftPerTerm:
         c = coupling_constants(indium_params)
         gaussian.dynamics_from_couplings(1.0, 2.0)     # the count sees one
         assert len(built) == 1
-        sequential_stages(c, indium_params.kappa, t1=1.0 / abs(c.chi1),
-                          delay_t12=1.0 / indium_params.kappa, swap_area=math.pi / 2)
+        sequential_stages(c, t1=1.0 / abs(c.chi1), kappa_t12=1.0, swap_area=math.pi / 2)
         assert len(built) == 1
 
     @pytest.mark.parametrize("kind", [gaussian.PAIR, gaussian.EXCHANGE])
@@ -794,9 +798,10 @@ class TestMutants:
 
     def test_doubled_extraction_exponent_fails_emitted_fraction(self, monkeypatch,
                                                                  indium_params):
-        # area acos(exp(-2 kappa T12)): kappa enters sequential_stages only there
+        # area acos(exp(-2 kappa T12)): kappa_t12 enters sequential_stages only there
         original = protocol.sequential_stages
         monkeypatch.setattr(protocol, "sequential_stages",
-                            lambda couplings, kappa, *rest: original(couplings, 2 * kappa, *rest))
+                            lambda couplings, t1, kappa_t12, swap_area: original(
+                                couplings, t1, 2 * kappa_t12, swap_area))
         with pytest.raises(AssertionError):
             assert_extraction_hands_over_the_emitted_fraction(indium_params, 0.3)
