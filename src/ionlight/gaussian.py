@@ -17,12 +17,17 @@ Every state is centred: the vacuum and the thermal state have zero first
 moments, and the quadratic Hamiltonians here have no linear term, so every
 map keeps them zero and the covariance holds the whole state.  Physicality
 means every symplectic eigenvalue of cov is >= 1, decided up to the
-round-off bound of :func:`_spectrum_bound`.
+round-off bound of :func:`_spectrum_bound` by one Hermitian Cholesky, with
+no eigenvalue solver.  :func:`log_negativity` takes a closed form on each
+two-mode block of modes that crosses its cut; only a block of three or more
+correlated modes needs :func:`symplectic_eigenvalues`, which is also the
+general route for a spectrum.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -36,31 +41,44 @@ SYMMETRY_TOL = 1e-12
 SIMULTANEOUS_LABELS = ("cav1", "cav2", "motion")     # the modes of the simultaneous pulse
 
 # Double precision resolves the symplectic spectrum of cov only to about
-# eps * ||cov||_F^2: the eigenvalues of i Omega cov inherit the conditioning of
-# cov, whichever solver computes them.  Whether some nu is below 1 is decided
-# against that bound, and past SPECTRUM_LIMIT it cannot be decided at all.
+# eps * ||cov||_F^2: the symplectic eigenvalues inherit the conditioning of
+# cov, whichever route computes or tests them (an eigenvalue solver, the
+# Cholesky of _spectrum_bound, the closed form of _two_mode_pt_nu).  Whether
+# some nu is below 1 is decided against that bound, and past SPECTRUM_LIMIT
+# it cannot be decided at all.
 # Up to a bound of 1e-4 the E_N of the two-mode squeezed and the sequential
 # states agrees with its closed form to 2e-6 relative (worst of a dense
 # sweep); at 7e-3 (r - 1 = 1e-3) it is off by 6e-5, at pulse area 10 by 0.1.
 # The one limit thus bounds how close r may come to 1 and how large nbar and
 # the pulse areas may grow.
 SPECTRUM_LIMIT = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
-def _spectrum_bound(covs: np.ndarray) -> tuple:
-    """Round-off bound eps * ||cov||_F^2 on the symplectic eigenvalues of cov.
+@functools.cache
+def _i_omega(n_modes: int) -> np.ndarray:
+    """i Omega over ``n_modes`` modes: +i at (2k, 2k + 1) and -i at (2k + 1, 2k)."""
+    out = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
+    x = np.arange(0, 2 * n_modes, 2)
+    out[x, x + 1] = 1j
+    out[x + 1, x] = -1j
+    out.setflags(write=False)
+    return out
 
-    ``covs`` stacks cov first and any partial transposes of it after, shape
-    (k, 2N, 2N).  Partial transposition flips signs only, so the bound holds
-    for the partially transposed covariances as well.  Returns the bound
-    and the symplectic spectra of the whole stack, from one ``eigvals``
-    call.  Raises :class:`StateError` when the bound is not finite (a NaN or
-    infinite covariance entry, or one too large to square) or exceeds
+
+def _spectrum_bound(cov: np.ndarray) -> float:
+    """Round-off bound b = eps * ||cov||_F^2 on the symplectic eigenvalues of cov.
+
+    Raises :class:`StateError` when b is not finite (a NaN or infinite
+    covariance entry, or one too large to square) or exceeds
     ``SPECTRUM_LIMIT``, and :class:`UnphysicalStateError` when the smallest
-    symplectic eigenvalue of cov is below 1 by more than the bound.
+    symplectic eigenvalue of cov is below 1 by more than b.  By Williamson's
+    theorem cov + c i Omega is positive definite exactly when every
+    symplectic eigenvalue exceeds c, so one Hermitian Cholesky of
+    cov + (1 - b) i Omega decides it; the spectrum itself is computed only
+    for the refusal's message.
     """
-    cov = covs[0]
-    bound = float(np.finfo(float).eps) * float(np.vdot(cov, cov))
+    bound = _EPS * float(np.vdot(cov, cov))
     if not math.isfinite(bound):
         raise StateError(
             f"round-off bound eps*||cov||^2 = {bound!r} is not finite: the covariance "
@@ -72,14 +90,15 @@ def _spectrum_bound(covs: np.ndarray) -> tuple:
             "double precision cannot resolve the symplectic spectrum "
             "(r too close to 1, or nbar or a pulse area too large)"
         )
-    spectra = symplectic_eigenvalues(covs)
-    nu_min = float(spectra[0, 0])
-    if nu_min < 1.0 - bound:
+    try:
+        np.linalg.cholesky(cov + (1.0 - bound) * _i_omega(cov.shape[0] // 2))
+    except np.linalg.LinAlgError:
+        nu_min = float(symplectic_eigenvalues(cov)[0])
         raise UnphysicalStateError(
             f"covariance violates the uncertainty relation: smallest symplectic "
             f"eigenvalue {nu_min!r} is below 1 by more than the round-off bound {bound:.3g}"
-        )
-    return bound, spectra
+        ) from None
+    return bound
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -130,7 +149,7 @@ class GaussianState:
         cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "mode_labels", labels)
         object.__setattr__(self, "cov", cov)
-        _spectrum_bound(cov[np.newaxis])
+        _spectrum_bound(cov)
         cov.setflags(write=False)
 
     @classmethod
@@ -273,6 +292,12 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     round-off bound b = eps * ||cov||_F^2; so E_N is exactly zero for every
     separable Gaussian state.  Raises :class:`StateError` when b exceeds
     ``SPECTRUM_LIMIT``: double precision cannot resolve such a spectrum.
+
+    The modes fall into blocks that share no covariance entry (see
+    :func:`_mode_blocks`), and E_N is summed over the blocks that cross the
+    cut.  A two-mode block takes the closed form of
+    :func:`_two_mode_pt_nu`; a larger one, the spectrum of its partial
+    transpose.
     """
     part = tuple(partition)
     if not part:
@@ -280,18 +305,87 @@ def log_negativity(state: GaussianState, partition: Sequence) -> float:
     rest = [l for l in state.mode_labels if l not in part]
     if not rest:
         raise StateError("partition must be a strict subset of the modes")
-    # Partial transposition flips the sign of P on the transposed modes: of
-    # each such P row and column, the entry they share keeps its sign.
-    covs = np.array((state.cov, state.cov))
-    pt = covs[1]
-    for p in state.quad_indices(part)[1::2]:
-        pt[p] *= -1.0
-        pt[:, p] *= -1.0
-    bound, spectra = _spectrum_bound(covs)
-    nu = spectra[1]
-    # Eigenvalues within the bound of 1 carry no negativity.  A state that
-    # passed both checks has every nu >= 1/||cov||_F > 1e-6, so ln(nu) is finite.
-    return float(np.sum([-math.log(v) for v in nu if v < 1.0 - bound]))
+    cut = {q // 2 for q in state.quad_indices(part)[::2]}
+    bound = _spectrum_bound(state.cov)
+    rows = state.cov.tolist()
+    total = 0.0
+    for block in _mode_blocks(rows):
+        inside = [k in cut for k in block]
+        if all(inside) or not any(inside):
+            continue
+        if len(block) == 2:
+            nus = (_two_mode_pt_nu(rows, *block),)
+        else:
+            idx = [q for k in block for q in (2 * k, 2 * k + 1)]
+            pt = state.cov.take(idx, 0).take(idx, 1)
+            # Partial transposition flips the sign of P on the transposed
+            # modes: of each such P row and column, the entry they share
+            # keeps its sign.
+            for p, flip in zip(range(1, len(idx), 2), inside):
+                if flip:
+                    pt[p] *= -1.0
+                    pt[:, p] *= -1.0
+            nus = symplectic_eigenvalues(pt)
+        # Eigenvalues within the bound of 1 carry no negativity.  A state
+        # that passed the check has every nu >= 1/||cov||_F > 1e-6, so ln(nu)
+        # is finite.
+        total += sum(-math.log(v) for v in nus if v < 1.0 - bound)
+    return total
+
+
+def _mode_blocks(rows: list) -> list:
+    """The modes of a covariance, given as nested lists, grouped into blocks.
+
+    Two modes share a block when their 2x2 cross block has a nonzero entry,
+    exactly, with no tolerance; a block is the closure of that relation.
+    The blocks come in the order of their first mode, each listing its
+    modes in ascending order.
+    """
+    n = len(rows) // 2
+    label = list(range(n))
+    for i in range(n):
+        x, p = rows[2 * i], rows[2 * i + 1]
+        for j in range(i + 1, n):
+            if x[2 * j] or x[2 * j + 1] or p[2 * j] or p[2 * j + 1]:
+                old, new = label[j], label[i]
+                label = [new if b == old else b for b in label]
+    blocks = {}
+    for k, b in enumerate(label):
+        blocks.setdefault(b, []).append(k)
+    return list(blocks.values())
+
+
+def _two_mode_pt_nu(rows: list, i: int, j: int) -> float:
+    """Smaller symplectic eigenvalue of the partial transpose of the block of modes i, j.
+
+    With A, B and C the 2x2 blocks of mode i, mode j and their cross terms,
+    and Delta~ = det A + det B - 2 det C (partial transposition flips the
+    sign of det C),
+
+        nu~_-^2 = 2 det sigma / (Delta~ + sqrt(Delta~^2 - 4 det sigma))
+
+    (Serafini, Quantum Continuous Variables, 2017; Vidal and Werner, PRA
+    65, 032314, 2002), a form without cancellation.  The discriminant is
+    clamped at 0 against round-off.  det sigma is the product of the
+    block's pivots in Gaussian elimination without row exchanges (the
+    diagonal of its LDL^T Cholesky factor): a cofactor expansion loses
+    digits.  The larger eigenvalue nu~_+ is >= 1 for every physical state,
+    so it carries no negativity.
+    """
+    q = (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
+        (a30, a31, a32, a33) = ([rows[p][k] for k in q] for p in q)
+    delta = (a00 * a11 - a01 * a10) + (a22 * a33 - a23 * a32) - 2.0 * (a02 * a13 - a03 * a12)
+    # det sigma: eliminate below each pivot in turn, over both triangles
+    f1, f2, f3 = a10 / a00, a20 / a00, a30 / a00
+    b11, b12, b13 = a11 - f1 * a01, a12 - f1 * a02, a13 - f1 * a03
+    b21, b22, b23 = a21 - f2 * a01, a22 - f2 * a02, a23 - f2 * a03
+    b31, b32, b33 = a31 - f3 * a01, a32 - f3 * a02, a33 - f3 * a03
+    g2, g3 = b21 / b11, b31 / b11
+    c22, c23 = b22 - g2 * b12, b23 - g2 * b13
+    c32, c33 = b32 - g3 * b12, b33 - g3 * b13
+    det = a00 * b11 * c22 * (c33 - c32 / c22 * c23)
+    return math.sqrt(2.0 * det / (delta + math.sqrt(max(delta * delta - 4.0 * det, 0.0))))
 
 
 def decorrelation_norm(state: GaussianState, block_a: Sequence, block_b: Sequence) -> float:

@@ -212,6 +212,14 @@ class TestSequential:
         residual = float(re.search(r"motion residual norm\s+= (\S+)", out).group(1))
         assert residual < 1e-9
 
+    def test_near_vacuum_pulse_area_accepted(self, capsys, tmp_path):
+        # area |chi1| t1 = 0.05, where b = eps * ||cov||_F^2 = 8.9e-16 is less
+        # than an eigenvalue solver's own error at nu = 1, which refused the state
+        cfg = rewrite_config(tmp_path, "seq.cfg", extra=["seq_t1 = 5.595946576342433e-07"])
+        code, out, err = run(capsys, "sequential", "--config", cfg)
+        assert code == EXIT_OK, err
+        assert "E_N pulse1|pulse2         = 1.000000e-01\n" in out
+
     def test_overflowing_pulse_area_is_an_error(self, capsys, tmp_path):
         # |chi1| * t1 is about 890 here: cosh of it overflows double precision
         cfg = rewrite_config(tmp_path, "seq.cfg", extra=["seq_t1 = 1e-2"])

@@ -1,10 +1,12 @@
+import cmath
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import random_couplings
+from conftest import mutated, random_couplings
 from ionlight import gaussian
 from ionlight.errors import StateError, UndefinedPeriodError, UnphysicalStateError
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
@@ -13,8 +15,9 @@ from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
                                epr_variance, evolve, expm, log_negativity,
                                mean_photons, symplectic_eigenvalues, tensor,
                                term_propagator, thermal, tmss, vacuum)
-from ionlight.params import Couplings
-from ionlight.protocol import run_simultaneous
+from ionlight.params import Couplings, coupling_constants
+from ionlight.protocol import (run_sequential, run_simultaneous, run_stages,
+                               sequential_stages, simultaneous_stages)
 
 LABELS3 = ("cav1", "cav2", "motion")
 
@@ -60,6 +63,14 @@ def assert_product_states_carry_no_negativity():
     squeeze = np.diag([math.exp(2.0), math.exp(-2.0), math.exp(-1.0), math.exp(1.0)])
     local = apply_symplectic(vacuum(2, ("a", "b")), squeeze)
     assert log_negativity(tensor(local, thermal(300.0, "c")), ("a",)) == 0.0
+
+
+def assert_swapped_memory_carries_no_negativity(params):
+    """E_N(pulse1|motion) is exactly 0 after the pi/2 swap at nbar 0, whose cross terms are round-off."""
+    assert params.nbar_motion == 0.0
+    chi1 = abs(coupling_constants(params).chi1)
+    for area in (0.5, 1.0, 1.5):
+        assert run_sequential(params, t1=area / chi1).pulse1_motion_entanglement == 0.0
 
 
 def assert_tmss_r3_negativity():
@@ -554,6 +565,48 @@ class TestDiagnostics:
     def test_log_negativity_of_product_state(self):
         assert_product_states_carry_no_negativity()
 
+    def test_log_negativity_of_swapped_memory(self, indium_params):
+        assert_swapped_memory_carries_no_negativity(indium_params)
+
+    def test_two_mode_closed_form_matches_the_spectrum(self, rng):
+        # the closed form against the smallest symplectic eigenvalue of the
+        # partial transpose, on random two-mode states with and without E_N
+        for _ in range(50):
+            nbars = rng.uniform(0.0, 3.0, size=2)
+            state = apply_symplectic(tensor(thermal(nbars[0], "a"), thermal(nbars[1], "b")),
+                                     random_symplectic(rng, 2))
+            pt = state.cov.copy()
+            pt[1] *= -1.0
+            pt[:, 1] *= -1.0
+            nu = symplectic_eigenvalues(pt)[0]
+            want = -math.log(nu) if nu < 1.0 else 0.0
+            assert log_negativity(state, ("a",)) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.05])
+    def test_tiny_cross_term_with_equal_occupations(self, nbar):
+        # 1e-300 joins the two modes in one block; Delta~^2 - 4 det sigma is
+        # 0, and at nbar 0.05 it rounds to -8.9e-16, under a square root
+        cov = tensor(thermal(nbar, "a"), thermal(nbar, "b")).cov.copy()
+        cov[0, 2] = cov[2, 0] = 1e-300
+        assert log_negativity(GaussianState(("a", "b"), cov), ("a",)) == 0.0
+
+    def test_three_correlated_modes_take_the_spectrum(self, monkeypatch):
+        # no cross block is zero, so the cut meets one block of three modes:
+        # its partial transpose goes to symplectic_eigenvalues, whose values
+        # the pins hold to 1e-12
+        state = apply_symplectic(
+            tensor(thermal(0.2, "a"), vacuum(1, ("b",)), thermal(0.5, "c")),
+            random_symplectic(np.random.default_rng(34), 3))
+        assert np.all(state.cov != 0.0)
+        original = gaussian.symplectic_eigenvalues
+        shapes = []
+        monkeypatch.setattr(gaussian, "symplectic_eigenvalues",
+                            lambda cov: shapes.append(cov.shape) or original(cov))
+        for partition, want in ((("a",), 1.1144622162152158), (("b",), 1.0578399257555189),
+                                (("c",), 0.18558739070438526)):
+            assert log_negativity(state, partition) == pytest.approx(want, rel=1e-12)
+        assert shapes == [(6, 6)] * 3
+
     @pytest.mark.parametrize("c", [0.0, 2.0, 4.0, 4.0 - 1e-12])
     def test_log_negativity_of_classically_correlated_state(self, c):
         # a I + c Z off the diagonal: the partial transpose has nu = a - c,
@@ -632,9 +685,10 @@ class TestDiagnostics:
             decorrelation_norm(indium_state, ("cav1", "cav1"), ("cav2",))
 
     def test_distinct_labels_keep_their_values(self, indium_state):
-        # bit for bit the values from before the labels were checked for repeats
+        # bit for bit: every partition meets the one cav1|cav2 block, whose
+        # closed form gives 2s = 6.089061239015962 to 1.1e-12
         for partition in (("cav1",), ("cav1", "motion"), ("motion", "cav1")):
-            assert log_negativity(indium_state, partition) == 6.08906123900628
+            assert log_negativity(indium_state, partition) == 6.089061239009409
         assert decorrelation_norm(indium_state, ("cav1",), ("cav2",)) == 311.8375898732094
         assert decorrelation_norm(indium_state, ("cav1", "motion"), ("cav2",)) == \
             311.8375898732094
@@ -725,6 +779,90 @@ class TestLibraryStates:
                 assert np.array_equal(symplectic_eigenvalues(cov), nu)
 
 
+def run_path_states(rng, n_r=1000, n_area=1000):
+    """(name, nbar, state) for states the protocols make, all physical by construction.
+
+    tmss and the simultaneous pulse at ``n_r`` values of r in [1.002, 3],
+    the pulse at nbar 0 and at a seeded nbar up to 100; and at ``n_area``
+    pulse areas in [0.02, 8], sequential stage A and both reductions of the
+    final state, at seeded chi phases, kappa T12 and swap areas.
+    """
+    def phase():
+        return cmath.rect(1.0, rng.uniform(-math.pi, math.pi))
+
+    for r in np.linspace(1.002, 3.0, n_r).tolist():
+        yield f"tmss r={r!r}", 0.0, tmss(r, rng.uniform(-math.pi, math.pi))
+        for nbar in (0.0, rng.uniform(0.0, 100.0)):
+            initial = tensor(vacuum(2, ("cav1", "cav2")), thermal(nbar, "motion"))
+            (final,) = run_stages(initial, simultaneous_stages(Couplings(phase(), r * phase())))
+            yield f"simultaneous r={r!r} nbar={nbar!r}", nbar, final
+    for area in np.linspace(0.02, 8.0, n_area).tolist():
+        for nbar in (0.0, rng.uniform(0.0, 100.0)):
+            initial = tensor(vacuum(1, ("cav",)), thermal(nbar, "motion"), vacuum(1, ("pulse1",)))
+            stages = sequential_stages(Couplings(phase(), 2.0 * phase()), t1=area,
+                                       kappa_t12=rng.uniform(0.0, 12.0),
+                                       swap_area=rng.uniform(0.0, 2.0 * math.pi))
+            after_pair, _, final = run_stages(initial, stages)
+            yield f"stage A area={area!r} nbar={nbar!r}", nbar, after_pair
+            for labels in (("cav", "pulse1"), ("motion", "pulse1")):
+                yield f"{labels} area={area!r} nbar={nbar!r}", nbar, final.reduced(labels)
+
+
+def round_off_bound(cov):
+    return float(np.finfo(float).eps) * float(np.vdot(cov, cov))
+
+
+def spectrum_accepts(cov):
+    """The rule nu_min >= 1 - b, decided on the eigvals spectrum."""
+    return bool(symplectic_eigenvalues(cov)[0] >= 1.0 - round_off_bound(cov))
+
+
+def constructor_accepts(cov):
+    n = cov.shape[0] // 2
+    try:
+        GaussianState(tuple(range(n)), cov)
+    except UnphysicalStateError:
+        return False
+    return True
+
+
+class TestPhysicalityByCholesky:
+    """One Cholesky of cov + (1 - b) i Omega decides the rule nu_min >= 1 - b as eigvals did."""
+
+    def test_refuses_no_state_of_a_dense_sweep(self):
+        # the sweep's states are all physical, so refusing none covers
+        # refusing none that eigvals accepts; eigvals refuses a few
+        newly_accepted = []
+        for name, nbar, state in run_path_states(random.Random(34)):
+            cov = state.cov
+            if round_off_bound(cov) > gaussian.SPECTRUM_LIMIT:
+                continue
+            assert constructor_accepts(cov), name
+            if not spectrum_accepts(cov):
+                newly_accepted.append((name, nbar, float(symplectic_eigenvalues(cov)[0])))
+        # each of those is pure and near the vacuum, where b ~ 1e-15 is less
+        # than the solver's own error at nu = 1
+        for name, nbar, nu_min in newly_accepted:
+            assert nbar == 0.0 and 1.0 - 1e-14 < nu_min < 1.0, newly_accepted
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_pure_states_scaled_across_the_bound(self, scale, accepted):
+        # nu = 1 scaled by 1 - x b is within b of 1 at x = 0.5 and past it at
+        # x = 2: both routes accept the one and refuse the other
+        for r in np.linspace(1.003, 3.0, 100).tolist():
+            pulse = apply_symplectic(vacuum(3, LABELS3), bogoliubov_tpi(Couplings(1.0, r)))
+            for state in (tmss(r, 0.3), pulse):
+                cov = (1.0 - scale * round_off_bound(state.cov)) * state.cov
+                assert spectrum_accepts(cov) is accepted, r
+                assert constructor_accepts(cov) is accepted, r
+
+    def test_refusal_names_the_smallest_symplectic_eigenvalue(self):
+        with pytest.raises(UnphysicalStateError,
+                           match=r"^covariance violates the uncertainty relation: smallest "
+                                 r"symplectic eigenvalue 0\.5 is below 1 by more than"):
+            GaussianState(("a", "b"), np.diag([0.5, 0.5, 2.0, 2.0]))
+
+
 NON_FINITE_CALLS = {
     "tmss beta nan": lambda: tmss(2.0, math.nan),
     "tmss beta inf": lambda: tmss(2.0, math.inf),
@@ -751,28 +889,23 @@ class TestMutants:
     """Mutants of the state fast path that the checks above must catch."""
 
     def test_negativity_of_unflipped_spectrum_fails_tmss_pin(self, monkeypatch):
-        # log_negativity reads cov's half of the stacked spectrum, not the
-        # partial transpose's: every nu >= 1, so E_N reads 0
-        original = gaussian._spectrum_bound
-
-        def swapped(covs):
-            bound, spectra = original(covs)
-            return bound, spectra[::-1]
-
-        monkeypatch.setattr(gaussian, "_spectrum_bound", swapped)
+        # the closed form takes Delta~ with +2 det C, cov's own invariant,
+        # not its partial transpose's: nu~_- reads 1, so E_N reads 0
+        assert_tmss_r3_negativity()
+        monkeypatch.setattr(gaussian, "_two_mode_pt_nu", mutated(
+            gaussian, "_two_mode_pt_nu", "- 2.0 * (a02", "+ 2.0 * (a02"))
         with pytest.raises(AssertionError):
             assert_tmss_r3_negativity()
 
-    def test_cutoff_at_one_fails_product_state_pin(self, monkeypatch):
-        # log_negativity counts every nu < 1.0, not only those below 1 - bound
-        original = gaussian._spectrum_bound
-
-        def no_margin(covs):
-            return 0.0, original(covs)[1]
-
-        monkeypatch.setattr(gaussian, "_spectrum_bound", no_margin)
+    def test_cutoff_at_one_fails_swapped_memory_pin(self, monkeypatch, indium_params):
+        # log_negativity counts every nu < 1.0, not only those below 1 - bound;
+        # the blocks of a product state no longer cross the cut, so the round-off
+        # correlations that the swap leaves are what reach the cutoff
+        assert_swapped_memory_carries_no_negativity(indium_params)
+        monkeypatch.setattr(gaussian, "log_negativity", mutated(
+            gaussian, "log_negativity", "v < 1.0 - bound", "v < 1.0"))
         with pytest.raises(AssertionError):
-            assert_product_states_carry_no_negativity()
+            assert_swapped_memory_carries_no_negativity(indium_params)
 
     def test_unsymmetrised_map_fails_exact_symmetry(self, monkeypatch, rng):
         def unsymmetrised(state, s):
