@@ -205,7 +205,3 @@ def main(argv=None) -> int:
                   else "io error" if isinstance(exc, OSError) else "error")
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_PHYSICS if isinstance(exc, RegimeError) else EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -60,6 +60,16 @@ MAX_SECTOR_STATES = 2 ** 21
 # would need about 4.4e4, by extrapolation.
 MAX_RHO_T = 2 ** 20
 
+# Every sum over amplitudes below is numpy's own pairwise sum, never a BLAS
+# dot product (np.linalg.norm, np.vdot, np.dot): OpenBLAS splits those across
+# its threads above 10,000 elements, so their last digits would follow the
+# thread count, and with it the CPU count.
+
+
+def _norm(values: np.ndarray) -> float:
+    """The 2-norm of ``values``, summed in an order that no thread count changes."""
+    return math.sqrt(float((values.real ** 2 + values.imag ** 2).sum()))
+
 
 @dataclass(frozen=True, eq=False)
 class FockState:
@@ -96,7 +106,7 @@ class FockState:
         nonzero = values != 0
         if not nonzero.all():
             support, values = support[nonzero], values[nonzero]
-        norm = float(np.linalg.norm(values))
+        norm = _norm(values)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise StateError(f"state norm is {norm!r}, expected 1")
         object.__setattr__(self, "dims", dims)
@@ -423,7 +433,7 @@ def evolve_exact(state: FockState, hamiltonian: SectorHamiltonian, t: float,
     # the one sort, by flat index, before the norm sums in that order
     ascending = np.argsort(support)
     support, evolved = support[ascending], evolved[ascending]
-    norm = float(np.linalg.norm(evolved))
+    norm = _norm(evolved)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"propagation lost unitarity: norm {norm!r}")
     out = FockState(state.dims, support, evolved / norm)
@@ -462,7 +472,7 @@ def _raised(support: np.ndarray, values: np.ndarray, n: np.ndarray, stride: int,
 
 def _inner_products(bra: tuple, kets: list) -> np.ndarray:
     """<bra|ket> for each ket, every vector held as (ascending support, values)."""
-    return np.array([np.vdot(_gather(*bra, support), values) for support, values in kets])
+    return np.array([(_gather(*bra, support).conj() * values).sum() for support, values in kets])
 
 
 def observables(state: FockState) -> FockObservables:
@@ -485,7 +495,7 @@ def observables(state: FockState) -> FockObservables:
                       for i in range(3)]) - np.outer(disp, disp)
     del low     # before the (d1, d2) joint distribution is allocated
     pop = np.abs(psi) ** 2
-    means = np.array([float(np.dot(pop, n)) for n in levels])
+    means = np.array([float((pop * n).sum()) for n in levels])
 
     cov = np.empty((6, 6))
     for i in range(3):

@@ -3,9 +3,15 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ionlight.cli import bundled_config_path, read_run_config
 from ionlight.gaussian import drift
+
+# Every hypothesis test draws the same examples on every run, keeps no example
+# database and has no per-example deadline: a run's wall time is not a check.
+settings.register_profile("ionlight", derandomize=True, database=None, deadline=None)
+settings.load_profile("ionlight")
 
 
 @pytest.fixture(scope="session")

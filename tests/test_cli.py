@@ -1,15 +1,20 @@
 import ast
+import cmath
+import json
 import math
+import os
 import re
+import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ionlight import cli, protocol
+from ionlight import cli
 from ionlight.cli import (EXIT_OK, EXIT_PHYSICS, EXIT_USAGE,
                           bundled_config_path, main, read_run_config)
-from ionlight.params import CONFIG_KEYS, coupling_constants
+from ionlight.params import CONFIG_KEYS, coupling_constants, load_config
+from test_pinned_outputs import PINNED, corpus_record, edited_config, run_cli
 
 INDIUM = str(bundled_config_path())
 
@@ -372,19 +377,179 @@ class TestOneFailurePath:
 
 RUN_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.field is None]
 PHYSICAL_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.field is not None]
-# zero, negative, the least subnormal, tiny, huge and near the largest double
+# The subcommands that read each config key.  The physical keys reach every
+# command that builds the parameters.
+PARAMS_COMMANDS = ("validate", "couplings", "simulate", "sequential")
+READERS = {
+    **{key: PARAMS_COMMANDS for key in PHYSICAL_KEYS},
+    "ratio": ("validate", "simulate"), "soft_ratio": ("validate",),
+    **{key: ("fig3",) for key in ("kappa_dt", "theta1", "theta2", "t_max", "t_step",
+                                  "fig3_r_list")},
+    "oracle_r": ("oracle-check",), "oracle_dims": ("oracle-check",),
+    **{key: ("sequential",) for key in ("seq_t1", "seq_kappa_t12", "seq_swap_area")},
+}
+PHYSICAL_ARGVS = [[command] for command in PARAMS_COMMANDS] + [["simulate", "--force"]]
+
+# The key table's fixed values.  Every key takes zero, negative, the least
+# subnormal, tiny, huge and near the largest double (oracle_dims for all three
+# modes), then NaN, +-inf, an integer, the empty value, a word, a complex
+# literal and a comma list; some keys take values of their own besides.
 EXTREME_VALUES = ["0", "-1", "5e-324", "1e-300", "1e300", "1e308"]
+EXAMPLES = ["nan", "-inf", "inf", "5e-324", "-1e308", "1e308", "7", "", "word", "(1+2j)",
+            "1, 2, 3"]
+EXTREMES = [("g1_hz", "1e-200"), ("g1_hz", "1e200"), ("omega_rabi_hz", "1e200"),
+            ("fig3_r_list", "1e200"), ("oracle_r", "1.000000000001"), ("wavenumber", "1e200")]
+NON_FINITE = [("sequential", "seq_t1", "inf"), ("fig3", "t_max", "nan"),
+              ("oracle-check", "oracle_r", "nan"), ("fig3", "fig3_r_list", "nan"),
+              ("validate", "delta_hz", "nan")]
 
 
-def assert_exit_code(code, err, *context):
-    """An exit code of the documented three, and an ``error:`` line on every exit 1."""
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (*context, code)
+def table_value(key, value):
+    return ",".join([value] * 3) if key == "oracle_dims" else value
+
+
+KEY_VALUES = {key: list(dict.fromkeys([
+    *(table_value(key, value) for value in EXTREME_VALUES), *EXAMPLES,
+    *(value for k, value in EXTREMES if k == key),
+    *(value for _, k, value in NON_FINITE if k == key)])) for key in CONFIG_KEYS}
+
+
+def parser_refuses(key, value):
+    try:
+        CONFIG_KEYS[key].parse(value)
+    except ValueError:
+        return True
+    return False
+
+
+def key_runs(key):
+    """(argv, value) of each run of ``key``'s values through each subcommand that reads it.
+
+    A physical key also runs through ``simulate --force``.  A value the key's
+    parser refuses runs once: main reads the whole config before it
+    dispatches, so every subcommand refuses it with the same line.
+    """
+    argvs = PHYSICAL_ARGVS if key in PHYSICAL_KEYS else [[command] for command in READERS[key]]
+    return [(argv, value) for value in KEY_VALUES[key]
+            for argv in (argvs[:1] if parser_refuses(key, value) else argvs)]
+
+
+def key_line(key):
+    """The line of ``key`` in the bundled config with it set."""
+    return 1 + [text.split("=")[0].strip()
+                for text in edited_config({key: "0"}).splitlines()].index(key)
+
+
+def run_key_table(key, work_dir):
+    """{run name: (value, exit code, stdout, stderr, files left)} of each run of ``key``.
+
+    Each run reads the bundled config with ``key`` set, in the empty
+    directory ``work_dir/run``; fig3 writes to ``out`` there, so its stdout
+    names no temporary directory.
+    """
+    config, run_dir, cwd = work_dir / "key.cfg", work_dir / "run", os.getcwd()
+    run_dir.mkdir(parents=True)
+    os.chdir(run_dir)
+    try:
+        runs = {}
+        for argv, value in key_runs(key):
+            config.write_text(edited_config({key: value}), encoding="utf-8")
+            out_dir = ["--out", "out"] if argv == ["fig3"] else []
+            code, out, err = run_cli([*argv, "--config", str(config), *out_dir])
+            runs[f"{' '.join(argv)}: {value!r}"] = (value, code, out, err, os.listdir())
+            shutil.rmtree("out", ignore_errors=True)
+        return runs
+    finally:
+        os.chdir(cwd)
+
+
+def assert_documented_outcome(code, out, err, context):
+    """One of the three exit codes, no traceback, and the sign each failure carries."""
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), context
+    assert "Traceback" not in err, context
     if code == EXIT_USAGE:
-        assert "error:" in err, (*context, err)
+        assert re.search(r"^(config )?error: ", err, re.MULTILINE), context
+    elif code == EXIT_PHYSICS:
+        assert (re.search(r"^error: ", err, re.MULTILINE)
+                or "overall: FAIL" in out or "MISMATCH" in err), context
+
+
+BUNDLED = {key: CONFIG_KEYS[key].parse(raw) for key, (raw, _) in load_config(INDIUM).items()}
+
+
+def near_bundled(key):
+    """0, or the bundled value (1 where it is 0) times +-10^[-3, 3], complex ones at any phase."""
+    base = BUNDLED[key] or 1.0
+    factor = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                       st.floats(-3.0, 3.0), st.sampled_from([1, -1]))
+    if isinstance(base, complex):
+        factor = st.builds(lambda f, phase: f * cmath.exp(1j * phase),
+                           factor, st.floats(-math.pi, math.pi))
+    return st.just("0") | factor.map(lambda f: repr(base * f))
+
+
+PAIRS = (st.lists(st.sampled_from(PHYSICAL_KEYS), min_size=2, max_size=2, unique=True)
+         .flatmap(lambda keys: st.fixed_dictionaries({key: near_bundled(key) for key in keys})))
+
+
+@pytest.fixture(scope="module")
+def pinned_table():
+    return json.loads(PINNED.read_text(encoding="utf-8"))["key table"]
+
+
+def assert_pinned_outcomes(pinned_table, key, values):
+    """Each value is pinned for ``key``, every run of it with an exit code of the three
+    and exit 1 with its ``error:`` line; TestKeyTable holds the live runs to these records."""
+    for value in values:
+        records = [record for name, record in pinned_table[key].items()
+                   if name.endswith(f": {value!r}")]
+        assert records, value
+        for record in records:
+            assert record["exit_code"] in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (value, record)
+            if record["exit_code"] == EXIT_USAGE:
+                assert re.match(r"(config )?error: ", record["stderr"]), (value, record)
+
+
+class TestKeyTable:
+    """The CLI driven from the key table: each key's fixed values through each subcommand that reads it.
+
+    Each run ends in a documented exit code: 1 with an ``error:`` line, which
+    is ``config error: line N: key 'K'`` for a value the key's parser refuses;
+    2 with the regime gate's ``error:`` line, validate's FAIL report or the
+    oracle's MISMATCH line.  A refusal writes no file.  An exception escaping
+    ``cli.main`` fails the test by itself, and so does any numpy warning,
+    under the strict floating-point fixture.  Each run's exit code, stdout
+    sha256 and first stderr line after the version line are pinned.
+    """
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_every_reader_gives_its_pinned_record(self, pinned_table, tmp_path, key):
+        runs = run_key_table(key, tmp_path)
+        assert list(runs) == list(pinned_table[key])
+        for name, (value, code, out, err, left) in runs.items():
+            context = (key, name, err)
+            assert_documented_outcome(code, out, err, context)
+            assert left == (["out"] if code == EXIT_OK and name.startswith("fig3") else []), context
+            if parser_refuses(key, value):
+                refusal = f"key '{key}'" if value else "expected 'key = value'"
+                assert re.search(rf"^config error: line {key_line(key)}: {refusal}", err,
+                                 re.MULTILINE), context
+            assert corpus_record(code, out, err) == pinned_table[key][name], (
+                f"{name} of {key} moved; its output now:\n"
+                f"exit code {code}, stderr:\n{err}stdout:\n{out}")
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=PAIRS)
+    def test_pairs_of_physical_keys_end_in_an_exit_code(self, tmp_path, edits):
+        config = tmp_path / "pair.cfg"
+        config.write_text(edited_config(edits), encoding="utf-8")
+        for argv in PHYSICAL_ARGVS:
+            code, out, err = run_cli([*argv, "--config", str(config)])
+            assert_documented_outcome(code, out, err, (edits, argv, err))
 
 
 class TestRunKeyTable:
-    """The CLI driven from the key table: every run-level key at extreme values."""
+    """Run-level keys: their defaults, and the pinned runs of each extreme value."""
 
     def test_defaults_come_from_the_table(self):
         assert vars(read_run_config()) == {
@@ -392,30 +557,16 @@ class TestRunKeyTable:
 
     @pytest.mark.parametrize("value", EXTREME_VALUES)
     @pytest.mark.parametrize("key", RUN_KEYS)
-    def test_every_command_ends_in_an_exit_code(self, capsys, tmp_path, key, value):
-        raw = ",".join([value] * 3) if key == "oracle_dims" else value
-        cfg = rewrite_config(tmp_path, "run.cfg", drop={key}, extra=[f"{key} = {raw}"])
-        for command in cli.COMMANDS:
-            code, _, err = run(capsys, command, *flags(command, cfg, tmp_path))
-            assert_exit_code(code, err, command)
+    def test_every_command_ends_in_an_exit_code(self, pinned_table, key, value):
+        assert_pinned_outcomes(pinned_table, key, [table_value(key, value)])
 
 
 class TestPhysicalKeyTable:
-    """The CLI driven from the key table: every physical key at extreme values.
-
-    An exception escaping ``cli.main`` fails the test by itself, and so does
-    any numpy warning, under the strict floating-point fixture.
-    """
+    """Physical keys: the pinned runs of each extreme value, and the refusals it names."""
 
     @pytest.mark.parametrize("key", PHYSICAL_KEYS)
-    def test_every_command_ends_in_an_exit_code(self, capsys, tmp_path, key):
-        for value in EXTREME_VALUES:
-            cfg = rewrite_config(tmp_path, "physical.cfg", drop={key},
-                                 extra=[f"{key} = {value}"])
-            for argv in (["validate"], ["couplings"], ["simulate"], ["simulate", "--force"],
-                         ["sequential"]):
-                code, _, err = run(capsys, argv[0], "--config", cfg, *argv[1:])
-                assert_exit_code(code, err, value, argv)
+    def test_every_command_ends_in_an_exit_code(self, pinned_table, key):
+        assert_pinned_outcomes(pinned_table, key, EXTREME_VALUES)
 
     @pytest.mark.parametrize("delta_hz", ["0", "5e-324", "1e-300"])
     def test_vanishing_delta_squared_is_a_fail_report(self, capsys, tmp_path, delta_hz):
@@ -451,38 +602,20 @@ class TestPhysicalKeyTable:
 
 
 class TestNonFiniteValues:
-    @pytest.mark.parametrize("command,key,value", [
-        ("sequential", "seq_t1", "inf"),
-        ("fig3", "t_max", "nan"),
-        ("oracle-check", "oracle_r", "nan"),
-        ("fig3", "fig3_r_list", "nan"),
-        ("validate", "delta_hz", "nan"),
-    ])
-    def test_rejected_with_line_number(self, capsys, tmp_path, command, key, value):
-        cfg = rewrite_config(tmp_path, "bad.cfg", drop={key}, extra=[f"{key} = {value}"])
-        lineno = len(Path(cfg).read_text().splitlines())
-        code, _, err = run(capsys, command, *flags(command, cfg, tmp_path / "x"))
-        assert code == EXIT_USAGE
-        assert re.search(rf"^\S*\s*error: line {lineno}: key '{key}'", err, re.MULTILINE)
-        assert "Traceback" not in err
-        assert not (tmp_path / "x").exists()
+    @pytest.mark.parametrize("command,key,value", NON_FINITE)
+    def test_rejected_with_line_number(self, pinned_table, command, key, value):
+        # the one run of a refused value is its first reader's
+        record = pinned_table[key][f"{command}: {value!r}"]
+        assert record["exit_code"] == EXIT_USAGE
+        assert record["stderr"].startswith(f"config error: line {key_line(key)}: key '{key}'")
 
 
 class TestExtremeFiniteValues:
-    """Finite values far from the operating point end in an exit code, never a traceback."""
-
-    EXTREMES = [("g1_hz", "1e-200"), ("g1_hz", "1e200"), ("omega_rabi_hz", "1e200"),
-                ("fig3_r_list", "1e200"), ("oracle_r", "1.000000000001"),
-                ("wavenumber", "1e200")]
+    """Finite values far from the operating point: their pinned runs, and their messages."""
 
     @pytest.mark.parametrize("key,value", EXTREMES, ids=[f"{k}={v}" for k, v in EXTREMES])
-    def test_every_command_exits_cleanly(self, capsys, tmp_path, key, value):
-        cfg = rewrite_config(tmp_path, "extreme.cfg", drop={key}, extra=[f"{key} = {value}"])
-        for command in ("validate", "couplings", "simulate", "fig3", "sequential",
-                        "oracle-check"):
-            # an exception escaping main fails the test by itself
-            code, _, err = run(capsys, command, *flags(command, cfg, tmp_path / "x"))
-            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (command, err)
+    def test_every_command_exits_cleanly(self, pinned_table, key, value):
+        assert_pinned_outcomes(pinned_table, key, [value])
 
     @pytest.mark.parametrize("command,key,name", [("fig3", "theta1", "theta1"),
                                                   ("sequential", "seq_swap_area", "swap_area"),
@@ -568,73 +701,12 @@ class TestNoMatrixExponential:
                                                              indium_params.kappa), c.t_pi)
 
 
-# The subcommands that read each config key.  The physical keys reach every
-# command that builds the parameters.
-PARAMS_COMMANDS = ("validate", "couplings", "simulate", "sequential")
-READERS = {
-    **{key: PARAMS_COMMANDS for key in PHYSICAL_KEYS},
-    "ratio": ("validate", "simulate"), "soft_ratio": ("validate",),
-    **{key: ("fig3",) for key in ("kappa_dt", "theta1", "theta2", "t_max", "t_step",
-                                  "fig3_r_list")},
-    "oracle_r": ("oracle-check",), "oracle_dims": ("oracle-check",),
-    **{key: ("sequential",) for key in ("seq_t1", "seq_kappa_t12", "seq_swap_area")},
-}
-# A drawn oracle_r runs on a small basis: near r = 1 the suggested one takes minutes.
-DRAW_BASE = {"oracle_r": ["oracle_dims = 6, 6, 6"]}
-
-# Floats with NaN, +-inf and subnormals, integers, the empty value, a word, a
-# complex literal and a comma list; the test's examples pin one of each.
-VALUES = st.one_of(
-    st.floats().map(repr),
-    st.integers().map(str),
-    st.just(""),
-    st.from_regex(r"[a-z]{1,8}", fullmatch=True),
-    st.builds(complex, st.floats(), st.floats()).map(repr),
-    st.lists(st.one_of(st.integers(-2, 12), st.floats(-4.0, 4.0)), min_size=2, max_size=4)
-    .map(lambda items: ", ".join(map(repr, items))),
-)
-
-
 class TestDrawnValues:
-    """Drawn values of every config key, through every subcommand that reads the key.
-
-    Each ends in a documented exit code: 1 with an ``error:`` line
-    (``config error:`` while the file is read), 2 with the regime gate's
-    ``error:`` line, ``validate``'s FAIL report or the oracle's MISMATCH line.
-    """
+    """Every key has its readers, and pinned runs of a value of each kind."""
 
     def test_every_key_has_its_readers(self):
         assert set(READERS) == set(CONFIG_KEYS)
 
     @pytest.mark.parametrize("key", list(CONFIG_KEYS))
-    @settings(max_examples=10, derandomize=True, deadline=None, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(value=VALUES)
-    @example(value="nan")
-    @example(value="-inf")
-    @example(value="inf")
-    @example(value="5e-324")
-    @example(value="-1e308")
-    @example(value="1e308")
-    @example(value="7")
-    @example(value="")
-    @example(value="word")
-    @example(value="(1+2j)")
-    @example(value="1, 2, 3")
-    def test_every_reader_ends_in_an_exit_code(self, capsys, tmp_path, monkeypatch, key,
-                                               value):
-        # a drawn t_max or t_step may ask for up to a million points per
-        # trace, seconds of CSV: a smaller cap takes the same refusal path
-        monkeypatch.setattr(protocol, "MAX_GRID_POINTS", 4001)
-        cfg = rewrite_config(tmp_path, "drawn.cfg", drop={key},
-                             extra=[*DRAW_BASE.get(key, []), f"{key} = {value}"])
-        for command in READERS[key]:
-            code, out, err = run(capsys, command, *flags(command, cfg, tmp_path / "out"))
-            context = (command, key, value, err)
-            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), context
-            assert "Traceback" not in err, context
-            if code == EXIT_USAGE:
-                assert re.search(r"^(config )?error: ", err, re.MULTILINE), context
-            elif code == EXIT_PHYSICS:
-                assert (re.search(r"^error: ", err, re.MULTILINE)
-                        or "overall: FAIL" in out or "MISMATCH" in err), context
+    def test_every_reader_ends_in_an_exit_code(self, pinned_table, key):
+        assert_pinned_outcomes(pinned_table, key, EXAMPLES)

@@ -1,9 +1,12 @@
-"""What each entry point imports, and the lazy package namespace.
+"""What each entry point imports, the process entry, and the lazy package namespace.
 
 ``import ionlight`` resolves its public names on first use, and each CLI
 subcommand imports only the layers it runs: ``validate`` and ``couplings``
 need no numpy, and no entry point loads scipy, which the tests alone use,
-as a reference.  Module loading is checked in fresh interpreters, never by timing.
+as a reference.  Only the process entry sets numpy's OpenBLAS to one thread.
+Three fresh interpreters check this, never by timing: two run a sequence of
+steps and report after each what it has loaded, the BLAS thread variable,
+the process's thread count, and the step's result and stdout.
 """
 
 import argparse
@@ -23,98 +26,35 @@ from ionlight.cli import bundled_config_path
 from test_pinned_outputs import CASES, PINNED, case_argv
 
 SRC = str(Path(ionlight.__file__).resolve().parents[1])
-INDIUM = str(bundled_config_path())
-NUMERIC = ("numpy", "scipy")
-
-
-def fresh_run(code: str) -> dict:
-    """Run ``code`` in a new interpreter on this checkout's sources.
-
-    ``code`` may set ``result``; returns it with the NUMERIC packages that
-    were loaded by the end.  Anything the code prints is discarded.
-    """
-    script = "\n".join([
-        "import contextlib, io, json, sys",
-        "result = None",
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
-        *("    " + line for line in code.splitlines()),
-        f"loaded = [name for name in {NUMERIC!r} if name in sys.modules]",
-        "print(json.dumps({'result': result, 'loaded': loaded}))",
-    ])
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def cli_run(*argv) -> dict:
-    return fresh_run(f"from ionlight import cli\nresult = cli.main({list(argv)!r})")
-
-
-class TestImportGraph:
-    @pytest.mark.parametrize("code", ["import ionlight", "import ionlight.cli",
-                                      "from ionlight import coupling_constants, validate_regime"])
-    def test_import_loads_no_numpy(self, code):
-        assert fresh_run(code)["loaded"] == []
-
-    @pytest.mark.parametrize("command", ["validate", "couplings"])
-    def test_parameter_commands_load_no_numpy(self, command):
-        assert cli_run(command, "--config", INDIUM) == {"result": 0, "loaded": []}
-
-    def test_usage_error_loads_no_numpy(self):
-        assert cli_run("simulate") == {"result": 1, "loaded": []}
-        assert cli_run("no-such-command") == {"result": 1, "loaded": []}
-
-    def test_config_error_loads_no_numpy(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(bundled_config_path().read_text() + "no_such_key = 1\n")
-        assert cli_run("simulate", "--config", str(bad)) == {"result": 1, "loaded": []}
-
-    @pytest.mark.parametrize("command", ["simulate", "sequential", "fig3"])
-    def test_protocol_commands_load_no_scipy(self, command, tmp_path):
-        out_dir = ["--out", str(tmp_path)] if command == "fig3" else []
-        out = cli_run(command, "--config", INDIUM, *out_dir)
-        assert out == {"result": 0, "loaded": ["numpy"]}
-
-    def test_oracle_check_loads_numpy_only(self):
-        # the sector blocks are numpy stencils, not scipy.sparse matrices
-        assert cli_run("oracle-check") == {"result": 0, "loaded": ["numpy"]}
-
-    def test_fock_oracle_import_loads_numpy_only(self):
-        assert fresh_run("import ionlight.fock_oracle") == {"result": None, "loaded": ["numpy"]}
-
-    def test_oracle_check_loads_no_csgraph(self):
-        # the oracle's sectors come from index arithmetic, not a graph search
-        out = fresh_run("\n".join([
-            "import sys",
-            "from ionlight import cli",
-            "result = [cli.main(['oracle-check']), 'scipy.sparse.csgraph' in sys.modules]",
-        ]))
-        assert out["result"] == [0, False]
-
-    def test_oracle_check_loads_no_scipy_linalg(self):
-        # the oracle propagates by a Chebyshev series on its stencil blocks
-        out = fresh_run("\n".join([
-            "import sys",
-            "from ionlight import cli",
-            "result = [cli.main(['oracle-check']),",
-            "          [name for name in ('scipy.linalg', 'scipy.sparse.linalg') if name in sys.modules]]",
-        ]))
-        assert out["result"] == [0, []]
-
-    def test_gaussian_evolve_loads_no_scipy(self):
-        out = fresh_run("\n".join([
-            "import ionlight.gaussian as g",
-            "dynamics = g.dynamics_from_couplings(1.0, 1.5, 0.1)",
-            "state = g.evolve(g.vacuum(3, ('cav1', 'cav2', 'motion')), dynamics, 2.0)",
-            "result = g.mean_photons(state, 'cav1') > 0.0",
-        ]))
-        assert out == {"result": True, "loaded": ["numpy"]}
-
-
 ROOT = Path(__file__).resolve().parents[1]
+INDIUM = str(bundled_config_path())
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+WATCHED = ("numpy", "scipy", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+
+# The child's loop.  ``entry(*argv)`` runs the process entry as ``python -m
+# ionlight`` does and returns its exit code.
+CHILD = f"""
+import contextlib, io, json, os, runpy, sys
+
+def entry(*argv):
+    sys.argv = ["ionlight", *argv]
+    try:
+        runpy.run_module("ionlight", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code
+
+reports = {{}}
+for name, step in json.loads(sys.argv[1]).items():
+    result, out = None, io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        exec(step)
+    reports[name] = {{
+        "result": result, "stdout": out.getvalue(),
+        "loaded": [module for module in {WATCHED!r} if module in sys.modules],
+        "blas": os.environ.get({BLAS_THREADS!r}),
+        "tasks": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None}}
+print(json.dumps(reports))
+"""
 
 
 def entry_env(**extra) -> dict:
@@ -123,26 +63,100 @@ def entry_env(**extra) -> dict:
     return dict(env, PYTHONPATH=SRC, **extra)
 
 
-def blas_setting_after(code: str, **extra) -> dict:
-    """Run ``code`` and then ``import numpy`` in a new interpreter.
-
-    Returns the BLAS thread variable after each step, and the number of
-    threads the process runs once numpy has loaded (None off Linux).
-    """
-    script = "\n".join([
-        "import contextlib, io, json, os, sys",
-        f"seen = [os.environ.get({BLAS_THREADS!r})]",
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
-        *(f"    {line}\n    seen.append(os.environ.get({BLAS_THREADS!r}))"
-          for line in code.splitlines()),
-        "import numpy",
-        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None",
-        "print(json.dumps({'seen': seen, 'tasks': tasks}))",
-    ])
-    proc = subprocess.run([sys.executable, "-c", script], env=entry_env(**extra),
-                          capture_output=True, text=True, timeout=120)
+def run_steps(steps: dict) -> dict:
+    """{name: report after the step} of ``steps``, {name: Python source}, run in order
+    in one new interpreter.  A step may set ``result``; what it prints is its stdout."""
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(steps)], env=entry_env(),
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main_step(*argv) -> str:
+    return f"from ionlight import cli\nresult = cli.main({list(argv)!r})"
+
+
+IMPORTS = ["import ionlight", "import ionlight.cli",
+           "from ionlight import coupling_constants, validate_regime"]
+PARAMETER_COMMANDS = ["validate", "couplings"]
+PROTOCOL_COMMANDS = ["simulate", "sequential", "fig3"]
+
+
+@pytest.fixture(scope="module")
+def library(tmp_path_factory):
+    """The library and an in-process ``cli.main``, in this order in one interpreter:
+    first what loads no numpy, then what does, last the caller's BLAS setting."""
+    tmp = tmp_path_factory.mktemp("library")
+    bad = tmp / "bad.cfg"
+    bad.write_text(bundled_config_path().read_text() + "no_such_key = 1\n")
+    return run_steps({
+        **{code: code for code in IMPORTS},
+        **{command: main_step(command, "--config", INDIUM) for command in PARAMETER_COMMANDS},
+        "no config": main_step("simulate"), "no such command": main_step("no-such-command"),
+        "config error": main_step("simulate", "--config", str(bad)),
+        **{command: main_step(command, "--config", INDIUM,
+                              *(["--out", str(tmp)] if command == "fig3" else []))
+           for command in PROTOCOL_COMMANDS},
+        "oracle-check": main_step("oracle-check"),
+        "fock_oracle": "import ionlight.fock_oracle",
+        "evolve": "\n".join([
+            "import ionlight.gaussian as g",
+            "dynamics = g.dynamics_from_couplings(1.0, 1.5, 0.1)",
+            "state = g.evolve(g.vacuum(3, ('cav1', 'cav2', 'motion')), dynamics, 2.0)",
+            "result = g.mean_photons(state, 'cav1') > 0.0"]),
+        "caller's setting": f"os.environ[{BLAS_THREADS!r}] = '2'",
+        "entry import": "import ionlight.__main__",
+    })
+
+
+@pytest.fixture(scope="module")
+def entry(tmp_path_factory):
+    """Each pinned case through the process entry, in one interpreter, from an unset variable."""
+    tmp = tmp_path_factory.mktemp("entry")
+    return run_steps({"start": "pass", **{case: f"result = entry(*{case_argv(case, tmp)!r})"
+                                          for case in CASES}})
+
+
+def outcome(report):
+    return report["result"], report["loaded"]
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("code", IMPORTS)
+    def test_import_loads_no_numpy(self, library, code):
+        assert library[code]["loaded"] == []
+
+    @pytest.mark.parametrize("command", PARAMETER_COMMANDS)
+    def test_parameter_commands_load_no_numpy(self, library, command):
+        assert outcome(library[command]) == (0, [])
+
+    def test_usage_error_loads_no_numpy(self, library):
+        assert outcome(library["no config"]) == outcome(library["no such command"]) == (1, [])
+
+    def test_config_error_loads_no_numpy(self, library):
+        assert outcome(library["config error"]) == (1, [])
+
+    @pytest.mark.parametrize("command", PROTOCOL_COMMANDS)
+    def test_protocol_commands_load_no_scipy(self, library, command):
+        assert outcome(library[command]) == (0, ["numpy"])
+
+    def test_oracle_check_loads_numpy_only(self, library):
+        # the sector blocks are numpy stencils, not scipy.sparse matrices
+        assert outcome(library["oracle-check"]) == (0, ["numpy"])
+
+    def test_fock_oracle_import_loads_numpy_only(self, library):
+        assert library["fock_oracle"]["loaded"] == ["numpy"]
+
+    def test_oracle_check_loads_no_csgraph(self, library):
+        # the oracle's sectors come from index arithmetic, not a graph search
+        assert "scipy.sparse.csgraph" not in library["oracle-check"]["loaded"]
+
+    def test_oracle_check_loads_no_scipy_linalg(self, library):
+        # the oracle propagates by a Chebyshev series on its stencil blocks
+        assert not {"scipy.linalg", "scipy.sparse.linalg"} & set(library["oracle-check"]["loaded"])
+
+    def test_gaussian_evolve_loads_no_scipy(self, library):
+        assert outcome(library["evolve"]) == (True, ["numpy"])
 
 
 class TestProcessEntry:
@@ -152,32 +166,39 @@ class TestProcessEntry:
     ``cli.main`` leave the environment as they found it.
     """
 
-    def test_entry_runs_blas_on_one_thread(self):
-        out = blas_setting_after("import ionlight.__main__")
-        assert out["seen"] == [None, "1"]
-        if out["tasks"] is not None:
-            assert out["tasks"] == 1
+    def test_entry_runs_blas_on_one_thread(self, entry):
+        assert [entry[step]["blas"] for step in ("start", "validate")] == [None, "1"]
+        assert entry["simulate"]["loaded"] == ["numpy"]
+        if entry["simulate"]["tasks"] is not None:
+            assert entry["simulate"]["tasks"] == 1
 
-    def test_the_callers_setting_wins(self):
-        out = blas_setting_after("import ionlight.__main__", **{BLAS_THREADS: "2"})
-        assert out["seen"] == ["2", "2"]
+    def test_the_callers_setting_wins(self, library):
+        assert [library[step]["blas"] for step in ("caller's setting", "entry import")] == [
+            "2", "2"]
 
-    def test_library_and_in_process_cli_leave_the_setting_alone(self):
-        out = blas_setting_after("\n".join([
-            "import ionlight",
-            "import ionlight.cli",
-            f"ionlight.cli.main(['simulate', '--config', {INDIUM!r}])"]))
-        assert out["seen"] == [None, None, None, None]
+    def test_library_and_in_process_cli_leave_the_setting_alone(self, library):
+        assert [library[step]["blas"] for step in (*IMPORTS[:2], "simulate")] == [None] * 3
 
     def test_installed_script_is_the_process_entry(self):
         import tomllib
         project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
         assert project["project"]["scripts"] == {"ionlight": "ionlight.__main__:main"}
+        # python -m ionlight.cli would run numpy's default threads: cli.py is no entry
+        assert "__main__" not in (ROOT / "src" / "ionlight" / "cli.py").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("case", CASES)
-    def test_entry_gives_the_pinned_outputs(self, tmp_path, case):
+    def test_entry_gives_the_pinned_outputs(self, entry, case):
+        want = json.loads(PINNED.read_text(encoding="utf-8"))[case]
+        assert (entry[case]["result"], entry[case]["stdout"]) == (want["exit_code"], want["stdout"])
+
+    def test_two_blas_threads_give_the_pinned_digits(self, tmp_path):
+        # python -m ionlight itself, where the caller's setting wins: at r = 1.4
+        # the oracle sums over more than the 10,000 states past which OpenBLAS
+        # would split a dot product across its threads
+        case = "oracle-check r=1.4"
         proc = subprocess.run([sys.executable, "-m", "ionlight", *case_argv(case, tmp_path)],
-                              env=entry_env(), capture_output=True, text=True, timeout=120)
+                              env=entry_env(**{BLAS_THREADS: "2"}), capture_output=True,
+                              text=True, timeout=120)
         want = json.loads(PINNED.read_text(encoding="utf-8"))[case]
         assert (proc.returncode, proc.stdout) == (want["exit_code"], want["stdout"])
 

@@ -2,15 +2,16 @@
 
 ``pinned_outputs.json`` holds the stdout and exit code of ``validate``,
 ``couplings``, ``simulate`` and ``sequential`` on the indium config, of
-``oracle-check`` at four ``oracle_r``, and the sha256 of each CSV that
+``oracle-check`` at five ``oracle_r``, and the sha256 of each CSV that
 ``fig3`` writes by default.  For the same four commands on each config of
 :func:`corpus_configs` it holds the exit code, the sha256 of stdout and the
-first stderr line after the version line.  A refactor that claims the same
-outputs must pass this file unedited.  Any change to the file is a change
-of output.
+first stderr line after the version line, and so it does for each run of
+the key table of ``test_cli.py``.  A refactor that claims the same outputs
+must pass this file unedited.  Any change to the file is a change of output.
 
 To write the file again from the code as it stands (a deliberate change of
-output, to be recorded as such), run ``python tests/test_pinned_outputs.py``.
+output, to be recorded as such), run ``PYTHONPATH=src python
+tests/test_pinned_outputs.py``.
 """
 
 import contextlib
@@ -24,10 +25,11 @@ from pathlib import Path
 import pytest
 
 from ionlight.cli import bundled_config_path, main
-from ionlight.params import coupling_constants, params_from_config, parse_config_text
+from ionlight.params import (CONFIG_KEYS, coupling_constants, params_from_config,
+                             parse_config_text)
 
 PINNED = Path(__file__).with_name("pinned_outputs.json")
-ORACLE_RS = ("1.5", "2", "2.5", "3")
+ORACLE_RS = ("1.4", "1.5", "2", "2.5", "3")
 COMMANDS = ("validate", "couplings", "simulate", "sequential")
 CASES = [*COMMANDS, *(f"oracle-check r={r}" for r in ORACLE_RS)]
 CORPUS_SEED = 20240917
@@ -79,8 +81,9 @@ def run_cli(argv) -> tuple:
 def case_argv(case: str, tmp_dir: Path) -> list:
     """The argv of one pinned case; an oracle case writes its config to ``tmp_dir``."""
     if case.startswith("oracle-check"):
-        config = tmp_dir / "oracle.cfg"
-        config.write_text(f"oracle_r = {case.split('=')[1]}\n")
+        r = case.split("=")[1]
+        config = tmp_dir / f"oracle_r{r}.cfg"
+        config.write_text(f"oracle_r = {r}\n")
         return ["oracle-check", "--config", str(config)]
     return [case, "--config", str(bundled_config_path())]
 
@@ -91,19 +94,16 @@ def run_case(case: str, tmp_dir: Path) -> tuple:
 
 
 def run_corpus_config(edits: dict, tmp_dir: Path) -> dict:
-    """{command: (exit code, stdout, first stderr line after the version line, or None)}."""
+    """{command: (exit code, stdout, stderr)}."""
     config = tmp_dir / "corpus.cfg"
     config.write_text(edited_config(edits), encoding="utf-8")
-    runs = {}
-    for command in COMMANDS:
-        code, out, err = run_cli([command, "--config", str(config)])
-        runs[command] = (code, out, (err.splitlines()[1:] or [None])[0])
-    return runs
+    return {command: run_cli([command, "--config", str(config)]) for command in COMMANDS}
 
 
-def corpus_record(code: int, out: str, err_line) -> dict:
+def corpus_record(code: int, out: str, err: str) -> dict:
+    """The exit code, the sha256 of stdout and the first stderr line after the version line."""
     return {"exit_code": code, "stdout sha256": hashlib.sha256(out.encode()).hexdigest(),
-            "stderr": err_line}
+            "stderr": (err.splitlines()[1:] or [None])[0]}
 
 
 def fig3_digests(tmp_dir: Path) -> dict:
@@ -151,14 +151,15 @@ def test_fig3_csvs(pinned, tmp_path):
 @pytest.mark.parametrize("name", list(corpus_configs()))
 def test_corpus(pinned, tmp_path, name):
     runs = run_corpus_config(corpus_configs()[name], tmp_path)
-    for command, (code, out, err_line) in runs.items():
+    for command, (code, out, err) in runs.items():
         want = pinned["corpus"][name][command]
-        assert corpus_record(code, out, err_line) == want, (
+        assert corpus_record(code, out, err) == want, (
             f"{command} on {name!r} moved; its output now:\n"
-            f"exit code {code}, stderr {err_line!r}, stdout:\n{out}")
+            f"exit code {code}, stderr:\n{err}stdout:\n{out}")
 
 
 def write_pinned() -> None:
+    from test_cli import run_key_table
     with tempfile.TemporaryDirectory() as tmp:
         record = {case: dict(zip(("exit_code", "stdout"), run_case(case, Path(tmp))))
                   for case in CASES}
@@ -167,6 +168,10 @@ def write_pinned() -> None:
             name: {command: corpus_record(*run)
                    for command, run in run_corpus_config(edits, Path(tmp)).items()}
             for name, edits in corpus_configs().items()}
+        record["key table"] = {
+            key: {name: corpus_record(*run[1:4])
+                  for name, run in run_key_table(key, Path(tmp) / key).items()}
+            for key in CONFIG_KEYS}
     PINNED.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
