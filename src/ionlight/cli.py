@@ -205,3 +205,9 @@ def main(argv=None) -> int:
                   else "io error" if isinstance(exc, OSError) else "error")
         print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_PHYSICS if isinstance(exc, RegimeError) else EXIT_USAGE
+
+
+if __name__ == "__main__":
+    # python -m ionlight.cli would skip __main__.py's BLAS setting: a refusal, not a run
+    print("error: run python -m ionlight, not python -m ionlight.cli", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)

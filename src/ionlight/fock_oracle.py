@@ -68,7 +68,9 @@ MAX_RHO_T = 2 ** 20
 
 def _norm(values: np.ndarray) -> float:
     """The 2-norm of ``values``, summed in an order that no thread count changes."""
-    return math.sqrt(float((values.real ** 2 + values.imag ** 2).sum()))
+    squares = np.square(values.real)
+    squares += np.square(values.imag)
+    return math.sqrt(float(squares.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,9 +472,17 @@ def _raised(support: np.ndarray, values: np.ndarray, n: np.ndarray, stride: int,
     return support[keep] + stride, np.sqrt(n[keep] + 1) * values[keep]
 
 
+def _inner_product(bra: tuple, support: np.ndarray, values: np.ndarray) -> complex:
+    """<bra|ket> of the ket held at ``support``, conjugated and multiplied in the gathered array."""
+    terms = _gather(*bra, support)
+    np.conj(terms, out=terms)
+    terms *= values
+    return terms.sum()
+
+
 def _inner_products(bra: tuple, kets: list) -> np.ndarray:
     """<bra|ket> for each ket, every vector held as (ascending support, values)."""
-    return np.array([(_gather(*bra, support).conj() * values).sum() for support, values in kets])
+    return np.array([_inner_product(bra, support, values) for support, values in kets])
 
 
 def observables(state: FockState) -> FockObservables:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ionlight import cli
+from ionlight import cli, protocol
 from ionlight.cli import (EXIT_OK, EXIT_PHYSICS, EXIT_USAGE,
                           bundled_config_path, main, read_run_config)
 from ionlight.params import CONFIG_KEYS, coupling_constants, load_config
@@ -390,28 +390,32 @@ READERS = {
 }
 PHYSICAL_ARGVS = [[command] for command in PARAMS_COMMANDS] + [["simulate", "--force"]]
 
-# The key table's fixed values.  Every key takes zero, negative, the least
-# subnormal, tiny, huge and near the largest double (oracle_dims for all three
-# modes), then NaN, +-inf, an integer, the empty value, a word, a complex
-# literal and a comma list; some keys take values of their own besides.
+# The key table's fixed values, each run under the test that names it: zero,
+# negative, the least subnormal, tiny, huge and near the largest double
+# (oracle_dims for all three modes); finite values far from the operating
+# point; non-finite values; and a value of each kind for every key: NaN,
+# +-inf, an integer, the empty value, a word, a complex literal and a comma list.
 EXTREME_VALUES = ["0", "-1", "5e-324", "1e-300", "1e300", "1e308"]
-EXAMPLES = ["nan", "-inf", "inf", "5e-324", "-1e308", "1e308", "7", "", "word", "(1+2j)",
-            "1, 2, 3"]
 EXTREMES = [("g1_hz", "1e-200"), ("g1_hz", "1e200"), ("omega_rabi_hz", "1e200"),
             ("fig3_r_list", "1e200"), ("oracle_r", "1.000000000001"), ("wavenumber", "1e200")]
 NON_FINITE = [("sequential", "seq_t1", "inf"), ("fig3", "t_max", "nan"),
               ("oracle-check", "oracle_r", "nan"), ("fig3", "fig3_r_list", "nan"),
               ("validate", "delta_hz", "nan")]
+EXAMPLES = ["nan", "-inf", "inf", "5e-324", "-1e308", "1e308", "7", "", "word", "(1+2j)",
+            "1, 2, 3"]
 
 
 def table_value(key, value):
     return ",".join([value] * 3) if key == "oracle_dims" else value
 
 
-KEY_VALUES = {key: list(dict.fromkeys([
-    *(table_value(key, value) for value in EXTREME_VALUES), *EXAMPLES,
-    *(value for k, value in EXTREMES if k == key),
-    *(value for _, k, value in NON_FINITE if k == key)])) for key in CONFIG_KEYS}
+NAMED = {key: [*(table_value(key, value) for value in EXTREME_VALUES),
+               *(value for k, value in EXTREMES if k == key),
+               *(value for _, k, value in NON_FINITE if k == key)] for key in CONFIG_KEYS}
+# the examples that no named value of the key already runs
+KEY_EXAMPLES = {key: [value for value in EXAMPLES if value not in NAMED[key]]
+                for key in CONFIG_KEYS}
+KEY_VALUES = {key: NAMED[key] + KEY_EXAMPLES[key] for key in CONFIG_KEYS}
 
 
 def parser_refuses(key, value):
@@ -422,15 +426,15 @@ def parser_refuses(key, value):
     return False
 
 
-def key_runs(key):
-    """(argv, value) of each run of ``key``'s values through each subcommand that reads it.
+def key_runs(key, values):
+    """(argv, value, run name) of each run of ``values`` of ``key`` through each reader.
 
     A physical key also runs through ``simulate --force``.  A value the key's
     parser refuses runs once: main reads the whole config before it
     dispatches, so every subcommand refuses it with the same line.
     """
     argvs = PHYSICAL_ARGVS if key in PHYSICAL_KEYS else [[command] for command in READERS[key]]
-    return [(argv, value) for value in KEY_VALUES[key]
+    return [(argv, value, f"{' '.join(argv)}: {value!r}") for value in values
             for argv in (argvs[:1] if parser_refuses(key, value) else argvs)]
 
 
@@ -440,8 +444,9 @@ def key_line(key):
                 for text in edited_config({key: "0"}).splitlines()].index(key)
 
 
-def run_key_table(key, work_dir):
-    """{run name: (value, exit code, stdout, stderr, files left)} of each run of ``key``.
+def run_key_table(key, work_dir, values=None):
+    """{run name: (value, exit code, stdout, stderr, files left)} of each run of
+    ``values`` of ``key``, by default every value the table holds for it.
 
     Each run reads the bundled config with ``key`` set, in the empty
     directory ``work_dir/run``; fig3 writes to ``out`` there, so its stdout
@@ -452,11 +457,11 @@ def run_key_table(key, work_dir):
     os.chdir(run_dir)
     try:
         runs = {}
-        for argv, value in key_runs(key):
+        for argv, value, name in key_runs(key, KEY_VALUES[key] if values is None else values):
             config.write_text(edited_config({key: value}), encoding="utf-8")
             out_dir = ["--out", "out"] if argv == ["fig3"] else []
             code, out, err = run_cli([*argv, "--config", str(config), *out_dir])
-            runs[f"{' '.join(argv)}: {value!r}"] = (value, code, out, err, os.listdir())
+            runs[name] = (value, code, out, err, os.listdir())
             shutil.rmtree("out", ignore_errors=True)
         return runs
     finally:
@@ -474,44 +479,13 @@ def assert_documented_outcome(code, out, err, context):
                 or "overall: FAIL" in out or "MISMATCH" in err), context
 
 
-BUNDLED = {key: CONFIG_KEYS[key].parse(raw) for key, (raw, _) in load_config(INDIUM).items()}
-
-
-def near_bundled(key):
-    """0, or the bundled value (1 where it is 0) times +-10^[-3, 3], complex ones at any phase."""
-    base = BUNDLED[key] or 1.0
-    factor = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
-                       st.floats(-3.0, 3.0), st.sampled_from([1, -1]))
-    if isinstance(base, complex):
-        factor = st.builds(lambda f, phase: f * cmath.exp(1j * phase),
-                           factor, st.floats(-math.pi, math.pi))
-    return st.just("0") | factor.map(lambda f: repr(base * f))
-
-
-PAIRS = (st.lists(st.sampled_from(PHYSICAL_KEYS), min_size=2, max_size=2, unique=True)
-         .flatmap(lambda keys: st.fixed_dictionaries({key: near_bundled(key) for key in keys})))
-
-
 @pytest.fixture(scope="module")
 def pinned_table():
     return json.loads(PINNED.read_text(encoding="utf-8"))["key table"]
 
 
-def assert_pinned_outcomes(pinned_table, key, values):
-    """Each value is pinned for ``key``, every run of it with an exit code of the three
-    and exit 1 with its ``error:`` line; TestKeyTable holds the live runs to these records."""
-    for value in values:
-        records = [record for name, record in pinned_table[key].items()
-                   if name.endswith(f": {value!r}")]
-        assert records, value
-        for record in records:
-            assert record["exit_code"] in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS), (value, record)
-            if record["exit_code"] == EXIT_USAGE:
-                assert re.match(r"(config )?error: ", record["stderr"]), (value, record)
-
-
-class TestKeyTable:
-    """The CLI driven from the key table: each key's fixed values through each subcommand that reads it.
+def assert_key_runs(pinned_table, tmp_path, key, values):
+    """Run ``values`` of ``key`` through each subcommand that reads it, and return the runs.
 
     Each run ends in a documented exit code: 1 with an ``error:`` line, which
     is ``config error: line N: key 'K'`` for a value the key's parser refuses;
@@ -521,35 +495,23 @@ class TestKeyTable:
     under the strict floating-point fixture.  Each run's exit code, stdout
     sha256 and first stderr line after the version line are pinned.
     """
-
-    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
-    def test_every_reader_gives_its_pinned_record(self, pinned_table, tmp_path, key):
-        runs = run_key_table(key, tmp_path)
-        assert list(runs) == list(pinned_table[key])
-        for name, (value, code, out, err, left) in runs.items():
-            context = (key, name, err)
-            assert_documented_outcome(code, out, err, context)
-            assert left == (["out"] if code == EXIT_OK and name.startswith("fig3") else []), context
-            if parser_refuses(key, value):
-                refusal = f"key '{key}'" if value else "expected 'key = value'"
-                assert re.search(rf"^config error: line {key_line(key)}: {refusal}", err,
-                                 re.MULTILINE), context
-            assert corpus_record(code, out, err) == pinned_table[key][name], (
-                f"{name} of {key} moved; its output now:\n"
-                f"exit code {code}, stderr:\n{err}stdout:\n{out}")
-
-    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edits=PAIRS)
-    def test_pairs_of_physical_keys_end_in_an_exit_code(self, tmp_path, edits):
-        config = tmp_path / "pair.cfg"
-        config.write_text(edited_config(edits), encoding="utf-8")
-        for argv in PHYSICAL_ARGVS:
-            code, out, err = run_cli([*argv, "--config", str(config)])
-            assert_documented_outcome(code, out, err, (edits, argv, err))
+    runs = run_key_table(key, tmp_path, values)
+    for name, (value, code, out, err, left) in runs.items():
+        context = (key, name, err)
+        assert_documented_outcome(code, out, err, context)
+        assert left == (["out"] if code == EXIT_OK and name.startswith("fig3") else []), context
+        if parser_refuses(key, value):
+            refusal = f"key '{key}'" if value else "expected 'key = value'"
+            assert re.search(rf"^config error: line {key_line(key)}: {refusal}", err,
+                             re.MULTILINE), context
+        assert corpus_record(code, out, err) == pinned_table[key][name], (
+            f"{name} of {key} moved; its output now:\n"
+            f"exit code {code}, stderr:\n{err}stdout:\n{out}")
+    return runs
 
 
 class TestRunKeyTable:
-    """Run-level keys: their defaults, and the pinned runs of each extreme value."""
+    """Run-level keys: their defaults, and each extreme value through each reader."""
 
     def test_defaults_come_from_the_table(self):
         assert vars(read_run_config()) == {
@@ -557,16 +519,17 @@ class TestRunKeyTable:
 
     @pytest.mark.parametrize("value", EXTREME_VALUES)
     @pytest.mark.parametrize("key", RUN_KEYS)
-    def test_every_command_ends_in_an_exit_code(self, pinned_table, key, value):
-        assert_pinned_outcomes(pinned_table, key, [table_value(key, value)])
+    def test_every_command_ends_in_an_exit_code(self, pinned_table, tmp_path, key, value):
+        assert_key_runs(pinned_table, tmp_path, key, [table_value(key, value)])
 
 
 class TestPhysicalKeyTable:
-    """Physical keys: the pinned runs of each extreme value, and the refusals it names."""
+    """Physical keys: the extreme values through each command that builds the
+    parameters and ``simulate --force``, and the refusals they name."""
 
     @pytest.mark.parametrize("key", PHYSICAL_KEYS)
-    def test_every_command_ends_in_an_exit_code(self, pinned_table, key):
-        assert_pinned_outcomes(pinned_table, key, EXTREME_VALUES)
+    def test_every_command_ends_in_an_exit_code(self, pinned_table, tmp_path, key):
+        assert_key_runs(pinned_table, tmp_path, key, EXTREME_VALUES)
 
     @pytest.mark.parametrize("delta_hz", ["0", "5e-324", "1e-300"])
     def test_vanishing_delta_squared_is_a_fail_report(self, capsys, tmp_path, delta_hz):
@@ -603,19 +566,19 @@ class TestPhysicalKeyTable:
 
 class TestNonFiniteValues:
     @pytest.mark.parametrize("command,key,value", NON_FINITE)
-    def test_rejected_with_line_number(self, pinned_table, command, key, value):
+    def test_rejected_with_line_number(self, pinned_table, tmp_path, command, key, value):
         # the one run of a refused value is its first reader's
-        record = pinned_table[key][f"{command}: {value!r}"]
-        assert record["exit_code"] == EXIT_USAGE
-        assert record["stderr"].startswith(f"config error: line {key_line(key)}: key '{key}'")
+        runs = assert_key_runs(pinned_table, tmp_path, key, [value])
+        assert [(name, run[1]) for name, run in runs.items()] == [
+            (f"{command}: {value!r}", EXIT_USAGE)]
 
 
 class TestExtremeFiniteValues:
-    """Finite values far from the operating point: their pinned runs, and their messages."""
+    """Finite values far from the operating point: through each reader, and their messages."""
 
     @pytest.mark.parametrize("key,value", EXTREMES, ids=[f"{k}={v}" for k, v in EXTREMES])
-    def test_every_command_exits_cleanly(self, pinned_table, key, value):
-        assert_pinned_outcomes(pinned_table, key, [value])
+    def test_every_command_exits_cleanly(self, pinned_table, tmp_path, key, value):
+        assert_key_runs(pinned_table, tmp_path, key, [value])
 
     @pytest.mark.parametrize("command,key,name", [("fig3", "theta1", "theta1"),
                                                   ("sequential", "seq_swap_area", "swap_area"),
@@ -701,12 +664,70 @@ class TestNoMatrixExponential:
                                                              indium_params.kappa), c.t_pi)
 
 
-class TestDrawnValues:
-    """Every key has its readers, and pinned runs of a value of each kind."""
+# A drawn oracle_r runs on a small basis: near r = 1 the suggested one takes minutes.
+DRAW_BASE = {"oracle_r": {"oracle_dims": "6, 6, 6"}}
 
-    def test_every_key_has_its_readers(self):
+# Floats with NaN, +-inf and subnormals, integers, the empty value, a word, a
+# complex literal and a comma list.
+VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.just(""),
+    st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+    st.builds(complex, st.floats(), st.floats()).map(repr),
+    st.lists(st.one_of(st.integers(-2, 12), st.floats(-4.0, 4.0)), min_size=2, max_size=4)
+    .map(lambda items: ", ".join(map(repr, items))),
+)
+BUNDLED = {key: CONFIG_KEYS[key].parse(raw) for key, (raw, _) in load_config(INDIUM).items()}
+
+
+def near_bundled(key):
+    """0, or the bundled value (1 where it is 0) times +-10^[-3, 3], complex ones at any phase."""
+    base = BUNDLED[key] or 1.0
+    factor = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                       st.floats(-3.0, 3.0), st.sampled_from([1, -1]))
+    if isinstance(base, complex):
+        factor = st.builds(lambda f, phase: f * cmath.exp(1j * phase),
+                           factor, st.floats(-math.pi, math.pi))
+    return st.just("0") | factor.map(lambda f: repr(base * f))
+
+
+PAIRS = (st.lists(st.sampled_from(PHYSICAL_KEYS), min_size=2, max_size=2, unique=True)
+         .flatmap(lambda keys: st.fixed_dictionaries({key: near_bundled(key) for key in keys})))
+
+
+class TestDrawnValues:
+    """Every config key through each subcommand that reads it: a pinned value of each
+    kind, then drawn values, and drawn pairs of physical keys, with the same outcome checks."""
+
+    def test_every_key_has_its_readers(self, pinned_table):
         assert set(READERS) == set(CONFIG_KEYS)
+        # each pinned run of a key is a run of its named values or of its examples
+        for key in CONFIG_KEYS:
+            assert [name for *_, name in key_runs(key, KEY_VALUES[key])] == list(pinned_table[key])
 
     @pytest.mark.parametrize("key", list(CONFIG_KEYS))
-    def test_every_reader_ends_in_an_exit_code(self, pinned_table, key):
-        assert_pinned_outcomes(pinned_table, key, EXAMPLES)
+    def test_a_value_of_each_kind_gives_its_pinned_record(self, pinned_table, tmp_path, key):
+        assert_key_runs(pinned_table, tmp_path, key, KEY_EXAMPLES[key])
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    @settings(max_examples=10, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=VALUES)
+    def test_every_reader_ends_in_an_exit_code(self, tmp_path, monkeypatch, key, value):
+        # a drawn t_max or t_step may ask for up to a million points per
+        # trace, seconds of CSV: a smaller cap takes the same refusal path
+        monkeypatch.setattr(protocol, "MAX_GRID_POINTS", 4001)
+        config = tmp_path / "drawn.cfg"
+        config.write_text(edited_config({**DRAW_BASE.get(key, {}), key: value}), encoding="utf-8")
+        for command in READERS[key]:
+            code, out, err = run_cli([command, *flags(command, str(config), tmp_path / "out")])
+            assert_documented_outcome(code, out, err, (command, key, value, err))
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=PAIRS)
+    def test_pairs_of_physical_keys_end_in_an_exit_code(self, tmp_path, edits):
+        config = tmp_path / "pair.cfg"
+        config.write_text(edited_config(edits), encoding="utf-8")
+        for argv in PHYSICAL_ARGVS:
+            code, out, err = run_cli([*argv, "--config", str(config)])
+            assert_documented_outcome(code, out, err, (edits, argv, err))

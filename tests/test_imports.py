@@ -32,24 +32,25 @@ BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 WATCHED = ("numpy", "scipy", "scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
 
 # The child's loop.  ``entry(*argv)`` runs the process entry as ``python -m
-# ionlight`` does and returns its exit code.
+# ionlight`` does, or ``module`` as ``python -m module`` does, and returns its
+# exit code.
 CHILD = f"""
 import contextlib, io, json, os, runpy, sys
 
-def entry(*argv):
-    sys.argv = ["ionlight", *argv]
+def entry(*argv, module="ionlight"):
+    sys.argv = [module, *argv]
     try:
-        runpy.run_module("ionlight", run_name="__main__", alter_sys=True)
+        runpy.run_module(module, run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         return exc.code
 
 reports = {{}}
 for name, step in json.loads(sys.argv[1]).items():
-    result, out = None, io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    result, out, err = None, io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         exec(step)
     reports[name] = {{
-        "result": result, "stdout": out.getvalue(),
+        "result": result, "stdout": out.getvalue(), "stderr": err.getvalue(),
         "loaded": [module for module in {WATCHED!r} if module in sys.modules],
         "blas": os.environ.get({BLAS_THREADS!r}),
         "tasks": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None}}
@@ -111,10 +112,13 @@ def library(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def entry(tmp_path_factory):
-    """Each pinned case through the process entry, in one interpreter, from an unset variable."""
+    """Each pinned case through the process entry, in one interpreter, from an unset variable;
+    first ``python -m ionlight.cli``, before the entry has imported the module."""
     tmp = tmp_path_factory.mktemp("entry")
-    return run_steps({"start": "pass", **{case: f"result = entry(*{case_argv(case, tmp)!r})"
-                                          for case in CASES}})
+    return run_steps({"start": "pass",
+                      "ionlight.cli": f"result = entry('simulate', '--config', {INDIUM!r}, "
+                                      "module='ionlight.cli')",
+                      **{case: f"result = entry(*{case_argv(case, tmp)!r})" for case in CASES}})
 
 
 def outcome(report):
@@ -179,12 +183,14 @@ class TestProcessEntry:
     def test_library_and_in_process_cli_leave_the_setting_alone(self, library):
         assert [library[step]["blas"] for step in (*IMPORTS[:2], "simulate")] == [None] * 3
 
-    def test_installed_script_is_the_process_entry(self):
+    def test_installed_script_is_the_process_entry(self, entry):
         import tomllib
         project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
         assert project["project"]["scripts"] == {"ionlight": "ionlight.__main__:main"}
-        # python -m ionlight.cli would run numpy's default threads: cli.py is no entry
-        assert "__main__" not in (ROOT / "src" / "ionlight" / "cli.py").read_text(encoding="utf-8")
+        # python -m ionlight.cli would run numpy's default threads: it refuses, as a usage error
+        report = entry["ionlight.cli"]
+        assert (report["result"], report["stdout"], report["stderr"], report["loaded"]) == (
+            1, "", "error: run python -m ionlight, not python -m ionlight.cli\n", [])
 
     @pytest.mark.parametrize("case", CASES)
     def test_entry_gives_the_pinned_outputs(self, entry, case):
