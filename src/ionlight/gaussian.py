@@ -218,7 +218,7 @@ def vacuum(n_modes: int, labels: Optional[Sequence] = None) -> GaussianState:
         labels = tuple(f"mode{k}" for k in range(n_modes))
     elif len(labels) != n_modes:
         raise StateError("number of labels must match n_modes")
-    return GaussianState._made(tuple(labels), np.eye(2 * n_modes))
+    return _thermal_product(tuple(labels), (0.0,) * n_modes)
 
 
 def thermal(nbar: float, label="motion") -> GaussianState:
@@ -228,12 +228,20 @@ def thermal(nbar: float, label="motion") -> GaussianState:
     NaN or infinite ``nbar``, or one for which 2 nbar + 1 overflows double
     precision, raises :class:`StateError`.
     """
-    if not 0.0 <= nbar < math.inf:
-        raise StateError(f"nbar must be finite and >= 0, got {nbar!r}")
-    variance = 2.0 * nbar + 1.0
-    if variance == math.inf:
-        raise StateError(f"2 nbar + 1 overflows double precision, got nbar = {nbar!r}")
-    return GaussianState._made((label,), variance * np.eye(2))
+    return _thermal_product((label,), (nbar,))
+
+
+def _thermal_product(labels: tuple, nbars: Sequence) -> GaussianState:
+    """One thermal state per label (nbar 0 the vacuum): the diagonal covariance 2 nbar + 1."""
+    variances = []
+    for nbar in nbars:
+        if not 0.0 <= nbar < math.inf:
+            raise StateError(f"nbar must be finite and >= 0, got {nbar!r}")
+        variance = 2.0 * nbar + 1.0
+        if variance == math.inf:
+            raise StateError(f"2 nbar + 1 overflows double precision, got nbar = {nbar!r}")
+        variances += (variance, variance)
+    return GaussianState._made(labels, np.diag(variances))
 
 
 def tensor(*states: GaussianState) -> GaussianState:
@@ -447,29 +455,41 @@ EXCHANGE = "exchange"
 def drift(labels: Sequence, terms: Iterable) -> np.ndarray:
     """Drift A of the quadratic Hamiltonian given as a list of terms over ``labels``.
 
-    The Heisenberg equations da/dt = M a + N a_dag are collected term by term
-    (see PAIR and EXCHANGE above) and mapped to quadratures as a mode
-    transformation.  A term on an unknown label, of an unknown kind, or with
-    a chi that is not finite raises :class:`StateError`.
+    The sum of each term's quadrature block (see :func:`_term_block`).  The
+    EXCHANGE and the PAIR blocks are summed apart and then added, as the
+    matrices M and N of da/dt = M a + N a_dag would be, so that each entry
+    rounds as it does on that route.
     """
     labels = tuple(labels)
-    n = len(labels)
-    m = np.zeros((n, n), dtype=complex)
-    nn = np.zeros((n, n), dtype=complex)
-    for kind, mode_a, mode_b, chi in terms:
-        i, j = _label_index(labels, mode_a), _label_index(labels, mode_b)
-        chi = complex(chi)
-        if not cmath.isfinite(chi):
-            raise StateError(f"a term's chi must be finite, got {chi!r}")
-        if kind == PAIR:
-            nn[i, j] += chi
-            nn[j, i] += chi
-        elif kind == EXCHANGE:
-            m[i, j] += chi
-            m[j, i] -= chi.conjugate()
-        else:
-            raise StateError(f"unknown term kind {kind!r}")
-    return bogoliubov_to_symplectic(m, nn)
+    exchange, pair = np.zeros((2, 2 * len(labels), 2 * len(labels)))
+    for term in terms:
+        i, j, block = _term_block(labels, term)
+        part = pair if term[0] == PAIR else exchange
+        part[2 * i:2 * i + 2, 2 * j:2 * j + 2] += block[:2, 2:]
+        part[2 * j:2 * j + 2, 2 * i:2 * i + 2] += block[2:, :2]
+    return exchange + pair
+
+
+def _term_block(labels: tuple, term) -> tuple:
+    """(i, j, block): a term's modes and its drift on their quadratures (X_i, P_i, X_j, P_j).
+
+    The block is the Heisenberg equations of PAIR or EXCHANGE (above) with
+    chi = x + i y.  A term on an unknown label, of an unknown kind, or with a
+    chi that is not finite raises :class:`StateError`.
+    """
+    kind, mode_a, mode_b, chi = term
+    i, j = _label_index(labels, mode_a), _label_index(labels, mode_b)
+    chi = complex(chi)
+    if not cmath.isfinite(chi):
+        raise StateError(f"a term's chi must be finite, got {chi!r}")
+    x, y = chi.real, chi.imag
+    if kind == PAIR:
+        block = ((0.0, 0.0, x, y), (0.0, 0.0, y, -x), (x, y, 0.0, 0.0), (y, -x, 0.0, 0.0))
+    elif kind == EXCHANGE:
+        block = ((0.0, 0.0, x, -y), (0.0, 0.0, y, x), (-x, -y, 0.0, 0.0), (y, -x, 0.0, 0.0))
+    else:
+        raise StateError(f"unknown term kind {kind!r}")
+    return i, j, np.array(block)
 
 
 def simultaneous_terms(chi1: complex, chi2: complex) -> tuple:
@@ -505,9 +525,9 @@ def dynamics_from_couplings(chi1: complex, chi2: complex,
 def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
     """Symplectic matrix exp(A t) of one PAIR or EXCHANGE term, in closed form.
 
-    A is the :func:`drift` of the term alone.  It
-    vanishes outside the two modes' quadratures and squares to +|chi|^2 (PAIR)
-    or -|chi|^2 (EXCHANGE) on them, so with P the projector onto them
+    A is the :func:`drift` of the term alone, its :func:`_term_block` on the
+    two modes' quadratures.  It squares to +|chi|^2 (PAIR) or -|chi|^2
+    (EXCHANGE) on them, so with P the projector onto them
 
         exp(A t) = I + (c - 1) P + (s / |chi|) A,
 
@@ -522,10 +542,11 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
     if mode_a == mode_b:
         raise StateError(f"a term must couple two distinct modes, got {mode_a!r} twice")
     labels = tuple(labels)
-    a = drift(labels, (term,))
+    i, j, block = _term_block(labels, term)
     rate = abs(complex(chi))
+    out = np.eye(2 * len(labels))
     if rate == 0.0:
-        return np.eye(2 * len(labels))
+        return out
     angle = rate * t
     if angle == math.inf:
         raise StateError(f"{kind} area |chi| t = {angle!r} overflows double precision")
@@ -536,10 +557,10 @@ def term_propagator(labels: Sequence, term, t: float) -> np.ndarray:
             raise StateError(f"pair area |chi| t = {angle!r} overflows double precision") from None
     else:
         c, s = math.cos(angle), math.sin(angle)
-    out = np.eye(2 * len(labels)) + (s / rate) * a
-    for label in (mode_a, mode_b):
-        k = labels.index(label)
-        out[2 * k, 2 * k] = out[2 * k + 1, 2 * k + 1] = c
+    local = (s / rate) * block + 0.0    # + 0.0: each zero entry is +0.0, as in I + (s/|chi|) A
+    local.flat[::5] = c
+    q = np.array((2 * i, 2 * i + 1, 2 * j, 2 * j + 1))
+    out[q[:, None], q] = local
     return out
 
 
@@ -636,21 +657,6 @@ def evolve(state: GaussianState, dynamics: LinearDynamics, t: float) -> Gaussian
 # analytic half-period map and the squeezed target state
 # ---------------------------------------------------------------------------
 
-def bogoliubov_to_symplectic(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Quadrature matrix of the mode transformation a_i' = sum_j alpha_ij a_j + beta_ij a_j_dag."""
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    n = alpha.shape[0]
-    plus = alpha + beta
-    minus = alpha - beta
-    s = np.empty((2 * n, 2 * n))
-    s[0::2, 0::2] = plus.real
-    s[0::2, 1::2] = -minus.imag
-    s[1::2, 0::2] = plus.imag
-    s[1::2, 1::2] = minus.real
-    return s
-
-
 def bogoliubov_tpi(couplings: Couplings) -> np.ndarray:
     """The exact half-period map as a 6x6 symplectic matrix (cav1, cav2, motion).
 
@@ -661,17 +667,19 @@ def bogoliubov_tpi(couplings: Couplings) -> np.ndarray:
     with u = cosh s = sqrt(1 + n) and v = sinh s e^{i beta} = sqrt(n) e^{i beta},
     read from the couplings' photons per mode n = ``n_mean`` and phase beta
     (u^2 - |v|^2 = 1).  Requires |chi2| > |chi1|; chi1 = 0 is the trivial
-    limit u = 1, v = 0.
+    limit u = 1, v = 0.  The quadrature rows are written with v = x + i y.
     """
     require_half_period(couplings.r)
     n = couplings.n_mean
     u = math.sqrt(1.0 + n)
     v = math.sqrt(n) * np.exp(1j * (couplings.beta or 0.0))
-    alpha = np.diag([u, -u, -1.0]).astype(complex)
-    beta = np.zeros((3, 3), dtype=complex)
-    beta[0, 1] = -v
-    beta[1, 0] = v
-    return bogoliubov_to_symplectic(alpha, beta)
+    x, y = v.real, v.imag
+    return np.array([[u, 0.0, -x, -y, 0.0, 0.0],
+                     [0.0, u, -y, x, 0.0, 0.0],
+                     [x, y, -u, 0.0, 0.0, 0.0],
+                     [y, -x, 0.0, -u, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0, -1.0]])
 
 
 def tmss(r: float, beta: float = 0.0) -> GaussianState:

@@ -284,10 +284,18 @@ def parse_config_text(text: str) -> dict:
 def load_config(path) -> dict:
     """Read and parse a UTF-8 config file, with or without a byte-order mark.
 
-    See :func:`parse_config_text`.
+    A byte that is not UTF-8 raises :class:`ConfigError` with its line.  See
+    :func:`parse_config_text`.
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_config_text(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:   # exc.object is the file after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})",
+                          line=line) from None
+    return parse_config_text(text)
 
 
 def params_from_config(entries: dict):

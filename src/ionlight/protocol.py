@@ -67,8 +67,12 @@ def default_time_grid(t_max: float = CONFIG_KEYS["t_max"].default,
     return np.linspace(0.0, n * step, n + 1)
 
 
-_DEFAULT_GRID = default_time_grid()     # HomodyneSettings' default, which copies it
+# HomodyneSettings' default grid and its weights exp(-2 t), built once: every
+# settings object that takes the default shares both, read-only, uncopied.
+_DEFAULT_GRID = default_time_grid()
+_DEFAULT_WEIGHTS = np.exp(-2.0 * _DEFAULT_GRID)
 _DEFAULT_GRID.setflags(write=False)
+_DEFAULT_WEIGHTS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +83,15 @@ class HomodyneSettings:
     nothing, and far past it the cos and sin are round-off.  ``kappa_dt`` is
     the dimensionless bin length kappa * dt and must lie in (0, 1]: the
     fluctuations have to be recorded on a time scale no slower than the
-    cavity decay.  ``t_grid`` is in units of 1/kappa.
+    cavity decay.  ``t_grid`` is in units of 1/kappa; a caller's grid is
+    copied.  ``weights`` is exp(-2 t) on the grid, read by both signal routes.
     """
 
     theta1: float = 0.0
     theta2: float = 0.0
     kappa_dt: float = DEFAULT_KAPPA_DT
     t_grid: np.ndarray = field(default_factory=lambda: _DEFAULT_GRID)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.kappa_dt <= 1.0:
@@ -94,11 +100,17 @@ class HomodyneSettings:
             theta = getattr(self, name)
             if not abs(theta) <= TWO_PI:
                 raise ParameterError(f"{name} must lie in [-2 pi, 2 pi], got {theta!r}")
-        grid = np.array(self.t_grid, dtype=float).reshape(-1)
-        if grid.size == 0 or not np.all((grid >= 0.0) & (grid < math.inf)):
-            raise ParameterError("t_grid must be non-empty with finite times >= 0")
+        if self.t_grid is _DEFAULT_GRID:
+            grid, weights = _DEFAULT_GRID, _DEFAULT_WEIGHTS
+        else:
+            grid = np.array(self.t_grid, dtype=float).reshape(-1)
+            if grid.size == 0 or not np.all((grid >= 0.0) & (grid < math.inf)):
+                raise ParameterError("t_grid must be non-empty with finite times >= 0")
+            weights = np.exp(-2.0 * grid)
+            grid.setflags(write=False)
+            weights.setflags(write=False)
         object.__setattr__(self, "t_grid", grid)
-        grid.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def theta_sum(self) -> float:
@@ -195,7 +207,7 @@ def output_signal(couplings: Couplings, kappa: float,
     q1_sq = 1.0 + 2.0 * n
     q1q2 = 2.0 * math.sqrt(n) * math.sqrt(1.0 + n) * math.cos(phase)
     total = 2.0 * q1_sq
-    r_values = settings.kappa_dt * np.exp(-2.0 * settings.t_grid) * total
+    r_values = settings.kappa_dt * settings.weights * total
     c_values = 1.0 - (r_values / (1.0 + r_values)) * (2.0 * q1q2 / total)
     return SignalTrace(times=settings.t_grid.copy(), c_values=c_values,
                        r=float(couplings.r), kappa_dt=settings.kappa_dt,
@@ -232,7 +244,7 @@ def beam_splitter_signal(couplings: Couplings,
     sigma = rotation @ source @ rotation.T
 
     # measured covariance per grid point: weight * sigma + identity
-    weight = 2.0 * settings.kappa_dt * np.exp(-2.0 * settings.t_grid)
+    weight = 2.0 * settings.kappa_dt * settings.weights
     var1 = weight * sigma[0, 0] + 1.0
     var2 = weight * sigma[2, 2] + 1.0
     cross = weight * sigma[0, 2]
@@ -258,7 +270,7 @@ def fig3_sweep(r_list: Optional[Iterable[float]] = None,
             raise ParameterError(f"every r must be finite, got {r!r}")
         require_half_period(r)
     if t_grid is None:
-        t_grid = default_time_grid()
+        t_grid = _DEFAULT_GRID
     settings = HomodyneSettings(theta1=theta1, theta2=theta2, kappa_dt=kappa_dt, t_grid=t_grid)
     return [output_signal(Couplings.from_chis(1.0, r), kappa=1.0, settings=settings)
             for r in r_list]
@@ -298,8 +310,7 @@ def run_simultaneous(params: PhysicalParams, force: bool = False,
             raise RegimeError("operating-regime check failed "
                               f"({', '.join(failed)}); pass force=True to run anyway")
 
-    initial = gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")),
-                              gaussian.thermal(params.nbar_motion, "motion"))
+    initial = gaussian._thermal_product(SIMULTANEOUS_LABELS, (0.0, 0.0, params.nbar_motion))
     (final,) = run_stages(initial, stages)
 
     diagnostics = {
@@ -367,9 +378,7 @@ def run_sequential(params: PhysicalParams, t1: float, kappa_t12: float = math.in
     protocol; a delay of ``kappa_t12`` = kappa * T12 >= 5 is recommended so
     most of pulse 1 is actually out before the swap.
     """
-    initial = gaussian.tensor(gaussian.vacuum(1, ("cav",)),
-                              gaussian.thermal(params.nbar_motion, "motion"),
-                              gaussian.vacuum(1, ("pulse1",)))
+    initial = gaussian._thermal_product(SEQUENTIAL_LABELS, (0.0, params.nbar_motion, 0.0))
     after_pair, _, state = run_stages(initial, sequential_stages(
         coupling_constants(params), t1, kappa_t12, swap_area))
 

@@ -237,10 +237,11 @@ class TestMutants:
     """Mutants of the Gaussian kernel that an acceptance check must catch."""
 
     def test_exchange_sign_in_drift_fails_criterion_3_term_loop(self, monkeypatch, rng):
-        # m[j, i] -= conj(chi) -> +=: the exchange drift is no longer a rotation,
-        # and the closed form still reads its cos and sin
+        # the exchange's (j, i) block from -conj(chi) to +conj(chi): the exchange
+        # drift is no longer a rotation, and the closed form still reads its cos and sin
         assert_term_maps_match_expm(rng)
-        monkeypatch.setattr(gaussian, "drift", mutated(
-            gaussian, "drift", "m[j, i] -= chi.conjugate()", "m[j, i] += chi.conjugate()"))
+        monkeypatch.setattr(gaussian, "_term_block", mutated(
+            gaussian, "_term_block", "(-x, -y, 0.0, 0.0), (y, -x, 0.0, 0.0))",
+            "(x, y, 0.0, 0.0), (-y, x, 0.0, 0.0))"))
         with pytest.raises(AssertionError):
             assert_term_maps_match_expm(rng)

@@ -266,6 +266,32 @@ class TestOracleCheck:
         assert out == ""
 
 
+# What a byte mutation of the bundled config inserts: separators, a carriage
+# return, NUL, form feed, a byte-order mark, a non-ASCII digit (Arabic-Indic
+# three) and bytes that are not UTF-8 (Latin-1 e-acute, 0xff, a lone lead byte).
+INSERTS = [b"=", b",", b"#", b"\n", b"\r", b"\x00", b"\x0c", b"\xef\xbb\xbf",
+           "\u0663".encode(), b"\xe9", b"\xff", b"\xc3"]
+
+
+@st.composite
+def mutated_config(draw):
+    """The bundled config's bytes after one to three mutations: a bit flipped, a
+    span of up to 40 bytes deleted or duplicated, or one of INSERTS inserted."""
+    data = bytearray(bundled_config_path().read_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        how = draw(st.sampled_from(["flip", "delete", "duplicate", "insert"]))
+        if how == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif how == "delete":
+            del data[at:at + draw(st.integers(1, 40))]
+        elif how == "duplicate":
+            data[at:at] = data[at:at + draw(st.integers(1, 40))]
+        else:
+            data[at:at] = draw(st.sampled_from(INSERTS))
+    return bytes(data)
+
+
 class TestOneFailurePath:
     """main alone turns errors into exit codes: 2 for the regime gate, 1 for the rest."""
 
@@ -342,6 +368,35 @@ class TestOneFailurePath:
         marked.write_bytes(b"\xef\xbb\xbf" + bundled_config_path().read_bytes())
         assert run(capsys, command, "--config", str(marked))[:2] == \
             run(capsys, command, "--config", INDIUM)[:2]
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_latin1_comment_is_a_config_error(self, capsys, tmp_path, mark):
+        # "# café" saved as Latin-1: the byte 0xe9, which is not UTF-8, on the
+        # line after the bundled file's last; a byte-order mark shifts no line
+        data = bundled_config_path().read_bytes()
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(mark + data + b"# caf\xe9\n")
+        line = data.count(b"\n") + 1
+        for command in FLAGS:
+            code, out, err = run(capsys, command, *flags(command, str(latin1), tmp_path / "out"))
+            assert code == EXIT_USAGE, (command, err)
+            assert re.search(rf"^config error: line {line}: not UTF-8: byte 0xe9 "
+                             r"\(invalid continuation byte\)$", err, re.MULTILINE), err
+            assert "Traceback" not in err
+            assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_config(), command=st.sampled_from(list(FLAGS)))
+    def test_byte_mutations_end_in_an_exit_code(self, tmp_path, monkeypatch, data, command):
+        # a grid of a million points is seconds of CSV: a smaller cap takes the same path
+        monkeypatch.setattr(protocol, "MAX_GRID_POINTS", 4001)
+        config, out_dir = tmp_path / "mutated.cfg", tmp_path / "out"
+        config.write_bytes(data)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        code, out, err = run_cli([command, *flags(command, str(config), out_dir)])
+        assert_documented_outcome(code, out, err, (command, data, err))
+        assert out_dir.exists() == (command == "fig3" and code == EXIT_OK), (command, data, err)
 
     @pytest.mark.parametrize("soft_ratio", ["0", "-1"])
     def test_soft_ratio_not_positive(self, capsys, tmp_path, soft_ratio):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import mutated, random_couplings
+from conftest import bogoliubov_to_symplectic, mutated, random_couplings, reference_drift
 from ionlight import gaussian
 from ionlight.errors import StateError, UndefinedPeriodError, UnphysicalStateError
 from ionlight.gaussian import (EXCHANGE, PAIR, GaussianState, LinearDynamics,
@@ -237,6 +237,17 @@ class TestDynamics:
             a = drift(labels, terms)
             assert np.max(np.abs(a @ omega + omega @ a.T)) < 1e-12
 
+    def test_drift_equals_the_reference_route(self, rng):
+        # the Heisenberg matrices mapped to quadratures, exactly: lists of up to
+        # six terms on three modes put three or more terms on one pair, and a
+        # term may name one mode twice
+        labels = ("p", "q", "r")
+        for k in range(400):
+            terms = [(kind, *rng.choice(labels, 2, replace=k % 5 == 0),
+                      complex(*rng.normal(size=2)) if k % 3 else float(rng.normal()))
+                     for kind in rng.choice((PAIR, EXCHANGE), rng.integers(0, 7))]
+            assert np.array_equal(drift(labels, terms), reference_drift(labels, terms)), terms
+
     def test_unknown_term_kind_rejected(self):
         with pytest.raises(StateError):
             drift(("a", "b"), [("beam splitter", "a", "b", 1.0)])
@@ -444,6 +455,19 @@ class TestBogoliubovMap:
             start = tensor(vacuum(2, ("cav1", "cav2")), thermal(nbar, "motion"))
             mapped = s @ start.cov @ s.T
             assert np.linalg.norm(evolved.cov - mapped) < 1e-9
+
+    def test_equals_the_reference_route(self, rng):
+        # a1 -> u a1 - v a2_dag, a2 -> v a1_dag - u a2, b -> -b as Bogoliubov
+        # matrices, mapped to quadratures
+        for k in range(200):
+            c = Couplings.from_chis(*random_couplings(rng)) if k else Couplings.from_chis(0.0, 1.5)
+            u = math.sqrt(1.0 + c.n_mean)
+            v = math.sqrt(c.n_mean) * np.exp(1j * (c.beta or 0.0))
+            alpha = np.diag([u, -u, -1.0]).astype(complex)
+            beta = np.zeros((3, 3), dtype=complex)
+            beta[0, 1] = -v
+            beta[1, 0] = v
+            assert np.array_equal(bogoliubov_tpi(c), bogoliubov_to_symplectic(alpha, beta))
 
     def test_is_symplectic(self, rng):
         omega = symplectic_form(3)

@@ -175,6 +175,26 @@ class TestOutputSignal:
         trace = output_signal(Couplings.from_chis(0.0, 1.0), 1.0, settings)
         assert np.allclose(trace.c_values, 1.0, atol=1e-14)
 
+    def test_weights_are_exp_minus_two_t(self, rng):
+        grids = [None, default_time_grid(4.0, 0.5), np.array([3.0, 0.0, 700.0]),
+                 *(rng.uniform(0.0, 10.0, size) for size in (1, 7, 400))]
+        for grid in grids:
+            settings = HomodyneSettings() if grid is None else HomodyneSettings(t_grid=grid)
+            assert np.array_equal(settings.weights, np.exp(-2.0 * settings.t_grid))
+
+    def test_default_grid_is_shared_and_a_given_grid_copied(self):
+        default, other = HomodyneSettings(), HomodyneSettings(theta1=0.3, kappa_dt=0.5)
+        assert other.t_grid is default.t_grid and other.weights is default.weights
+        assert np.array_equal(default.t_grid, default_time_grid())
+        grid = default_time_grid()
+        given = HomodyneSettings(t_grid=grid)
+        assert given.t_grid is not grid and not np.shares_memory(given.t_grid, grid)
+        grid[1] = 5.0
+        assert given.t_grid[1] == 0.02
+        for settings in (default, given):
+            assert not settings.t_grid.flags.writeable
+            assert not settings.weights.flags.writeable
+
     def test_late_time_returns_to_shot_noise(self):
         settings = HomodyneSettings(t_grid=np.array([10.0]))
         trace = output_signal(Couplings.from_chis(1.0, 1.1), 1.0, settings)
@@ -254,6 +274,15 @@ class TestFig3Sweep:
         assert all(t.kappa_dt == 0.1 for t in traces)
         assert all(t.times.shape == (401,) for t in traces)
         assert all(t.times[-1] == pytest.approx(8.0) for t in traces)
+
+    def test_no_grid_takes_the_shared_default(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(protocol, "HomodyneSettings",
+                            lambda **kwargs: made.append(HomodyneSettings(**kwargs)) or made[-1])
+        fig3_sweep([1.5])
+        fig3_sweep([1.5], t_grid=default_time_grid())
+        assert made[0].t_grid is HomodyneSettings().t_grid
+        assert made[1].t_grid is not made[0].t_grid
 
     def test_values_in_unit_interval(self):
         for trace in fig3_sweep():
@@ -576,6 +605,28 @@ class TestRunSequential:
         assert_extraction_hands_over_the_emitted_fraction(indium_params, kappa_t12)
 
 
+class TestInitialStates:
+    def test_each_protocol_starts_from_the_product_state(self, monkeypatch, rng,
+                                                         indium_params):
+        # the one diagonal covariance equals the tensor product it replaces
+        initial = []
+        original = protocol.run_stages
+        monkeypatch.setattr(protocol, "run_stages",
+                            lambda state, stages: initial.append(state) or original(state, stages))
+        for nbar in (0.0, *rng.uniform(0.0, 100.0, 5)):
+            p = dataclasses.replace(indium_params, nbar_motion=nbar)
+            run_simultaneous(p, force=True)
+            run_sequential(p, t1=1.0 / abs_chi1(p))
+            motion = gaussian.thermal(nbar, "motion")
+            for got, want in zip(initial[-2:], (
+                    gaussian.tensor(gaussian.vacuum(2, ("cav1", "cav2")), motion),
+                    gaussian.tensor(gaussian.vacuum(1, ("cav",)), motion,
+                                    gaussian.vacuum(1, ("pulse1",))))):
+                assert got.mode_labels == want.mode_labels
+                assert np.array_equal(got.cov, want.cov)
+                assert not got.cov.flags.writeable
+
+
 class TestStages:
     def test_stage_names(self, indium_params):
         c = coupling_constants(indium_params)
@@ -684,7 +735,7 @@ class TestOneSpectrumPerNegativity:
 
 
 class TestOneDriftPerTerm:
-    """Structural guard: a stage's map reads the drift of its one term, and builds no dynamics."""
+    """Structural guard: a stage's map is the closed form of its term's drift; no dynamics."""
 
     def test_sequential_stages_build_no_linear_dynamics(self, monkeypatch, indium_params):
         built = []
